@@ -20,10 +20,11 @@ l''_s(D) = sum_lq w^s_lq d_ql with D of shape n x m.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BadArgument, DimensionError, ExponentUndefined, FormatError
 from .exact_algebra import Matrix, _require_prime
@@ -253,31 +254,85 @@ def verify_trilinear_random(
     return True
 
 
-class _OpCount:
-    __slots__ = ("adds", "smults")
+class _Program(NamedTuple):
+    """A BilinearAlgorithm compiled for evaluation.
 
-    def __init__(self):
-        self.adds = 0
-        self.smults = 0
+    u[s] and v[s] list (index, coefficient) over the row-major entries of A
+    and B; w[l*n + q] lists (product index, coefficient) for output entry
+    (l, q).  additions and scalar_mults are the operations of one
+    evaluation: a term beyond the first in any combination costs an
+    addition, a coefficient outside {1, -1} a scalar multiplication.  Both
+    are decided on the rational coefficients, whatever ring runs the program.
+    """
+
+    u: tuple
+    v: tuple
+    w: tuple
+    additions: int
+    scalar_mults: int
 
 
-def _linear_form(ring, coeffs: Mapping, mat: Matrix, cnt: _OpCount):
+def _compile(alg: BilinearAlgorithm) -> _Program:
+    m, k, n = alg.dims
+    u = tuple(tuple((i * k + j, c) for (i, j), c in d.items()) for d in alg.u)
+    v = tuple(tuple((g * n + h, c) for (g, h), c in d.items()) for d in alg.v)
+    by_output = [[] for _ in range(m * n)]
+    for s, d in enumerate(alg.w):
+        for (l, q), c in d.items():
+            by_output[l * n + q].append((s, c))
+    w = tuple(map(tuple, by_output))
+    forms = u + v + w
+    return _Program(
+        u, v, w,
+        additions=sum(max(0, len(terms) - 1) for terms in forms),
+        scalar_mults=sum(c != 1 and c != -1 for terms in forms for _, c in terms),
+    )
+
+
+def _embedder(ring):
+    """c -> ring.from_rational(c), computed once per distinct coefficient."""
+    cache: dict = {}
+
+    def embed(c: Fraction):
+        x = cache.get(c)
+        if x is None:
+            x = cache[c] = ring.from_rational(c)
+        return x
+
+    return embed
+
+
+def _linear_combination(terms, values, times, zero):
+    """sum of c * values[i] over terms, with the +-1 shortcuts.
+
+    times(c, x) scales x by a coefficient outside {1, -1}; zero() supplies
+    the value of an empty combination.
+    """
     acc = None
-    for (r, c), co in coeffs.items():
-        x = mat[r, c]
-        if co == 1:
-            term = x
-        elif co == -1:
-            term = -x
-        else:
-            term = ring.from_rational(co) * x
-            cnt.smults += 1
+    for i, c in terms:
+        x = values[i]
         if acc is None:
-            acc = term
+            acc = x if c == 1 else -x if c == -1 else times(c, x)
+        elif c == 1:
+            acc = acc + x
+        elif c == -1:
+            acc = acc - x
         else:
-            acc = acc + term
-            cnt.adds += 1
-    return ring.zero if acc is None else acc
+            acc = acc + times(c, x)
+    return zero() if acc is None else acc
+
+
+def _evaluate(prog: _Program, a, b, mul, times, zero) -> list:
+    """Run a compiled program on flat row-major operands; returns C row-major.
+
+    mul multiplies the two linear forms of a product: scalars here, blocks
+    (recursively) in the recursion driver.
+    """
+    products = [
+        mul(_linear_combination(us, a, times, zero), _linear_combination(vs, b, times, zero))
+        for us, vs in zip(prog.u, prog.v)
+    ]
+    return [_linear_combination(ws, products, times, zero) for ws in prog.w]
 
 
 def apply_elementary(alg: BilinearAlgorithm, a: Matrix, b: Matrix):
@@ -296,41 +351,16 @@ def apply_elementary(alg: BilinearAlgorithm, a: Matrix, b: Matrix):
     if a.ring != b.ring:
         raise ValueError("mixed rings")
     ring = a.ring
-    cnt = _OpCount()
-    products = []
-    for us, vs in zip(alg.u, alg.v):
-        la = _linear_form(ring, us, a, cnt)
-        lb = _linear_form(ring, vs, b, cnt)
-        products.append(la * lb)
-
-    by_output: dict = {}
-    for s, ws in enumerate(alg.w):
-        for lq, co in ws.items():
-            by_output.setdefault(lq, []).append((s, co))
-
-    entries = []
-    for l in range(m):
-        for q in range(n):
-            acc = None
-            for s, co in by_output.get((l, q), ()):
-                x = products[s]
-                if co == 1:
-                    term = x
-                elif co == -1:
-                    term = -x
-                else:
-                    term = ring.from_rational(co) * x
-                    cnt.smults += 1
-                if acc is None:
-                    acc = term
-                else:
-                    acc = acc + term
-                    cnt.adds += 1
-            entries.append(ring.zero if acc is None else acc)
+    prog = _compile(alg)
+    embed = _embedder(ring)
+    entries = _evaluate(
+        prog, a.entries, b.entries, operator.mul,
+        lambda c, x: embed(c) * x, lambda: ring.zero,
+    )
     report = CostReport(
         bilinear_mults=alg.rank,
-        scalar_mults=cnt.smults,
-        additions=cnt.adds,
+        scalar_mults=prog.scalar_mults,
+        additions=prog.additions,
         context=f"elementary program {alg.dims} rank {alg.rank}",
     )
     return Matrix(ring, m, n, entries), report

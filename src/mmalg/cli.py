@@ -171,9 +171,8 @@ def cmd_bounds(args) -> int:
 
 
 def _write_transformed(alg: BilinearAlgorithm, out_path: str) -> int:
-    if not verify_brent(alg).valid:
-        print("error: refusing to write: result fails verification", file=sys.stderr)
-        return 1
+    # Every transform verifies its input and maps valid programs to valid
+    # ones, so the result is written without a second check.
     dump_algorithm(alg, out_path)
     print(f"wrote {out_path}")
     for line in _summary_lines(alg):
@@ -192,15 +191,20 @@ def cmd_product(args) -> int:
     return _write_transformed(tensor_product(a, b), args.out)
 
 
+def _squared(alg: BilinearAlgorithm) -> BilinearAlgorithm:
+    """alg itself when square, else squareify(alg); verifies alg exactly once."""
+    if not alg.dims.is_square:
+        return squareify(alg)
+    if not verify_brent(alg).valid:
+        raise InvalidAlgorithm("program fails verification")
+    return alg
+
+
 def cmd_square(args) -> int:
     alg = _read_algorithm(args.path)
     if alg.dims.is_square:
         print(f"{alg.dims} is already square; writing it unchanged", file=sys.stderr)
-        if not verify_brent(alg).valid:
-            print("error: program fails verification", file=sys.stderr)
-            return 1
-        return _write_transformed(alg, args.out)
-    return _write_transformed(squareify(alg), args.out)
+    return _write_transformed(_squared(alg), args.out)
 
 
 def cmd_equiv(args) -> int:
@@ -211,22 +215,24 @@ def cmd_equiv(args) -> int:
         transform, _dims = load_transform(args.transform)
     elif args.seed is not None:
         transform = random_equivalence(alg.dims, alg.rank, args.seed)
-        if args.transform_out:
-            dump_transform(transform, alg.dims, args.transform_out)
-            print(f"wrote transform {args.transform_out}")
     else:
         raise BadArgument("need --seed N or --transform FILE")
-    return _write_transformed(apply_equivalence(alg, transform), args.out)
+    result = apply_equivalence(alg, transform)
+    if args.transform_out and not args.transform:
+        dump_transform(transform, alg.dims, args.transform_out)
+        print(f"wrote transform {args.transform_out}")
+    return _write_transformed(result, args.out)
 
 
 def _load_base(path: str) -> BilinearAlgorithm:
     alg = _read_algorithm(path)
-    if not verify_brent(alg).valid:
-        raise InvalidAlgorithm(f"base program {path} fails verification")
-    if not alg.dims.is_square:
+    try:
+        base = _squared(alg)
+    except InvalidAlgorithm:
+        raise InvalidAlgorithm(f"base program {path} fails verification") from None
+    if base is not alg:
         print(f"base program is {alg.dims}; using its squared tensor cube", file=sys.stderr)
-        alg = squareify(alg)
-    return alg
+    return base
 
 
 def cmd_multiply(args) -> int:

@@ -159,9 +159,6 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
     def from_rational(self, c: Fraction) -> Fraction:
         return Fraction(c)
 
@@ -193,9 +190,6 @@ class PrimeField:
         self.p = p
         self.zero = ModularScalar(0, p)
         self.one = ModularScalar(1, p)
-
-    def from_int(self, n: int) -> ModularScalar:
-        return ModularScalar(n, self.p)
 
     def from_rational(self, c: Fraction) -> ModularScalar:
         den = c.denominator % self.p

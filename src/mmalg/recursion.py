@@ -4,9 +4,11 @@ recursive_multiply splits its operands into a grid matching the base
 program's side, runs the program with blocks in place of scalars, and
 recurses on each bilinear block product.  Inputs are zero-padded once, up
 front, to the next power of the base side; below the threshold the plain
-triple loop takes over.  Costs are counted while running and, independently,
-predicted in closed form by cost_model: at threshold 1 and K a power of the
-base side the two agree exactly.
+triple loop takes over.  The base program is compiled once per product
+(bilinear_core._compile) and the same evaluator that runs it on scalars runs
+it on blocks.  Costs are tallied at the nodes actually visited and predicted
+in closed form by cost_model from the same per-level counts: at threshold 1
+and K a power of the base side the two agree exactly.
 
 recursive_invert reduces inversion to multiplication by 2x2 block
 elimination: invert the leading block, form the complement
@@ -21,10 +23,11 @@ embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
-from .bilinear_core import BilinearAlgorithm, CostReport
+from .bilinear_core import (
+    BilinearAlgorithm, CostReport, _compile, _embedder, _evaluate, _Program,
+)
 from .errors import BadArgument, DimensionError, PivotFailure, SingularMatrix
 from .exact_algebra import Matrix, mat_classical_multiply, mat_inverse
 
@@ -66,97 +69,25 @@ class _Cost:
         self.adds += report.additions
 
 
-class _Plan:
-    """Per-run view of the base program's coefficients, plus an embed cache."""
-
-    __slots__ = ("u", "v", "w_by_output", "side", "rank", "ring", "embedded")
-
-    def __init__(self, alg: BilinearAlgorithm, ring):
-        self.u = [tuple(d.items()) for d in alg.u]
-        self.v = [tuple(d.items()) for d in alg.v]
-        by_out: dict = {}
-        for s, d in enumerate(alg.w):
-            for lq, co in d.items():
-                by_out.setdefault(lq, []).append((s, co))
-        self.w_by_output = by_out
-        self.side = alg.dims.m
-        self.rank = alg.rank
-        self.ring = ring
-        self.embedded: dict = {}
-
-    def coeff(self, c: Fraction):
-        got = self.embedded.get(c)
-        if got is None:
-            got = self.ring.from_rational(c)
-            self.embedded[c] = got
-        return got
-
-
-def _combine(items, blocks, plan: _Plan, sub: int, cost: _Cost) -> Matrix:
-    acc = None
-    area = sub * sub
-    for (r, c), co in items:
-        blk = blocks[r][c]
-        if co == 1:
-            term = blk
-        elif co == -1:
-            term = -blk
-        else:
-            term = blk.scale(plan.coeff(co))
-            cost.scalar += area
-        if acc is None:
-            acc = term
-        else:
-            acc = acc + term
-            cost.adds += area
-    return Matrix.zeros(plan.ring, sub, sub) if acc is None else acc
-
-
-def _multiply_rec(a: Matrix, b: Matrix, plan: _Plan, threshold: int, cost: _Cost) -> Matrix:
+def _multiply_rec(a: Matrix, b: Matrix, prog: _Program, s0: int, times,
+                  threshold: int, cost: _Cost) -> Matrix:
     side = a.rows
     if side <= threshold or side == 1:
         cost.bilinear += side**3
         cost.adds += side * side * (side - 1)
         return mat_classical_multiply(a, b)
-    s0 = plan.side
     sub = side // s0
-    blocks_a = [[a.submatrix(i * sub, j * sub, sub, sub) for j in range(s0)]
-                for i in range(s0)]
-    blocks_b = [[b.submatrix(i * sub, j * sub, sub, sub) for j in range(s0)]
-                for i in range(s0)]
-    products = []
-    for us, vs in zip(plan.u, plan.v):
-        la = _combine(us, blocks_a, plan, sub, cost)
-        lb = _combine(vs, blocks_b, plan, sub, cost)
-        products.append(_multiply_rec(la, lb, plan, threshold, cost))
-    zero = None
-    grid = []
     area = sub * sub
-    for l in range(s0):
-        row = []
-        for q in range(s0):
-            acc = None
-            for s, co in plan.w_by_output.get((l, q), ()):
-                blk = products[s]
-                if co == 1:
-                    term = blk
-                elif co == -1:
-                    term = -blk
-                else:
-                    term = blk.scale(plan.coeff(co))
-                    cost.scalar += area
-                if acc is None:
-                    acc = term
-                else:
-                    acc = acc + term
-                    cost.adds += area
-            if acc is None:
-                if zero is None:
-                    zero = Matrix.zeros(plan.ring, sub, sub)
-                acc = zero
-            row.append(acc)
-        grid.append(row)
-    return Matrix.from_blocks(grid)
+    cost.adds += prog.additions * area
+    cost.scalar += prog.scalar_mults * area
+    blocks_a = [a.submatrix(i * sub, j * sub, sub, sub) for i in range(s0) for j in range(s0)]
+    blocks_b = [b.submatrix(i * sub, j * sub, sub, sub) for i in range(s0) for j in range(s0)]
+    out = _evaluate(
+        prog, blocks_a, blocks_b,
+        lambda x, y: _multiply_rec(x, y, prog, s0, times, threshold, cost),
+        times, lambda: Matrix.zeros(a.ring, sub, sub),
+    )
+    return Matrix.from_blocks([out[l * s0:(l + 1) * s0] for l in range(s0)])
 
 
 def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
@@ -180,9 +111,10 @@ def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     while padded < k:
         padded *= s0
     cost = _Cost()
-    plan = _Plan(cfg.base_alg, a.ring)
+    embed = _embedder(a.ring)
     result = _multiply_rec(a.embed(padded, padded), b.embed(padded, padded),
-                           plan, cfg.threshold, cost)
+                           _compile(cfg.base_alg), s0,
+                           lambda c, x: x.scale(embed(c)), cfg.threshold, cost)
     if padded != k:
         result = result.submatrix(0, 0, k, k)
     report = CostReport(
@@ -219,23 +151,12 @@ def cost_model(alg: BilinearAlgorithm, k: int) -> CostReport:
         t += 1
     if power != k:
         raise BadArgument(f"K={k} is not a power of the base side {s0}")
-    adds_per_level = 0
-    scalars_per_level = 0
-    for tensor in (alg.u, alg.v):
-        for d in tensor:
-            adds_per_level += max(0, len(d) - 1)
-            scalars_per_level += sum(1 for c in d.values() if c != 1 and c != -1)
-    by_out: dict = {}
-    for d in alg.w:
-        for lq, co in d.items():
-            by_out.setdefault(lq, []).append(co)
-        scalars_per_level += sum(1 for c in d.values() if c != 1 and c != -1)
-    adds_per_level += sum(max(0, len(terms) - 1) for terms in by_out.values())
+    prog = _compile(alg)
     geom = sum(alg.rank**d * s0 ** (2 * (t - 1 - d)) for d in range(t))
     return CostReport(
         bilinear_mults=alg.rank**t,
-        scalar_mults=scalars_per_level * geom,
-        additions=adds_per_level * geom,
+        scalar_mults=prog.scalar_mults * geom,
+        additions=prog.additions * geom,
         context=f"cost model: base {alg.dims} rank {alg.rank}, K={k}",
     )
 

@@ -224,6 +224,8 @@ def apply_equivalence(
 ) -> BilinearAlgorithm:
     """Change bases and relabel products; preserves correctness and rank.
 
+    The input must verify; the output then verifies by construction.
+
     New coefficients: u-bar^s = sigma u^t(s) nabla^T, v-bar^s = lam^T v^t(s) mu^T,
     w-bar^s = gamma^T w^t(s) beta, with t(s) = perm[s].
     """
@@ -237,6 +239,8 @@ def apply_equivalence(
         raise BadTransform(
             f"perm length {len(transform.perm)} does not match rank {alg.rank}"
         )
+    if not verify_brent(alg).valid:
+        raise InvalidAlgorithm("cannot transform an invalid program")
     nabla_t = transform.nabla.transpose()
     lam_t = transform.lam.transpose()
     mu_t = transform.mu.transpose()

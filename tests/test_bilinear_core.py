@@ -19,6 +19,7 @@ from mmalg import (
     QQ,
     apply_elementary,
     classical,
+    cost_model,
     exponent,
     format_algorithm,
     generic_lower_bound,
@@ -180,6 +181,10 @@ def test_pan_counts_scalar_multiplications():
     assert product == mat_classical_multiply(a, b)
     assert report.bilinear_mults == 16
     assert report.scalar_mults > 0
+    assert (report.scalar_mults, report.additions) == (6, 30)
+    for n, k, counts in ((2, 4, (256, 120, 600)), (4, 16, (6400, 1728, 27456))):
+        model = cost_model(pan_aggregation(n), k)
+        assert (model.bilinear_mults, model.scalar_mults, model.additions) == counts
 
 
 def test_exponent_values():

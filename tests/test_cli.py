@@ -336,10 +336,18 @@ def test_dual_refuses_corrupt_input(tmp_path, capsys):
     bad = corrupt_one(classical(2, 3, 4), random.Random(31))
     path = str(tmp_path / "bad.alg")
     dump_algorithm(bad, path)
-    rc, _, err = run(capsys, "dual", path, "--perm", "knm",
-                     "--out", str(tmp_path / "o.alg"))
-    assert rc == 1
-    assert "error:" in err
+    out_path = tmp_path / "o.alg"
+    trans_path = tmp_path / "t.mmtrans"
+    for argv in (
+        ("dual", path, "--perm", "knm"),
+        ("product", path, path),
+        ("square", path),
+        ("equiv", path, "--seed", "1", "--transform-out", str(trans_path)),
+    ):
+        rc, _, err = run(capsys, *argv, "--out", str(out_path))
+        assert rc == 1, argv
+        assert "error:" in err
+        assert not out_path.exists() and not trans_path.exists(), argv
 
 
 def test_written_algorithms_reload_identically(strassen_file, tmp_path, capsys):

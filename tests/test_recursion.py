@@ -55,6 +55,7 @@ def test_multiply_input_validation():
 def test_multiplication_count_law():
     cfg = RecursionConfig(strassen_222(), threshold=1)
     rng = random.Random(56)
+    additions = {2: 18, 4: 198, 8: 1674, 16: 12870}
     for t in range(1, 5):
         k = 2**t
         a = random_matrix(FIELD, k, k, rng)
@@ -64,7 +65,7 @@ def test_multiplication_count_law():
         assert report.bilinear_mults == 7**t
         predicted = cost_model(strassen_222(), k)
         assert report.bilinear_mults == predicted.bilinear_mults
-        assert report.additions == predicted.additions
+        assert report.additions == predicted.additions == additions[k]
         assert report.scalar_mults == predicted.scalar_mults == 0
 
 

@@ -129,6 +129,15 @@ def test_tensor_product_requires_valid_inputs():
         tensor_product(strassen_222(), bad)
 
 
+def test_apply_equivalence_requires_valid_input():
+    rng = random.Random(58)
+    bad = corrupt_one(strassen_222(), rng)
+    with pytest.raises(InvalidAlgorithm):
+        apply_equivalence(bad, EquivalenceTransform.identity(bad.dims, bad.rank))
+    with pytest.raises(InvalidAlgorithm):
+        apply_equivalence(bad, random_equivalence(bad.dims, bad.rank, 3))
+
+
 def test_squareify():
     sq = squareify(strassen_222())
     assert sq.dims == DimensionTriple(8, 8, 8)
