@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BadArgument, DimensionError, ExponentUndefined, FormatError
-from .exact_algebra import Matrix, _require_prime
+from .exact_algebra import Matrix, PrimeField, _read_header, _records
 
 # A 61-bit Mersenne prime; default modulus for randomized identity checks.
 DEFAULT_PRIME = 2**61 - 1
@@ -70,7 +70,13 @@ def _clean_tensor(slices, rows: int, cols: int, name: str):
                 raise DimensionError(
                     f"{name}[{s}] entry ({r},{c}) outside {rows}x{cols}"
                 )
-            val = Fraction(val)
+            if not isinstance(val, Fraction):
+                if not isinstance(val, int):
+                    raise BadArgument(
+                        f"{name}[{s}] entry ({r},{c}) is {val!r}, not an exact "
+                        f"integer or Fraction"
+                    )
+                val = Fraction(val)
             if val:
                 d[(r, c)] = val
         out.append(d)
@@ -208,26 +214,20 @@ def verify_trilinear_random(
     Each trial draws uniform A (m x k), B (k x n), D (n x m) over GF(p) and
     compares both sides.  A valid program never fails; an invalid one slips
     through a single trial with probability at most 3/p, so for a 61-bit
-    prime even a handful of trials is conclusive in practice.
+    prime even a handful of trials is conclusive in practice.  A coefficient
+    whose denominator is divisible by prime raises BadArgument.
     """
     if not isinstance(trials, int) or trials < 1:
         raise BadArgument(f"trials must be a positive integer, got {trials!r}")
-    _require_prime(prime)
+    embed = _embedder(PrimeField(prime))
     m, k, n = alg.dims
     if prime <= max(m, k, n, alg.rank):
         raise BadArgument(
             f"prime {prime} too small for a {alg.dims} rank-{alg.rank} program"
         )
-
-    def embed(c: Fraction) -> int:
-        den = c.denominator % prime
-        if den == 0:
-            raise ZeroDivisionError(f"coefficient {c} has no image mod {prime}")
-        return c.numerator % prime * pow(den, prime - 2, prime) % prime
-
-    u_flat = [[(i, j, embed(c)) for (i, j), c in d.items()] for d in alg.u]
-    v_flat = [[(g, h, embed(c)) for (g, h), c in d.items()] for d in alg.v]
-    w_flat = [[(q, l, embed(c)) for (l, q), c in d.items()] for d in alg.w]
+    u_flat = [[(i, j, embed(c).value) for (i, j), c in d.items()] for d in alg.u]
+    v_flat = [[(g, h, embed(c).value) for (g, h), c in d.items()] for d in alg.v]
+    w_flat = [[(q, l, embed(c).value) for (l, q), c in d.items()] for d in alg.w]
 
     rng = random.Random(seed)
     p = prime
@@ -290,13 +290,19 @@ def _compile(alg: BilinearAlgorithm) -> _Program:
 
 
 def _embedder(ring):
-    """c -> ring.from_rational(c), computed once per distinct coefficient."""
+    """c -> ring.from_rational(c), computed once per distinct coefficient.
+
+    A coefficient whose denominator vanishes mod p raises BadArgument.
+    """
     cache: dict = {}
 
     def embed(c: Fraction):
         x = cache.get(c)
         if x is None:
-            x = cache[c] = ring.from_rational(c)
+            try:
+                x = cache[c] = ring.from_rational(c)
+            except ZeroDivisionError:
+                raise BadArgument(f"coefficient {c} has no image mod {ring.p}") from None
         return x
 
     return embed
@@ -463,28 +469,8 @@ def format_algorithm(alg: BilinearAlgorithm) -> str:
 
 
 def parse_algorithm(text: str) -> BilinearAlgorithm:
-    lines = text.splitlines()
-    total = len(lines)
-    pos = 0
-    header = None
-    while pos < total:
-        raw = lines[pos]
-        pos += 1
-        if raw.strip():
-            header = raw.split()
-            header_line = pos
-            break
-    if header is None:
-        raise FormatError(1, "empty algorithm file")
-    if len(header) != 5 or header[0] != _MAGIC:
-        raise FormatError(header_line, f"expected '{_MAGIC} m k n R' header")
-    try:
-        m, k, n, rank = (int(t) for t in header[1:])
-    except ValueError:
-        raise FormatError(header_line, "header dimensions must be integers") from None
-    if min(m, k, n, rank) < 1:
-        raise FormatError(header_line, "header dimensions must be positive")
-
+    records = _records(text)
+    m, k, n, rank = _read_header(records, _MAGIC, ("m", "k", "n", "R"), "algorithm")
     shapes = {"U": (m, k), "V": (k, n), "W": (m, n)}
     order = ("U", "V", "W")
     u, v, w = [], [], []
@@ -492,25 +478,22 @@ def parse_algorithm(text: str) -> BilinearAlgorithm:
     current = None  # (label, dict)
     blocks_seen = 0
 
-    for idx in range(pos, total):
-        raw = lines[idx]
-        lineno = idx + 1
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if stripped in shapes:
+    for lineno, tokens in records:
+        if not tokens:
+            break
+        if len(tokens) == 1 and tokens[0] in shapes:
+            label = tokens[0]
             want = order[blocks_seen % 3]
-            if stripped != want:
-                raise FormatError(lineno, f"expected block '{want}', found '{stripped}'")
+            if label != want:
+                raise FormatError(lineno, f"expected block '{want}', found '{label}'")
             if blocks_seen >= 3 * rank:
                 raise FormatError(lineno, f"more than {rank} products in file")
-            current = (stripped, {})
-            dest[stripped].append(current[1])
+            current = (label, {})
+            dest[label].append(current[1])
             blocks_seen += 1
             continue
         if current is None:
             raise FormatError(lineno, "coefficient entry before any block label")
-        tokens = stripped.split()
         if len(tokens) != 3:
             raise FormatError(lineno, "expected 'i j value'")
         try:
@@ -533,7 +516,7 @@ def parse_algorithm(text: str) -> BilinearAlgorithm:
 
     if blocks_seen != 3 * rank:
         raise FormatError(
-            total or 1,
+            lineno,
             f"file ends after {blocks_seen} blocks; rank {rank} needs {3 * rank}",
         )
     return BilinearAlgorithm(DimensionTriple(m, k, n), rank, u, v, w)

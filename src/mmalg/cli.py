@@ -415,16 +415,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BadArgument, BadField, BadTransform, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (InvalidAlgorithm, SingularMatrix, PivotFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (FormatError, BadArgument, BadField, BadTransform, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

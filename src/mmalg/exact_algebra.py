@@ -9,7 +9,8 @@ dense, row-major and immutable.
 A small text format for matrices is provided: a ``rows cols`` header line
 followed by one whitespace-separated row per line, entries written as
 integers or ``p/q`` fractions.  Writing and re-reading a matrix reproduces it
-exactly.
+exactly.  The program and transform formats share its conventions, and the
+private readers here (_records, _read_header, _read_rows) parse all three.
 """
 
 from __future__ import annotations
@@ -448,52 +449,74 @@ def random_matrix(ring: Ring, rows: int, cols: int, rng) -> Matrix:
                   [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rows * cols)])
 
 
+def _records(text: str):
+    """Yield (1-based line number, tokens) for each non-blank line of text.
+
+    A last (number of the final line, []) record marks the end of the text,
+    so a reader that runs out reports the line where the text stopped.
+    """
+    lineno = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if tokens:
+            yield lineno, tokens
+    yield lineno or 1, []
+
+
+def _read_header(records, magic, names, what: str) -> list:
+    """Read a header record: magic (unless None), then one positive integer per name."""
+    lineno, tokens = next(records)
+    if not tokens:
+        raise FormatError(1, f"empty {what} file")
+    lead = [] if magic is None else [magic]
+    if len(tokens) != len(lead) + len(names) or tokens[: len(lead)] != lead:
+        raise FormatError(lineno, f"expected '{' '.join(lead + list(names))}' header")
+    try:
+        values = [int(t) for t in tokens[len(lead):]]
+    except ValueError:
+        raise FormatError(lineno, "header dimensions must be integers") from None
+    if min(values) < 1:
+        raise FormatError(lineno, "header dimensions must be positive")
+    return values
+
+
+def _read_rows(records, rows: int, cols: int, ring: Ring) -> Matrix:
+    """Read rows records of cols exact entries (integers or p/q) each."""
+    embed = ring.from_rational
+    flat = []
+    for found in range(rows):
+        lineno, tokens = next(records)
+        if not tokens:
+            raise FormatError(lineno, f"expected {rows} rows, found {found}")
+        if len(tokens) != cols:
+            raise FormatError(lineno, f"expected {cols} entries, found {len(tokens)}")
+        for tok in tokens:
+            try:
+                flat.append(embed(Fraction(tok)))
+            except (ValueError, ZeroDivisionError):
+                raise FormatError(lineno, f"bad entry {tok!r}") from None
+    return Matrix(ring, rows, cols, flat)
+
+
+def _row_lines(a: Matrix) -> list:
+    """One line per row of a, entries separated by single spaces."""
+    return [" ".join(str(x) for x in row) for row in a.to_rows()]
+
+
 def format_matrix(a: Matrix) -> str:
     """Render in the matrix text format; exact round-trip with parse_matrix."""
-    lines = [f"{a.rows} {a.cols}"]
-    for row in a.to_rows():
-        lines.append(" ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"{a.rows} {a.cols}", *_row_lines(a)]) + "\n"
 
 
 def parse_matrix(text: str, ring: Ring = QQ) -> Matrix:
     """Parse the matrix text format.  Raises FormatError with a line number."""
-    lines = text.splitlines()
-    lineno = 0
-    header = None
-    for idx, raw in enumerate(lines, start=1):
-        if raw.strip():
-            header = raw.split()
-            lineno = idx
-            break
-    if header is None:
-        raise FormatError(1, "empty matrix file")
-    if len(header) != 2:
-        raise FormatError(lineno, "expected 'rows cols' header")
-    try:
-        rows, cols = int(header[0]), int(header[1])
-    except ValueError:
-        raise FormatError(lineno, "expected 'rows cols' header") from None
-    if rows < 1 or cols < 1:
-        raise FormatError(lineno, "dimensions must be positive")
-    body = []
-    for idx in range(lineno, len(lines)):
-        raw = lines[idx]
-        if not raw.strip():
-            continue
-        body.append((idx + 1, raw.split()))
-    if len(body) != rows:
-        raise FormatError(len(lines) or 1, f"expected {rows} rows, found {len(body)}")
-    flat = []
-    for row_line, tokens in body:
-        if len(tokens) != cols:
-            raise FormatError(row_line, f"expected {cols} entries, found {len(tokens)}")
-        for tok in tokens:
-            try:
-                flat.append(ring.from_rational(Fraction(tok)))
-            except (ValueError, ZeroDivisionError):
-                raise FormatError(row_line, f"bad entry {tok!r}") from None
-    return Matrix(ring, rows, cols, flat)
+    records = _records(text)
+    rows, cols = _read_header(records, None, ("rows", "cols"), "matrix")
+    matrix = _read_rows(records, rows, cols, ring)
+    *extra, (end, _) = records
+    if extra:
+        raise FormatError(end, f"expected {rows} rows, found {rows + len(extra)}")
+    return matrix
 
 
 def load_matrix(path, ring: Ring = QQ) -> Matrix:

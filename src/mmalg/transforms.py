@@ -26,7 +26,16 @@ from .bilinear_core import (
     verify_brent,
 )
 from .errors import BadArgument, BadTransform, FormatError, InvalidAlgorithm
-from .exact_algebra import Matrix, QQ, format_matrix, mat_classical_multiply, mat_inverse
+from .exact_algebra import (
+    Matrix,
+    QQ,
+    _read_header,
+    _read_rows,
+    _records,
+    _row_lines,
+    mat_classical_multiply,
+    mat_inverse,
+)
 
 
 def _t(d: dict) -> dict:
@@ -318,73 +327,40 @@ def format_transform(transform: EquivalenceTransform, dims: DimensionTriple) -> 
     lines = [f"{_MAGIC} {m} {k} {n} {rank}"]
     for label, mat in zip(_LABELS, mats):
         lines.append(label)
-        body = format_matrix(mat).splitlines()[1:]  # drop the dims header
-        lines.extend(body)
+        lines.extend(_row_lines(mat))
     lines.append("perm")
     lines.append(" ".join(str(s + 1) for s in transform.perm))
     return "\n".join(lines) + "\n"
 
 
+def _expect_label(records, label: str) -> None:
+    lineno, tokens = next(records)
+    if tokens != [label]:
+        found = " ".join(tokens) or "end of file"
+        raise FormatError(lineno, f"expected block '{label}', found '{found}'")
+
+
 def parse_transform(text: str) -> tuple[EquivalenceTransform, DimensionTriple]:
-    lines = text.splitlines()
-    rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
-    if not rows:
-        raise FormatError(1, "empty transform file")
-    lineno, header = rows[0]
-    tokens = header.split()
-    if len(tokens) != 5 or tokens[0] != _MAGIC:
-        raise FormatError(lineno, f"expected '{_MAGIC} m k n R' header")
-    try:
-        m, k, n, rank = (int(t) for t in tokens[1:])
-    except ValueError:
-        raise FormatError(lineno, "header dimensions must be integers") from None
-    if min(m, k, n, rank) < 1:
-        raise FormatError(lineno, "header dimensions must be positive")
+    records = _records(text)
+    m, k, n, rank = _read_header(records, _MAGIC, ("m", "k", "n", "R"), "transform")
     sizes = {"sigma": m, "gamma": m, "nabla": k, "lambda": k, "mu": n, "beta": n}
-    pos = 1
     mats = {}
     for label in _LABELS:
-        if pos >= len(rows) or rows[pos][1] != label:
-            found = rows[pos][1] if pos < len(rows) else "end of file"
-            raise FormatError(
-                rows[pos][0] if pos < len(rows) else len(lines),
-                f"expected block '{label}', found '{found}'",
-            )
-        pos += 1
-        size = sizes[label]
-        grid = []
-        for _ in range(size):
-            if pos >= len(rows):
-                raise FormatError(len(lines), f"block '{label}' truncated")
-            rlineno, line = rows[pos]
-            tokens = line.split()
-            if len(tokens) != size:
-                raise FormatError(rlineno, f"expected {size} entries in '{label}' row")
-            try:
-                grid.append([Fraction(t) for t in tokens])
-            except (ValueError, ZeroDivisionError):
-                raise FormatError(rlineno, f"bad entry in '{label}' row") from None
-            pos += 1
-        mats[label] = Matrix.from_rows(QQ, grid)
-    if pos >= len(rows) or rows[pos][1] != "perm":
-        raise FormatError(
-            rows[pos][0] if pos < len(rows) else len(lines), "expected 'perm' block"
-        )
-    pos += 1
-    if pos >= len(rows):
-        raise FormatError(len(lines), "perm line missing")
-    plineno, pline = rows[pos]
-    tokens = pline.split()
+        _expect_label(records, label)
+        mats[label] = _read_rows(records, sizes[label], sizes[label], QQ)
+    _expect_label(records, "perm")
+    lineno, tokens = next(records)
     if len(tokens) != rank:
-        raise FormatError(plineno, f"perm needs {rank} entries, found {len(tokens)}")
+        raise FormatError(lineno, f"perm needs {rank} entries, found {len(tokens)}")
     try:
         perm = tuple(int(t) - 1 for t in tokens)
     except ValueError:
-        raise FormatError(plineno, "perm entries must be integers") from None
+        raise FormatError(lineno, "perm entries must be integers") from None
     if any(s < 0 or s >= rank for s in perm):
-        raise FormatError(plineno, f"perm entries must lie in 1..{rank}")
-    if pos + 1 < len(rows):
-        raise FormatError(rows[pos + 1][0], "trailing content after perm")
+        raise FormatError(lineno, f"perm entries must lie in 1..{rank}")
+    lineno, tokens = next(records)
+    if tokens:
+        raise FormatError(lineno, "trailing content after perm")
     transform = EquivalenceTransform(
         mats["sigma"], mats["gamma"], mats["nabla"],
         mats["lambda"], mats["mu"], mats["beta"], perm,

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,18 @@ def test_structural_validation():
     # zero coefficients are dropped on construction
     alg = BilinearAlgorithm(dims, 1, [{(0, 0): 0, (0, 1): 2}], [{}], [{}])
     assert alg.u[0] == {(0, 1): Fraction(2)}
+
+
+def test_coefficients_must_be_exact():
+    dims = DimensionTriple(1, 1, 1)
+    half = Fraction(1, 2)
+    alg = BilinearAlgorithm(dims, 1, [{(0, 0): 3}], [{(0, 0): half}], [{}])
+    assert type(alg.u[0][(0, 0)]) is Fraction and alg.u[0][(0, 0)] == 3
+    assert alg.v[0][(0, 0)] is half
+    for bad in (0.1, Decimal("0.1"), "1/2"):
+        with pytest.raises(BadArgument) as err:
+            BilinearAlgorithm(dims, 1, [{}], [{}], [{(0, 0): bad}])
+        assert "w[0]" in str(err.value) and repr(bad) in str(err.value)
 
 
 def test_verify_brent_accepts_correct_programs():

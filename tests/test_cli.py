@@ -318,6 +318,33 @@ def test_bench_table_and_csv(strassen_file, tmp_path, capsys):
         assert f1.read() == f2.read()
 
 
+def test_verify_coefficient_without_image_mod_p_is_a_usage_error(tmp_path, capsys):
+    third = BilinearAlgorithm(
+        (1, 1, 1), 1, [{(0, 0): 3}], [{(0, 0): 1}], [{(0, 0): Fraction(1, 3)}]
+    )
+    path = str(tmp_path / "third.alg")
+    dump_algorithm(third, path)
+    rc, out, err = run(capsys, "verify", path, "--mode", "random", "--prime", "3")
+    assert rc == 2 and out == "" and err.startswith("error:")
+    rc, out, _ = run(capsys, "verify", path, "--mode", "random", "--prime", "5")
+    assert rc == 0 and out.startswith("VALID")
+
+
+def test_bench_coefficient_without_image_mod_p_is_a_usage_error(tmp_path, capsys):
+    p61 = 2**61 - 1
+    s = strassen_222()
+    u = [dict(d) for d in s.u]
+    w = [dict(d) for d in s.w]
+    u[0] = {key: c * p61 for key, c in u[0].items()}
+    w[0] = {key: c / p61 for key, c in w[0].items()}
+    scaled = str(tmp_path / "scaled.alg")
+    dump_algorithm(BilinearAlgorithm(s.dims, s.rank, u, s.v, w), scaled)
+    rc, _, _ = run(capsys, "verify", scaled)
+    assert rc == 0
+    rc, _, err = run(capsys, "bench", scaled, "--sizes", "2")
+    assert rc == 2 and err.startswith("error:")
+
+
 def test_bench_size_specs(strassen_file, capsys):
     rc, out, _ = run(capsys, "bench", strassen_file, "--sizes", "auto")
     assert rc == 0
