@@ -27,7 +27,9 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BadArgument, DimensionError, ExponentUndefined, FormatError
-from .exact_algebra import Matrix, PrimeField, _read_header, _records
+from .exact_algebra import (
+    Matrix, PrimeField, _exact, _read_header, _read_text, _records, _unwritable, _write_text,
+)
 
 # A 61-bit Mersenne prime; default modulus for randomized identity checks.
 DEFAULT_PRIME = 2**61 - 1
@@ -161,11 +163,13 @@ class VerificationReport:
             raise BadArgument("valid flag inconsistent with violation list")
 
 
-@dataclass(frozen=True)
+@dataclass
 class CostReport:
-    bilinear_mults: int
-    scalar_mults: int
-    additions: int
+    """Operation counts; recursive_multiply tallies into one as it runs."""
+
+    bilinear_mults: int = 0
+    scalar_mults: int = 0
+    additions: int = 0
     context: str = ""
 
 
@@ -447,9 +451,9 @@ def sanity_rank_lower_bound(alg: BilinearAlgorithm) -> bool:
 # Header line:  mmalg-v1 m k n R
 # Then, for each product s = 1..R, three labeled blocks
 #     U / V / W, each holding lines "i j value" (0-based indices, value an
-# integer or p/q fraction).  The canonical writer sorts entries within a
-# block and separates products by a blank line; the reader accepts entries
-# in any order and arbitrary blank lines.
+# integer or p/q fraction, read by exact_algebra._exact).  The canonical
+# writer sorts entries within a block and separates products by a blank
+# line; the reader accepts entries in any order and arbitrary blank lines.
 # ---------------------------------------------------------------------------
 
 _MAGIC = "mmalg-v1"
@@ -458,13 +462,21 @@ _MAGIC = "mmalg-v1"
 def format_algorithm(alg: BilinearAlgorithm) -> str:
     m, k, n = alg.dims
     lines = [f"{_MAGIC} {m} {k} {n} {alg.rank}"]
-    for s in range(alg.rank):
-        if s:
-            lines.append("")
-        for label, d in (("U", alg.u[s]), ("V", alg.v[s]), ("W", alg.w[s])):
-            lines.append(label)
-            for (r, c) in sorted(d):
-                lines.append(f"{r} {c} {d[(r, c)]}")
+    try:
+        for s in range(alg.rank):
+            if s:
+                lines.append("")
+            for label, d in (("U", alg.u[s]), ("V", alg.v[s]), ("W", alg.w[s])):
+                lines.append(label)
+                for (r, c) in sorted(d):
+                    lines.append(f"{r} {c} {d[(r, c)]}")
+    except ValueError:
+        raise _unwritable(
+            (f"{name}[{s}] entry ({r},{c})", x)
+            for name, tensor in (("u", alg.u), ("v", alg.v), ("w", alg.w))
+            for s, d in enumerate(tensor)
+            for (r, c), x in d.items()
+        ) from None
     return "\n".join(lines) + "\n"
 
 
@@ -501,7 +513,7 @@ def parse_algorithm(text: str) -> BilinearAlgorithm:
         except ValueError:
             raise FormatError(lineno, "indices must be integers") from None
         try:
-            val = Fraction(tokens[2])
+            val = _exact(tokens[2])
         except (ValueError, ZeroDivisionError):
             raise FormatError(lineno, f"bad coefficient {tokens[2]!r}") from None
         label, block = current
@@ -523,10 +535,8 @@ def parse_algorithm(text: str) -> BilinearAlgorithm:
 
 
 def load_algorithm(path) -> BilinearAlgorithm:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_algorithm(fh.read())
+    return parse_algorithm(_read_text(path))
 
 
 def dump_algorithm(alg: BilinearAlgorithm, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_algorithm(alg))
+    _write_text(path, format_algorithm(alg))

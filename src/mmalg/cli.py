@@ -36,7 +36,7 @@ from .errors import (
     PivotFailure,
     SingularMatrix,
 )
-from .exact_algebra import PrimeField, dump_matrix, load_matrix, random_matrix
+from .exact_algebra import PrimeField, _decode, dump_matrix, load_matrix, random_matrix
 from .generators import classical, pan_aggregation, strassen_222
 from .recursion import RecursionConfig, cost_model, recursive_invert, recursive_multiply
 from .transforms import (
@@ -66,9 +66,11 @@ def _summary_lines(alg: BilinearAlgorithm) -> list:
 
 
 def _read_algorithm(path: str) -> BilinearAlgorithm:
-    if path == "-":
-        return parse_algorithm(sys.stdin.read())
-    return load_algorithm(path)
+    if path != "-":
+        return load_algorithm(path)
+    # Decode the bytes under stdin, when there are any, as a file is decoded.
+    raw = getattr(sys.stdin, "buffer", None)
+    return parse_algorithm(sys.stdin.read() if raw is None else _decode(raw.read()))
 
 
 def _require(value, flag: str):
@@ -238,13 +240,7 @@ def _load_base(path: str) -> BilinearAlgorithm:
 def cmd_multiply(args) -> int:
     base = _load_base(args.alg)
     cfg = RecursionConfig(base, args.threshold)
-    a = load_matrix(args.a)
-    b = load_matrix(args.b)
-    if a.cols != b.rows:
-        raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    side = max(a.rows, a.cols, b.cols)
-    product, report = recursive_multiply(cfg, a.embed(side, side), b.embed(side, side))
-    product = product.submatrix(0, 0, a.rows, b.cols)
+    product, report = recursive_multiply(cfg, load_matrix(args.a), load_matrix(args.b))
     dump_matrix(product, args.out)
     print(f"wrote {args.out} ({product.rows}x{product.cols})")
     print(f"bilinear mults: {report.bilinear_mults}")
@@ -300,10 +296,7 @@ def cmd_bench(args) -> int:
         a = random_matrix(field, k, k, rng)
         b = random_matrix(field, k, k, rng)
         _, report = recursive_multiply(cfg, a, b)
-        padded = 1
-        while padded < k:
-            padded *= cfg.side
-        predicted = cost_model(base, padded).bilinear_mults
+        predicted = cost_model(base, cfg.padded_side(k)).bilinear_mults
         rows.append((k, report.bilinear_mults, report.additions, predicted))
     widths = (6, 15, 15, 16)
     header = ("K", "measured_mults", "measured_adds", "predicted_mults")

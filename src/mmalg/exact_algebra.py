@@ -10,15 +10,18 @@ A small text format for matrices is provided: a ``rows cols`` header line
 followed by one whitespace-separated row per line, entries written as
 integers or ``p/q`` fractions.  Writing and re-reading a matrix reproduces it
 exactly.  The program and transform formats share its conventions, and the
-private readers here (_records, _read_header, _read_rows) parse all three.
+private helpers here (_read_text, _records, _read_header, _exact,
+_read_rows, _row_lines, _write_text) read and write all three.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import BadField, DimensionError, FormatError, SingularMatrix
+from .errors import BadArgument, BadField, DimensionError, FormatError, SingularMatrix
 
 # Canonical exact scalar for coefficients: lowest terms, positive denominator.
 Rational = Fraction
@@ -168,7 +171,7 @@ class RationalField:
             return x
         if isinstance(x, int):
             return Fraction(x)
-        raise TypeError(f"cannot coerce {x!r} into QQ")
+        raise BadArgument(f"cannot coerce {x!r} into QQ: not an int or Fraction")
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -207,7 +210,9 @@ class PrimeField:
             return ModularScalar(x, self.p)
         if isinstance(x, Fraction):
             return self.from_rational(x)
-        raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
+        raise BadArgument(
+            f"cannot coerce {x!r} into GF({self.p}): not an int, Fraction or ModularScalar"
+        )
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -449,6 +454,26 @@ def random_matrix(ring: Ring, rows: int, cols: int, rng) -> Matrix:
                   [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rows * cols)])
 
 
+def _decode(data: bytes) -> str:
+    """data as UTF-8 text; an undecodable byte raises FormatError naming its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the lines before the bad byte, plus the one it starts
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise FormatError(line, f"byte 0x{data[exc.start]:02x} is not valid UTF-8") from None
+
+
+def _read_text(path) -> str:
+    with open(path, "rb") as fh:
+        return _decode(fh.read())
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _records(text: str):
     """Yield (1-based line number, tokens) for each non-blank line of text.
 
@@ -480,8 +505,25 @@ def _read_header(records, magic, names, what: str) -> list:
     return values
 
 
+_EXACT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _exact(tok: str) -> Fraction:
+    """The value of an entry token: an optional sign, ASCII digits, and
+    optionally '/' and ASCII digits.
+
+    Any other token, or one past Python's integer-string conversion limit,
+    raises ValueError; a zero denominator raises ZeroDivisionError.
+    """
+    match = _EXACT.fullmatch(tok)
+    if match is None:
+        raise ValueError(tok)
+    num, den = match.groups()
+    return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+
+
 def _read_rows(records, rows: int, cols: int, ring: Ring) -> Matrix:
-    """Read rows records of cols exact entries (integers or p/q) each."""
+    """Read rows records of cols exact entries (see _exact) each."""
     embed = ring.from_rational
     flat = []
     for found in range(rows):
@@ -492,15 +534,37 @@ def _read_rows(records, rows: int, cols: int, ring: Ring) -> Matrix:
             raise FormatError(lineno, f"expected {cols} entries, found {len(tokens)}")
         for tok in tokens:
             try:
-                flat.append(embed(Fraction(tok)))
+                flat.append(embed(_exact(tok)))
             except (ValueError, ZeroDivisionError):
                 raise FormatError(lineno, f"bad entry {tok!r}") from None
     return Matrix(ring, rows, cols, flat)
 
 
-def _row_lines(a: Matrix) -> list:
+def _unwritable(named) -> BadArgument:
+    """The error for the first (name, value) of named that str() refuses.
+
+    str() of an integer past Python's integer-string conversion limit (4,300
+    digits by default) raises ValueError; a writer that meets it calls this
+    to name the entry.
+    """
+    for name, x in named:
+        try:
+            str(x)
+        except ValueError:
+            break
+    return BadArgument(
+        f"{name} has more than {sys.get_int_max_str_digits()} digits, "
+        "Python's integer-string conversion limit"
+    )
+
+
+def _row_lines(a: Matrix, name: str = "entry") -> list:
     """One line per row of a, entries separated by single spaces."""
-    return [" ".join(str(x) for x in row) for row in a.to_rows()]
+    try:
+        return [" ".join(str(x) for x in row) for row in a.to_rows()]
+    except ValueError:
+        named = ((f"{name} ({i // a.cols},{i % a.cols})", x) for i, x in enumerate(a.entries))
+        raise _unwritable(named) from None
 
 
 def format_matrix(a: Matrix) -> str:
@@ -520,10 +584,8 @@ def parse_matrix(text: str, ring: Ring = QQ) -> Matrix:
 
 
 def load_matrix(path, ring: Ring = QQ) -> Matrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read(), ring)
+    return parse_matrix(_read_text(path), ring)
 
 
 def dump_matrix(a: Matrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix(a))
+    _write_text(path, format_matrix(a))

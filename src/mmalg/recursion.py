@@ -1,14 +1,16 @@
 """Recursive application of a square base program, and block inversion.
 
-recursive_multiply splits its operands into a grid matching the base
-program's side, runs the program with blocks in place of scalars, and
-recurses on each bilinear block product.  Inputs are zero-padded once, up
-front, to the next power of the base side; below the threshold the plain
-triple loop takes over.  The base program is compiled once per product
-(bilinear_core._compile) and the same evaluator that runs it on scalars runs
-it on blocks.  Costs are tallied at the nodes actually visited and predicted
-in closed form by cost_model from the same per-level counts: at threshold 1
-and K a power of the base side the two agree exactly.
+recursive_multiply takes any conforming m x k by k x n pair, embeds both
+operands with zeros once into the least power of the base side that is at
+least max(m, k, n), splits them into a grid matching the base program's
+side, runs the program with blocks in place of scalars, recurses on each
+bilinear block product, and crops the result to m x n; below the threshold
+the plain triple loop takes over.  The base program is compiled once per
+product (bilinear_core._compile) and the same evaluator that runs it on
+scalars runs it on blocks.  Costs are tallied into one CostReport at the
+nodes actually visited and predicted in closed form by cost_model from the
+same per-level counts: at threshold 1 and K a power of the base side the
+two agree exactly.
 
 recursive_invert reduces inversion to multiplication by 2x2 block
 elimination: invert the leading block, form the complement
@@ -54,32 +56,30 @@ class RecursionConfig:
     def side(self) -> int:
         return self.base_alg.dims.m
 
+    def padded_side(self, k: int) -> int:
+        """The least power of the base side that is at least k."""
+        return self.side ** _depth(self.side, k)
 
-class _Cost:
-    __slots__ = ("bilinear", "scalar", "adds")
 
-    def __init__(self):
-        self.bilinear = 0
-        self.scalar = 0
-        self.adds = 0
-
-    def absorb(self, report: CostReport):
-        self.bilinear += report.bilinear_mults
-        self.scalar += report.scalar_mults
-        self.adds += report.additions
+def _depth(side: int, k: int) -> int:
+    """The least t with side**t >= k."""
+    t = 0
+    while side**t < k:
+        t += 1
+    return t
 
 
 def _multiply_rec(a: Matrix, b: Matrix, prog: _Program, s0: int, times,
-                  threshold: int, cost: _Cost) -> Matrix:
+                  threshold: int, cost: CostReport) -> Matrix:
     side = a.rows
-    if side <= threshold or side == 1:
-        cost.bilinear += side**3
-        cost.adds += side * side * (side - 1)
+    if side <= threshold:
+        cost.bilinear_mults += side**3
+        cost.additions += side * side * (side - 1)
         return mat_classical_multiply(a, b)
     sub = side // s0
     area = sub * sub
-    cost.adds += prog.additions * area
-    cost.scalar += prog.scalar_mults * area
+    cost.additions += prog.additions * area
+    cost.scalar_mults += prog.scalar_mults * area
     blocks_a = [a.submatrix(i * sub, j * sub, sub, sub) for i in range(s0) for j in range(s0)]
     blocks_b = [b.submatrix(i * sub, j * sub, sub, sub) for i in range(s0) for j in range(s0)]
     out = _evaluate(
@@ -91,42 +91,31 @@ def _multiply_rec(a: Matrix, b: Matrix, prog: _Program, s0: int, times,
 
 
 def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
-    """Multiply square matrices of equal side; returns (product, CostReport).
+    """Multiply an m x k by a k x n matrix; returns (product, CostReport).
 
-    The operands are padded with zeros to the next power of the base side,
-    so the result is exact for every K.
+    Both operands are embedded with zeros into the least power of the base
+    side that is at least max(m, k, n), and the product is cropped back to
+    m x n, so the result is exact for every conforming shape.  The counts
+    are those of the square product at the padded side.
     """
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise TypeError("expected matrices")
     if a.ring != b.ring:
         raise ValueError("mixed rings")
-    if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
-        raise DimensionError(
-            f"need square matrices of equal side, got {a.rows}x{a.cols} "
-            f"and {b.rows}x{b.cols}"
-        )
-    k = a.rows
-    s0 = cfg.side
-    padded = 1
-    while padded < k:
-        padded *= s0
-    cost = _Cost()
+    if a.cols != b.rows:
+        raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    m, k, n = a.rows, a.cols, b.cols
+    padded = cfg.padded_side(max(m, k, n))
+    report = CostReport(context=(
+        f"recursive multiply {m}x{k} by {k}x{n} (padded {padded}), "
+        f"base {cfg.base_alg.dims} rank {cfg.base_alg.rank}, threshold {cfg.threshold}"
+    ))
     embed = _embedder(a.ring)
     result = _multiply_rec(a.embed(padded, padded), b.embed(padded, padded),
-                           _compile(cfg.base_alg), s0,
-                           lambda c, x: x.scale(embed(c)), cfg.threshold, cost)
-    if padded != k:
-        result = result.submatrix(0, 0, k, k)
-    report = CostReport(
-        bilinear_mults=cost.bilinear,
-        scalar_mults=cost.scalar,
-        additions=cost.adds,
-        context=(
-            f"recursive multiply side {k} (padded {padded}), "
-            f"base {cfg.base_alg.dims} rank {cfg.base_alg.rank}, "
-            f"threshold {cfg.threshold}"
-        ),
-    )
+                           _compile(cfg.base_alg), cfg.side,
+                           lambda c, x: x.scale(embed(c)), cfg.threshold, report)
+    if (m, n) != (padded, padded):
+        result = result.submatrix(0, 0, m, n)
     return result, report
 
 
@@ -144,12 +133,8 @@ def cost_model(alg: BilinearAlgorithm, k: int) -> CostReport:
     if not isinstance(k, int) or k < 1:
         raise BadArgument(f"K must be a positive integer, got {k!r}")
     s0 = alg.dims.m
-    t = 0
-    power = 1
-    while power < k:
-        power *= s0
-        t += 1
-    if power != k:
+    t = _depth(s0, k)
+    if s0**t != k:
         raise BadArgument(f"K={k} is not a power of the base side {s0}")
     prog = _compile(alg)
     geom = sum(alg.rank**d * s0 ** (2 * (t - 1 - d)) for d in range(t))
@@ -165,15 +150,7 @@ class _PivotZero(Exception):
     pass
 
 
-def _mul_rect(cfg: RecursionConfig, a: Matrix, b: Matrix, cost: _Cost, calls: list) -> Matrix:
-    side = max(a.rows, a.cols, b.cols)
-    product, report = recursive_multiply(cfg, a.embed(side, side), b.embed(side, side))
-    cost.absorb(report)
-    calls[0] += 1
-    return product.submatrix(0, 0, a.rows, b.cols)
-
-
-def _invert_rec(a: Matrix, cfg: RecursionConfig, cost: _Cost, calls: list) -> Matrix:
+def _invert_rec(a: Matrix, mul: Callable[[Matrix, Matrix], Matrix]) -> Matrix:
     side = a.rows
     ring = a.ring
     if side == 1:
@@ -186,14 +163,14 @@ def _invert_rec(a: Matrix, cfg: RecursionConfig, cost: _Cost, calls: list) -> Ma
     q = a.submatrix(0, p, p, side - p)
     r = a.submatrix(p, 0, side - p, p)
     s = a.submatrix(p, p, side - p, side - p)
-    lead_inv = _invert_rec(lead, cfg, cost, calls)
-    lead_inv_q = _mul_rect(cfg, lead_inv, q, cost, calls)
-    r_lead_inv = _mul_rect(cfg, r, lead_inv, cost, calls)
-    complement = s - _mul_rect(cfg, r, lead_inv_q, cost, calls)
-    comp_inv = _invert_rec(complement, cfg, cost, calls)
-    x21 = -_mul_rect(cfg, comp_inv, r_lead_inv, cost, calls)
-    x12 = -_mul_rect(cfg, lead_inv_q, comp_inv, cost, calls)
-    x11 = lead_inv - _mul_rect(cfg, lead_inv_q, x21, cost, calls)
+    lead_inv = _invert_rec(lead, mul)
+    lead_inv_q = mul(lead_inv, q)
+    r_lead_inv = mul(r, lead_inv)
+    complement = s - mul(r, lead_inv_q)
+    comp_inv = _invert_rec(complement, mul)
+    x21 = -mul(comp_inv, r_lead_inv)
+    x12 = -mul(lead_inv_q, comp_inv)
+    x11 = lead_inv - mul(lead_inv_q, x21)
     return Matrix.from_blocks([[x11, x12], [x21, comp_inv]])
 
 
@@ -207,10 +184,15 @@ def recursive_invert(cfg: RecursionConfig, a: Matrix):
     """
     if a.rows != a.cols:
         raise DimensionError("only square matrices have inverses")
-    cost = _Cost()
-    calls = [0]
+    reports = []
+
+    def mul(x: Matrix, y: Matrix) -> Matrix:
+        product, report = recursive_multiply(cfg, x, y)
+        reports.append(report)
+        return product
+
     try:
-        inverse = _invert_rec(a, cfg, cost, calls)
+        inverse = _invert_rec(a, mul)
     except _PivotZero:
         try:
             mat_inverse(a)
@@ -221,11 +203,11 @@ def recursive_invert(cfg: RecursionConfig, a: Matrix):
             "pivot-free elimination cannot proceed"
         ) from None
     report = CostReport(
-        bilinear_mults=cost.bilinear,
-        scalar_mults=cost.scalar,
-        additions=cost.adds,
+        bilinear_mults=sum(r.bilinear_mults for r in reports),
+        scalar_mults=sum(r.scalar_mults for r in reports),
+        additions=sum(r.additions for r in reports),
         context=(
-            f"recursive invert side {a.rows}, {calls[0]} multiplication "
+            f"recursive invert side {a.rows}, {len(reports)} multiplication "
             f"subcalls, base {cfg.base_alg.dims} rank {cfg.base_alg.rank}, "
             f"threshold {cfg.threshold}"
         ),

@@ -31,8 +31,10 @@ from .exact_algebra import (
     QQ,
     _read_header,
     _read_rows,
+    _read_text,
     _records,
     _row_lines,
+    _write_text,
     mat_classical_multiply,
     mat_inverse,
 )
@@ -327,7 +329,7 @@ def format_transform(transform: EquivalenceTransform, dims: DimensionTriple) -> 
     lines = [f"{_MAGIC} {m} {k} {n} {rank}"]
     for label, mat in zip(_LABELS, mats):
         lines.append(label)
-        lines.extend(_row_lines(mat))
+        lines.extend(_row_lines(mat, f"{label} entry"))
     lines.append("perm")
     lines.append(" ".join(str(s + 1) for s in transform.perm))
     return "\n".join(lines) + "\n"
@@ -369,10 +371,8 @@ def parse_transform(text: str) -> tuple[EquivalenceTransform, DimensionTriple]:
 
 
 def load_transform(path) -> tuple[EquivalenceTransform, DimensionTriple]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_transform(fh.read())
+    return parse_transform(_read_text(path))
 
 
 def dump_transform(transform: EquivalenceTransform, dims: DimensionTriple, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_transform(transform, dims))
+    _write_text(path, format_transform(transform, dims))

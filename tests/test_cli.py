@@ -384,3 +384,35 @@ def test_written_algorithms_reload_identically(strassen_file, tmp_path, capsys):
     assert load_algorithm(out_path) == strassen_222()
     with open(out_path) as fh:
         assert fh.read() == format_algorithm(strassen_222())
+
+
+def test_non_utf8_input_is_a_usage_error(strassen_file, tmp_path, capsys, monkeypatch):
+    bad_alg = tmp_path / "bad.alg"
+    bad_alg.write_bytes(b"mmalg-v1 2 2 2 7\n\xff\n")
+    bad_mat = tmp_path / "bad.mat"
+    bad_mat.write_bytes(b"1 1\n\xc3\x28\n")
+    bad_trans = tmp_path / "bad.mmtrans"
+    bad_trans.write_bytes(b"mmtrans-v1 2 2 2 7\nsigma\xfe\n")
+    out = str(tmp_path / "out")
+    for argv in (
+        ("verify", str(bad_alg)),
+        ("multiply", strassen_file, str(bad_mat), str(bad_mat), "--out", out),
+        ("equiv", strassen_file, "--transform", str(bad_trans), "--out", out),
+    ):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert err.startswith("error: line 2: byte 0x") and "not valid UTF-8" in err, argv
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\n\n\xff")))
+    rc, _, err = run(capsys, "verify", "-")
+    assert rc == 2
+    assert err.startswith("error: line 3: byte 0xff is not valid UTF-8")
+
+
+def test_multiply_result_past_the_digit_limit_is_a_usage_error(strassen_file, tmp_path, capsys):
+    a_path = str(tmp_path / "a.mat")
+    dump_matrix(Matrix.from_rows(QQ, [[10**4000]]), a_path)
+    out_path = tmp_path / "aa.mat"
+    rc, _, err = run(capsys, "multiply", strassen_file, a_path, a_path, "--out", str(out_path))
+    assert rc == 2
+    assert err.startswith("error: entry (0,0) has more than")
+    assert not out_path.exists()

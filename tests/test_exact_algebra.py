@@ -1,11 +1,13 @@
 """Scalar rings, matrices, and the matrix text format."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from mmalg import (
+    BadArgument,
     BadField,
     DimensionError,
     FormatError,
@@ -192,3 +194,10 @@ def test_matrix_format_errors():
     assert err.value.line == 3
     with pytest.raises(FormatError):
         parse_matrix("2 2\n1 2\n")  # missing a row
+
+
+def test_from_rows_rejects_inexact_entries():
+    for ring in (QQ, PrimeField(97)):
+        for x in (0.5, Decimal("0.5"), "1"):
+            with pytest.raises(BadArgument):
+                Matrix.from_rows(ring, [[1, x]])

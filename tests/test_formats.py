@@ -3,20 +3,31 @@
 Formatting then parsing gives back the input exactly, and the canonical
 writers reproduce the text they read.  A valid text with one line deleted,
 duplicated or cut short, or one token replaced, is either still accepted or
-rejected with an MmalgError, never any other exception.
+rejected with an MmalgError, never any other exception.  Entry tokens follow
+one strict grammar, and writers refuse an entry Python cannot spell.
 """
+
+import re
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mmalg import (
+    BadArgument,
     BilinearAlgorithm,
     DimensionTriple,
+    EquivalenceTransform,
+    FormatError,
     Matrix,
     MmalgError,
     PrimeField,
     QQ,
+    dump_algorithm,
+    dump_matrix,
+    dump_transform,
     format_algorithm,
     format_matrix,
     format_transform,
@@ -130,3 +141,44 @@ def test_mutated_text_parses_or_raises_mmalg_error(case, data):
             parse(text)
         except MmalgError:
             pass
+
+
+def test_entry_grammar():
+    text = "1 5\n+3 -2/4 007 0/5 -0\n"
+    assert parse_matrix(text).entries == (3, Fraction(-1, 2), 7, 0, 0)
+
+
+@pytest.mark.parametrize("tok", ["1.5", "1e4000000", "1_0", "\u0663"])
+def test_entry_tokens_are_strict(tok):
+    # Only an optional sign, ASCII digits and an optional '/digits' make an
+    # entry; an exponent token is refused at once, not expanded.
+    cases = (
+        (parse_matrix, f"2 2\n1 2\n3 {tok}\n", 3),
+        (parse_algorithm, f"mmalg-v1 1 1 1 1\nU\n0 0 1\nV\n0 0 {tok}\nW\n0 0 1\n", 5),
+    )
+    for parse, text, line in cases:
+        start = time.perf_counter()
+        with pytest.raises(FormatError) as err:
+            parse(text)
+        assert time.perf_counter() - start < 0.1
+        assert err.value.line == line
+
+
+def test_writers_refuse_entries_past_the_digit_limit(tmp_path):
+    big = Fraction(10**5000)
+    one = Matrix.identity(QQ, 1)
+    alg = BilinearAlgorithm(DimensionTriple(1, 1, 1), 1,
+                            [{(0, 0): 1}], [{(0, 0): big}], [{(0, 0): 1 / big}])
+    transform = EquivalenceTransform(one, one, Matrix.from_rows(QQ, [[big]]),
+                                     Matrix.from_rows(QQ, [[1 / big]]), one, one, (0,))
+    cases = (
+        (lambda path: dump_matrix(Matrix.from_rows(QQ, [[1, big]]), path), "entry (0,1)"),
+        (lambda path: dump_algorithm(alg, path), "v[0] entry (0,0)"),
+        (lambda path: dump_transform(transform, DimensionTriple(1, 1, 1), path),
+         "nabla entry (0,0)"),
+    )
+    for i, (dump, name) in enumerate(cases):
+        path = tmp_path / f"out{i}"
+        with pytest.raises(BadArgument, match=re.escape(name) + r" has more than \d+ digits"):
+            dump(str(path))
+        assert not path.exists()

@@ -44,12 +44,46 @@ def test_config_validation():
 
 def test_multiply_input_validation():
     cfg = RecursionConfig(strassen_222())
-    with pytest.raises(DimensionError):
-        recursive_multiply(cfg, Matrix.zeros(QQ, 2, 3), Matrix.zeros(QQ, 3, 3))
+    a, b = Matrix.zeros(QQ, 2, 3), Matrix.zeros(QQ, 3, 3)
+    assert recursive_multiply(cfg, a, b)[0] == mat_classical_multiply(a, b)
     with pytest.raises(DimensionError):
         recursive_multiply(cfg, Matrix.zeros(QQ, 2, 2), Matrix.zeros(QQ, 3, 3))
     with pytest.raises(ValueError):
         recursive_multiply(cfg, Matrix.zeros(QQ, 2, 2), Matrix.zeros(FIELD, 2, 2))
+
+
+def test_multiply_any_conforming_shape():
+    # Every m x k by k x n product equals the triple loop, and counts as the
+    # square product at the least power of the base side >= max(m, k, n).
+    rng = random.Random(65)
+    cfgs = [RecursionConfig(strassen_222(), 1), RecursionConfig(strassen_222(), 2),
+            RecursionConfig(classical(3, 3, 3), 1)]
+    square_counts = {}
+    for cfg in cfgs:
+        for m in range(1, 7):
+            for k in range(1, 7):
+                for n in range(1, 7):
+                    a = random_matrix(FIELD, m, k, rng)
+                    b = random_matrix(FIELD, k, n, rng)
+                    got, report = recursive_multiply(cfg, a, b)
+                    assert got == mat_classical_multiply(a, b), (cfg, m, k, n)
+                    padded = 1
+                    while padded < max(m, k, n):
+                        padded *= cfg.side
+                    key = (cfg, padded)
+                    if key not in square_counts:
+                        zero = Matrix.zeros(FIELD, padded, padded)
+                        square = recursive_multiply(cfg, zero, zero)[1]
+                        square_counts[key] = (
+                            square.bilinear_mults, square.scalar_mults, square.additions
+                        )
+                    assert (report.bilinear_mults, report.scalar_mults,
+                            report.additions) == square_counts[key], (cfg, m, k, n)
+    for m, k, n in ((1, 5, 2), (3, 2, 7), (6, 1, 4)):
+        a = random_matrix(QQ, m, k, rng)
+        b = random_matrix(QQ, k, n, rng)
+        got, _ = recursive_multiply(cfgs[1], a, b)
+        assert got == mat_classical_multiply(a, b), (m, k, n)
 
 
 def test_multiplication_count_law():
