@@ -24,11 +24,12 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BadArgument, DimensionError, ExponentUndefined, FormatError
 from .exact_algebra import (
-    Matrix, PrimeField, _exact, _read_header, _read_text, _records, _unwritable, _write_text,
+    Matrix, PrimeField, _exact, _modulus, _read_header, _read_text, _records, _shown,
+    _unwritable, _write_text,
 )
 
 # A 61-bit Mersenne prime; default modulus for randomized identity checks.
@@ -229,9 +230,9 @@ def verify_trilinear_random(
         raise BadArgument(
             f"prime {prime} too small for a {alg.dims} rank-{alg.rank} program"
         )
-    u_flat = [[(i, j, embed(c).value) for (i, j), c in d.items()] for d in alg.u]
-    v_flat = [[(g, h, embed(c).value) for (g, h), c in d.items()] for d in alg.v]
-    w_flat = [[(q, l, embed(c).value) for (l, q), c in d.items()] for d in alg.w]
+    u_flat = [[(i, j, embed(c)) for (i, j), c in d.items()] for d in alg.u]
+    v_flat = [[(g, h, embed(c)) for (g, h), c in d.items()] for d in alg.v]
+    w_flat = [[(q, l, embed(c)) for (l, q), c in d.items()] for d in alg.w]
 
     rng = random.Random(seed)
     p = prime
@@ -276,14 +277,20 @@ class _Program(NamedTuple):
     scalar_mults: int
 
 
+def _coefficient(c: Fraction):
+    """c, as an int when it is integral: the evaluator's +-1 tests are then
+    int comparisons, not Fraction ones."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _compile(alg: BilinearAlgorithm) -> _Program:
     m, k, n = alg.dims
-    u = tuple(tuple((i * k + j, c) for (i, j), c in d.items()) for d in alg.u)
-    v = tuple(tuple((g * n + h, c) for (g, h), c in d.items()) for d in alg.v)
+    u = tuple(tuple((i * k + j, _coefficient(c)) for (i, j), c in d.items()) for d in alg.u)
+    v = tuple(tuple((g * n + h, _coefficient(c)) for (g, h), c in d.items()) for d in alg.v)
     by_output = [[] for _ in range(m * n)]
     for s, d in enumerate(alg.w):
         for (l, q), c in d.items():
-            by_output[l * n + q].append((s, c))
+            by_output[l * n + q].append((s, _coefficient(c)))
     w = tuple(map(tuple, by_output))
     forms = u + v + w
     return _Program(
@@ -294,55 +301,69 @@ def _compile(alg: BilinearAlgorithm) -> _Program:
 
 
 def _embedder(ring):
-    """c -> ring.from_rational(c), computed once per distinct coefficient.
+    """c -> the raw value (exact_algebra._raw) of ring.from_rational(c),
+    computed once per distinct coefficient.
 
     A coefficient whose denominator vanishes mod p raises BadArgument.
     """
     cache: dict = {}
+    p = _modulus(ring)
 
     def embed(c: Fraction):
         x = cache.get(c)
         if x is None:
             try:
-                x = cache[c] = ring.from_rational(c)
+                x = ring.from_rational(c)
             except ZeroDivisionError:
-                raise BadArgument(f"coefficient {c} has no image mod {ring.p}") from None
+                raise BadArgument(f"coefficient {c} has no image mod {p}") from None
+            x = cache[c] = x if p is None else x.value
         return x
 
     return embed
 
 
-def _linear_combination(terms, values, times, zero):
+class _Ops(NamedTuple):
+    """The arithmetic a compiled program runs on: ring scalars here, raw
+    entries and raw blocks in the recursion driver.  times(c, x) scales x by
+    a program coefficient c (an int or a Fraction)."""
+
+    add: Callable
+    sub: Callable
+    neg: Callable
+    times: Callable
+
+
+def _linear_combination(terms, values, ops: _Ops):
     """sum of c * values[i] over terms, with the +-1 shortcuts.
 
-    times(c, x) scales x by a coefficient outside {1, -1}; zero() supplies
-    the value of an empty combination.
+    An empty combination is 0 times any value.
     """
+    add, sub, neg, times = ops
     acc = None
     for i, c in terms:
         x = values[i]
         if acc is None:
-            acc = x if c == 1 else -x if c == -1 else times(c, x)
+            acc = x if c == 1 else neg(x) if c == -1 else times(c, x)
         elif c == 1:
-            acc = acc + x
+            acc = add(acc, x)
         elif c == -1:
-            acc = acc - x
+            acc = sub(acc, x)
         else:
-            acc = acc + times(c, x)
-    return zero() if acc is None else acc
+            acc = add(acc, times(c, x))
+    return times(0, values[0]) if acc is None else acc
 
 
-def _evaluate(prog: _Program, a, b, mul, times, zero) -> list:
+def _evaluate(prog: _Program, a, b, mul, ops: _Ops) -> list:
     """Run a compiled program on flat row-major operands; returns C row-major.
 
-    mul multiplies the two linear forms of a product: scalars here, blocks
-    (recursively) in the recursion driver.
+    mul multiplies the two linear forms of a product: scalars here, raw
+    blocks (recursively) in the recursion driver.
     """
     products = [
-        mul(_linear_combination(us, a, times, zero), _linear_combination(vs, b, times, zero))
+        mul(_linear_combination(us, a, ops), _linear_combination(vs, b, ops))
         for us, vs in zip(prog.u, prog.v)
     ]
-    return [_linear_combination(ws, products, times, zero) for ws in prog.w]
+    return [_linear_combination(ws, products, ops) for ws in prog.w]
 
 
 def apply_elementary(alg: BilinearAlgorithm, a: Matrix, b: Matrix):
@@ -363,10 +384,8 @@ def apply_elementary(alg: BilinearAlgorithm, a: Matrix, b: Matrix):
     ring = a.ring
     prog = _compile(alg)
     embed = _embedder(ring)
-    entries = _evaluate(
-        prog, a.entries, b.entries, operator.mul,
-        lambda c, x: embed(c) * x, lambda: ring.zero,
-    )
+    ops = _Ops(operator.add, operator.sub, operator.neg, lambda c, x: embed(c) * x)
+    entries = _evaluate(prog, a.entries, b.entries, operator.mul, ops)
     report = CostReport(
         bilinear_mults=alg.rank,
         scalar_mults=prog.scalar_mults,
@@ -515,7 +534,7 @@ def parse_algorithm(text: str) -> BilinearAlgorithm:
         try:
             val = _exact(tokens[2])
         except (ValueError, ZeroDivisionError):
-            raise FormatError(lineno, f"bad coefficient {tokens[2]!r}") from None
+            raise FormatError(lineno, f"bad coefficient {_shown(tokens[2])}") from None
         label, block = current
         rows, cols = shapes[label]
         if not (0 <= r < rows and 0 <= c < cols):

@@ -4,13 +4,21 @@ Everything in this package computes over an exact ring: arbitrary-precision
 rationals (``QQ``) or a prime field (``PrimeField(p)``).  Rationals are
 ``fractions.Fraction`` values, which are always stored in lowest terms with a
 positive denominator, so equality is plain structural equality.  Matrices are
-dense, row-major and immutable.
+dense, row-major and immutable; over GF(p) they hold boxed ``ModularScalar``
+entries.
+
+Products run unboxed: _raw turns a Matrix's entries into raw values (ints in
+[0, p) over GF(p), the Fractions themselves over QQ), the flat kernel
+_classical multiplies raw row-major operands with one reduction mod p per dot
+product, and _boxed wraps raw values back into a Matrix.  Boxes appear only
+at the Matrix boundary: mat_classical_multiply and the recursion driver
+unbox their operands once and box their result once.
 
 A small text format for matrices is provided: a ``rows cols`` header line
 followed by one whitespace-separated row per line, entries written as
 integers or ``p/q`` fractions.  Writing and re-reading a matrix reproduces it
 exactly.  The program and transform formats share its conventions, and the
-private helpers here (_read_text, _records, _read_header, _exact,
+private helpers here (_read_text, _records, _read_header, _exact, _shown,
 _read_rows, _row_lines, _write_text) read and write all three.
 """
 
@@ -19,7 +27,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from operator import mul
+from typing import Iterable, Optional, Sequence
 
 from .errors import BadArgument, BadField, DimensionError, FormatError, SingularMatrix
 
@@ -78,7 +87,7 @@ class ModularScalar:
         self.value = value % p
         self.p = p
 
-    def _lift(self, other) -> Union[int, None]:
+    def _lift(self, other) -> Optional[int]:
         if isinstance(other, ModularScalar):
             if other.p != self.p:
                 raise ValueError(f"mixed moduli {self.p} and {other.p}")
@@ -224,7 +233,10 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-Ring = Union[RationalField, PrimeField]
+# Ring annotations in this package are strings (from __future__ import
+# annotations) and are never evaluated.  A module-level alias such as
+# Union[RationalField, PrimeField] would enter both classes in typing's
+# cache, which would keep every earlier import of the package alive.
 
 
 class Matrix:
@@ -232,7 +244,7 @@ class Matrix:
 
     __slots__ = ("ring", "rows", "cols", "entries")
 
-    def __init__(self, ring: Ring, rows: int, cols: int, entries: Iterable):
+    def __init__(self, ring: RationalField | PrimeField, rows: int, cols: int, entries: Iterable):
         if rows < 1 or cols < 1:
             raise DimensionError(f"matrix dimensions must be positive, got {rows}x{cols}")
         entries = tuple(entries)
@@ -246,7 +258,7 @@ class Matrix:
         self.entries = entries
 
     @classmethod
-    def from_rows(cls, ring: Ring, rows: Sequence[Sequence]) -> "Matrix":
+    def from_rows(cls, ring: RationalField | PrimeField, rows: Sequence[Sequence]) -> "Matrix":
         """Build from a list of row lists; entries are coerced into the ring."""
         if not rows or not rows[0]:
             raise DimensionError("matrix dimensions must be positive")
@@ -259,12 +271,12 @@ class Matrix:
         return cls(ring, len(rows), width, flat)
 
     @classmethod
-    def identity(cls, ring: Ring, n: int) -> "Matrix":
+    def identity(cls, ring: RationalField | PrimeField, n: int) -> "Matrix":
         z, o = ring.zero, ring.one
         return cls(ring, n, n, [o if i == j else z for i in range(n) for j in range(n)])
 
     @classmethod
-    def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
+    def zeros(cls, ring: RationalField | PrimeField, rows: int, cols: int) -> "Matrix":
         return cls(ring, rows, cols, [ring.zero] * (rows * cols))
 
     @classmethod
@@ -384,8 +396,57 @@ class Matrix:
         return f"<Matrix {self.rows}x{self.cols} over {self.ring!r}>"
 
 
+def _modulus(ring: RationalField | PrimeField) -> Optional[int]:
+    """p for GF(p), None for QQ: the modulus raw values are reduced by."""
+    return ring.p if isinstance(ring, PrimeField) else None
+
+
+def _raw(a: Matrix) -> list:
+    """a's entries, row-major, as raw values: ints in [0, p) over GF(p), the
+    Fractions themselves over QQ."""
+    if isinstance(a.ring, PrimeField):
+        return [x.value for x in a.entries]
+    return list(a.entries)
+
+
+def _boxed(ring: RationalField | PrimeField, rows: int, cols: int, raw) -> Matrix:
+    """The rows x cols Matrix of raw row-major values (see _raw).
+
+    GF(p) values must already lie in [0, p): they are boxed without
+    ModularScalar.__init__'s primality check and reduction.
+    """
+    if isinstance(ring, PrimeField):
+        p = ring.p
+        new = ModularScalar.__new__
+        boxes = []
+        for v in raw:
+            x = new(ModularScalar)
+            x.value = v
+            x.p = p
+            boxes.append(x)
+        raw = boxes
+    return Matrix(ring, rows, cols, raw)
+
+
+def _classical(ae: list, be: list, m: int, k: int, n: int, p: Optional[int]) -> list:
+    """Raw row-major m x n product of raw row-major m x k and k x n operands.
+
+    Each dot product is summed unreduced and reduced mod p once (not at all
+    when p is None).  The sum starts from its first term, so a QQ entry
+    never adds an int 0 to a Fraction.
+    """
+    cols = [be[j::n] for j in range(n)]
+    out = []
+    for i in range(0, m * k, k):
+        row = ae[i:i + k]
+        for col in cols:
+            terms = map(mul, row, col)
+            out.append(sum(terms, next(terms)))
+    return out if p is None else [x % p for x in out]
+
+
 def mat_classical_multiply(a: Matrix, b: Matrix) -> Matrix:
-    """Plain triple-loop product; the ground truth other routines are tested against."""
+    """Plain triple-loop product, run on raw values (see _classical)."""
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise TypeError("expected matrices")
     if a.ring != b.ring:
@@ -393,16 +454,7 @@ def mat_classical_multiply(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     m, k, n = a.rows, a.cols, b.cols
-    ae, be = a.entries, b.entries
-    out = []
-    for i in range(m):
-        arow = ae[i * k : (i + 1) * k]
-        for j in range(n):
-            acc = arow[0] * be[j]
-            for t in range(1, k):
-                acc = acc + arow[t] * be[t * n + j]
-            out.append(acc)
-    return Matrix(a.ring, m, n, out)
+    return _boxed(a.ring, m, n, _classical(_raw(a), _raw(b), m, k, n, _modulus(a.ring)))
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -444,7 +496,7 @@ def mat_inverse(a: Matrix) -> Matrix:
     return Matrix.from_rows(ring, inv)
 
 
-def random_matrix(ring: Ring, rows: int, cols: int, rng) -> Matrix:
+def random_matrix(ring: RationalField | PrimeField, rows: int, cols: int, rng) -> Matrix:
     """Uniform entries over GF(p); small random rationals over QQ."""
     if isinstance(ring, PrimeField):
         p = ring.p
@@ -522,7 +574,12 @@ def _exact(tok: str) -> Fraction:
     return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
 
 
-def _read_rows(records, rows: int, cols: int, ring: Ring) -> Matrix:
+def _shown(tok: str) -> str:
+    """tok quoted for an error message, cut after its first 20 characters."""
+    return repr(tok if len(tok) <= 20 else tok[:20] + "...")
+
+
+def _read_rows(records, rows: int, cols: int, ring: RationalField | PrimeField) -> Matrix:
     """Read rows records of cols exact entries (see _exact) each."""
     embed = ring.from_rational
     flat = []
@@ -536,7 +593,7 @@ def _read_rows(records, rows: int, cols: int, ring: Ring) -> Matrix:
             try:
                 flat.append(embed(_exact(tok)))
             except (ValueError, ZeroDivisionError):
-                raise FormatError(lineno, f"bad entry {tok!r}") from None
+                raise FormatError(lineno, f"bad entry {_shown(tok)}") from None
     return Matrix(ring, rows, cols, flat)
 
 
@@ -572,7 +629,7 @@ def format_matrix(a: Matrix) -> str:
     return "\n".join([f"{a.rows} {a.cols}", *_row_lines(a)]) + "\n"
 
 
-def parse_matrix(text: str, ring: Ring = QQ) -> Matrix:
+def parse_matrix(text: str, ring: RationalField | PrimeField = QQ) -> Matrix:
     """Parse the matrix text format.  Raises FormatError with a line number."""
     records = _records(text)
     rows, cols = _read_header(records, None, ("rows", "cols"), "matrix")
@@ -583,7 +640,7 @@ def parse_matrix(text: str, ring: Ring = QQ) -> Matrix:
     return matrix
 
 
-def load_matrix(path, ring: Ring = QQ) -> Matrix:
+def load_matrix(path, ring: RationalField | PrimeField = QQ) -> Matrix:
     return parse_matrix(_read_text(path), ring)
 
 

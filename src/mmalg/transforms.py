@@ -34,6 +34,7 @@ from .exact_algebra import (
     _read_text,
     _records,
     _row_lines,
+    _shown,
     _write_text,
     mat_classical_multiply,
     mat_inverse,
@@ -338,8 +339,8 @@ def format_transform(transform: EquivalenceTransform, dims: DimensionTriple) -> 
 def _expect_label(records, label: str) -> None:
     lineno, tokens = next(records)
     if tokens != [label]:
-        found = " ".join(tokens) or "end of file"
-        raise FormatError(lineno, f"expected block '{label}', found '{found}'")
+        found = _shown(" ".join(tokens)) if tokens else "end of file"
+        raise FormatError(lineno, f"expected block '{label}', found {found}")
 
 
 def parse_transform(text: str) -> tuple[EquivalenceTransform, DimensionTriple]:

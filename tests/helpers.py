@@ -1,9 +1,10 @@
-"""Shared test utilities: an independent brute-force verifier, corruption
-helpers, and matrix builders.
+"""Shared test utilities: an independent brute-force verifier, an
+independent matrix product, corruption helpers, and matrix builders.
 
 brute_force_brent deliberately shares nothing with the package's sparse
 verifier: it densifies the coefficient tensors and walks the full
-six-index grid, so the two can cross-check each other.
+six-index grid, so the two can cross-check each other.  naive_product
+likewise shares nothing with the package's product kernels.
 """
 
 from __future__ import annotations
@@ -47,6 +48,22 @@ def brute_force_brent(alg: BilinearAlgorithm) -> list:
                             if total != expected:
                                 bad.append((l, q, i, j, g, h, total))
     return bad
+
+
+def naive_product(a_rows, b_rows, p=None) -> list:
+    """Rows of the product of two lists of rows of ints or Fractions, by the
+    plain triple loop; each entry is reduced mod p when p is given."""
+    k, n = len(b_rows), len(b_rows[0])
+    out = []
+    for row in a_rows:
+        out_row = []
+        for j in range(n):
+            total = 0
+            for t in range(k):
+                total += row[t] * b_rows[t][j]
+            out_row.append(total if p is None else total % p)
+        out.append(out_row)
+    return out
 
 
 def corrupt_one(alg: BilinearAlgorithm, rng) -> BilinearAlgorithm:

@@ -416,3 +416,25 @@ def test_multiply_result_past_the_digit_limit_is_a_usage_error(strassen_file, tm
     assert rc == 2
     assert err.startswith("error: entry (0,0) has more than")
     assert not out_path.exists()
+
+
+def test_refused_huge_token_is_echoed_short(strassen_file, tmp_path, capsys):
+    # A 100,000-digit token is refused by line number; the message quotes
+    # only its start, so the error stays one short line.
+    huge = "7" * 100_000
+    bad_mat = tmp_path / "huge.mat"
+    bad_mat.write_text(f"2 2\n1 2\n3 {huge}\n")
+    bad_alg = tmp_path / "huge.alg"
+    bad_alg.write_text(f"mmalg-v1 1 1 1 1\nU\n0 0 1\nV\n0 0 {huge}\nW\n0 0 1\n")
+    bad_trans = tmp_path / "huge.mmtrans"
+    bad_trans.write_text(f"mmtrans-v1 2 2 2 7\n\n{huge}\n")
+    out = str(tmp_path / "out")
+    for argv, line in (
+        (("multiply", strassen_file, str(bad_mat), str(bad_mat), "--out", out), 3),
+        (("verify", str(bad_alg)), 5),
+        (("equiv", strassen_file, "--transform", str(bad_trans), "--out", out), 3),
+    ):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert err.startswith(f"error: line {line}: ") and "'7777" in err, argv
+        assert err.count("\n") == 1 and len(err.encode()) < 200, argv

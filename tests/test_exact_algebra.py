@@ -1,11 +1,15 @@
 """Scalar rings, matrices, and the matrix text format."""
 
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+import mmalg
 from mmalg import (
     BadArgument,
     BadField,
@@ -201,3 +205,30 @@ def test_from_rows_rejects_inexact_entries():
         for x in (0.5, Decimal("0.5"), "1"):
             with pytest.raises(BadArgument):
                 Matrix.from_rows(ring, [[1, x]])
+
+
+_REIMPORT = """
+import gc, importlib, sys, weakref
+
+refs = []
+for _ in range(20):
+    for name in [n for n in sys.modules if n == "mmalg" or n.startswith("mmalg.")]:
+        del sys.modules[name]
+    mm = importlib.import_module("mmalg")
+    field = mm.PrimeField(97)
+    a = mm.Matrix.from_rows(field, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    mm.recursive_multiply(mm.RecursionConfig(mm.strassen_222(), 1), a, a)
+    mm.mat_classical_multiply(a, a)
+    refs.append(weakref.ref(sys.modules["mmalg.exact_algebra"].Matrix))
+    del mm, field, a
+gc.collect()
+print(sum(ref() is not None for ref in refs))
+"""
+
+
+def test_reimport_frees_the_previous_package():
+    # A fresh interpreter, so this suite's own classes are not re-imported.
+    src = os.path.dirname(os.path.dirname(mmalg.__file__))
+    out = subprocess.run([sys.executable, "-c", _REIMPORT], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["1"]

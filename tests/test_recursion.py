@@ -1,5 +1,6 @@
 """Recursive multiplication, the closed-form cost model, and block inversion."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from mmalg import (
     BadArgument,
     DimensionError,
     Matrix,
+    ModularScalar,
     PivotFailure,
     PrimeField,
     QQ,
@@ -26,7 +28,7 @@ from mmalg import (
     strassen_222,
 )
 
-from helpers import P61, unit_lu_matrix
+from helpers import P61, naive_product, unit_lu_matrix
 
 FIELD = PrimeField(P61)
 
@@ -84,6 +86,38 @@ def test_multiply_any_conforming_shape():
         b = random_matrix(QQ, k, n, rng)
         got, _ = recursive_multiply(cfgs[1], a, b)
         assert got == mat_classical_multiply(a, b), (m, k, n)
+
+
+def test_products_match_an_independent_triple_loop():
+    # mat_classical_multiply and the recursion both run on raw values; the
+    # oracle is a plain int loop that shares no code with either.
+    rng = random.Random(61)
+    cfgs = [RecursionConfig(strassen_222(), 1), RecursionConfig(strassen_222(), 2),
+            RecursionConfig(classical(3, 3, 3), 1)]
+    for p in (2, 3, 97, P61):
+        field = PrimeField(p)
+        for m, k, n in itertools.product(range(1, 6), repeat=3):
+            a_rows = [[rng.randrange(-10**20, 10**20) for _ in range(k)] for _ in range(m)]
+            b_rows = [[rng.randrange(-10**20, 10**20) for _ in range(n)] for _ in range(k)]
+            a, b = Matrix.from_rows(field, a_rows), Matrix.from_rows(field, b_rows)
+            want = naive_product(a_rows, b_rows, p)
+            products = [mat_classical_multiply(a, b)]
+            products += [recursive_multiply(cfg, a, b)[0] for cfg in cfgs]
+            for got in products:
+                assert (got.ring, got.rows, got.cols) == (field, m, n)
+                assert all(type(x) is ModularScalar and x.p == p and 0 <= x.value < p
+                           for x in got.entries), (p, m, k, n)
+                assert [[x.value for x in row] for row in got.to_rows()] == want, (p, m, k, n)
+    a_rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5)]
+              for _ in range(3)]
+    b_rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+              for _ in range(5)]
+    a, b = Matrix.from_rows(QQ, a_rows), Matrix.from_rows(QQ, b_rows)
+    products = [mat_classical_multiply(a, b)]
+    products += [recursive_multiply(cfg, a, b)[0] for cfg in cfgs]
+    for got in products:
+        assert all(type(x) is Fraction for x in got.entries)
+        assert got.to_rows() == naive_product(a_rows, b_rows)
 
 
 def test_multiplication_count_law():
