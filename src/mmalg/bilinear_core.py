@@ -20,15 +20,14 @@ l''_s(D) = sum_lq w^s_lq d_ql with D of shape n x m.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BadArgument, DimensionError, ExponentUndefined, FormatError
 from .exact_algebra import (
-    Matrix, PrimeField, _exact, _modulus, _read_header, _read_text, _records, _shown,
+    Matrix, PrimeField, _exact, _Ops, _read_header, _read_text, _records, _shown,
     _unwritable, _write_text,
 )
 
@@ -224,7 +223,7 @@ def verify_trilinear_random(
     """
     if not isinstance(trials, int) or trials < 1:
         raise BadArgument(f"trials must be a positive integer, got {trials!r}")
-    embed = _embedder(PrimeField(prime))
+    embed = PrimeField(prime)._image
     m, k, n = alg.dims
     if prime <= max(m, k, n, alg.rank):
         raise BadArgument(
@@ -300,39 +299,6 @@ def _compile(alg: BilinearAlgorithm) -> _Program:
     )
 
 
-def _embedder(ring):
-    """c -> the raw value (exact_algebra._raw) of ring.from_rational(c),
-    computed once per distinct coefficient.
-
-    A coefficient whose denominator vanishes mod p raises BadArgument.
-    """
-    cache: dict = {}
-    p = _modulus(ring)
-
-    def embed(c: Fraction):
-        x = cache.get(c)
-        if x is None:
-            try:
-                x = ring.from_rational(c)
-            except ZeroDivisionError:
-                raise BadArgument(f"coefficient {c} has no image mod {p}") from None
-            x = cache[c] = x if p is None else x.value
-        return x
-
-    return embed
-
-
-class _Ops(NamedTuple):
-    """The arithmetic a compiled program runs on: ring scalars here, raw
-    entries and raw blocks in the recursion driver.  times(c, x) scales x by
-    a program coefficient c (an int or a Fraction)."""
-
-    add: Callable
-    sub: Callable
-    neg: Callable
-    times: Callable
-
-
 def _linear_combination(terms, values, ops: _Ops):
     """sum of c * values[i] over terms, with the +-1 shortcuts.
 
@@ -356,7 +322,8 @@ def _linear_combination(terms, values, ops: _Ops):
 def _evaluate(prog: _Program, a, b, mul, ops: _Ops) -> list:
     """Run a compiled program on flat row-major operands; returns C row-major.
 
-    mul multiplies the two linear forms of a product: scalars here, raw
+    ops is a ring's _entry or _block arithmetic (exact_algebra), and mul
+    multiplies the two linear forms of a product: raw entries here, raw
     blocks (recursively) in the recursion driver.
     """
     products = [
@@ -383,16 +350,14 @@ def apply_elementary(alg: BilinearAlgorithm, a: Matrix, b: Matrix):
         raise ValueError("mixed rings")
     ring = a.ring
     prog = _compile(alg)
-    embed = _embedder(ring)
-    ops = _Ops(operator.add, operator.sub, operator.neg, lambda c, x: embed(c) * x)
-    entries = _evaluate(prog, a.entries, b.entries, operator.mul, ops)
+    values = _evaluate(prog, a._values, b._values, ring._mul, ring._entry)
     report = CostReport(
         bilinear_mults=alg.rank,
         scalar_mults=prog.scalar_mults,
         additions=prog.additions,
         context=f"elementary program {alg.dims} rank {alg.rank}",
     )
-    return Matrix(ring, m, n, entries), report
+    return Matrix._from_values(ring, m, n, values), report
 
 
 def exponent(alg: BilinearAlgorithm) -> float:

@@ -4,15 +4,26 @@ Everything in this package computes over an exact ring: arbitrary-precision
 rationals (``QQ``) or a prime field (``PrimeField(p)``).  Rationals are
 ``fractions.Fraction`` values, which are always stored in lowest terms with a
 positive denominator, so equality is plain structural equality.  Matrices are
-dense, row-major and immutable; over GF(p) they hold boxed ``ModularScalar``
-entries.
+dense, row-major and immutable.
 
-Products run unboxed: _raw turns a Matrix's entries into raw values (ints in
-[0, p) over GF(p), the Fractions themselves over QQ), the flat kernel
-_classical multiplies raw row-major operands with one reduction mod p per dot
-product, and _boxed wraps raw values back into a Matrix.  Boxes appear only
-at the Matrix boundary: mat_classical_multiply and the recursion driver
-unbox their operands once and box their result once.
+A Matrix stores raw values: ints in [0, p) over GF(p), the Fractions
+themselves over QQ.  Its constructor takes every entry through the ring once;
+ring elements (``ModularScalar`` over GF(p)) appear only where a caller reads
+a scalar: ``entries``, ``m[r, c]`` and ``to_rows()``.  Only this module knows
+the raw form.  Each ring carries its raw arithmetic as private members, which
+every other module uses:
+
+- ``_modulus``: p, or None over QQ, where raw values are never reduced;
+- ``_value(x)``: an int, a Fraction or a ring element as a raw value;
+  ``_element(v)`` and ``_elements(values)`` turn raw values into elements;
+- ``_entry`` and ``_block``: the ``_Ops`` a compiled program runs on, over
+  raw values and over equal-length sequences of them, each result reduced;
+  ``_mul`` multiplies two raw values and ``_reciprocal`` inverts one;
+- ``PrimeField._image(c)``: the raw value of a program coefficient c, or
+  BadArgument when c has none (over QQ a coefficient is its own image).
+
+The flat kernel _classical multiplies raw row-major operands with one
+reduction mod p per dot product.
 
 A small text format for matrices is provided: a ``rows cols`` header line
 followed by one whitespace-separated row per line, entries written as
@@ -27,8 +38,9 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from operator import mul
-from typing import Iterable, Optional, Sequence
+from itertools import repeat
+from operator import add, mul, neg, sub
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BadArgument, BadField, DimensionError, FormatError, SingularMatrix
 
@@ -166,14 +178,28 @@ class ModularScalar:
         return str(self.value)
 
 
+class _Ops(NamedTuple):
+    """The arithmetic a compiled program runs on (bilinear_core._evaluate).
+    times(c, x) scales x by a program coefficient c (an int or a Fraction)."""
+
+    add: Callable
+    sub: Callable
+    neg: Callable
+    times: Callable
+
+
 class RationalField:
     """The field of exact rationals.  Use the module-level singleton QQ."""
 
     zero = Fraction(0)
     one = Fraction(1)
 
-    def from_rational(self, c: Fraction) -> Fraction:
-        return Fraction(c)
+    # Raw values are the Fractions themselves; see the module docstring.
+    _modulus = None
+    _mul = mul
+    _entry = _Ops(add, sub, neg, mul)
+    _block = _Ops(lambda x, y: list(map(add, x, y)), lambda x, y: list(map(sub, x, y)),
+                  lambda x: list(map(neg, x)), lambda c, x: list(map(mul, repeat(c), x)))
 
     def coerce(self, x) -> Fraction:
         if isinstance(x, Fraction):
@@ -181,6 +207,17 @@ class RationalField:
         if isinstance(x, int):
             return Fraction(x)
         raise BadArgument(f"cannot coerce {x!r} into QQ: not an int or Fraction")
+
+    from_rational = _value = coerce
+
+    def _element(self, v: Fraction) -> Fraction:
+        return v
+
+    def _elements(self, values: tuple) -> tuple:
+        return values
+
+    def _reciprocal(self, v: Fraction) -> Fraction:
+        return 1 / v
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -203,25 +240,69 @@ class PrimeField:
         self.p = p
         self.zero = ModularScalar(0, p)
         self.one = ModularScalar(1, p)
-
-    def from_rational(self, c: Fraction) -> ModularScalar:
-        den = c.denominator % self.p
-        if den == 0:
-            raise ZeroDivisionError(f"denominator of {c} vanishes mod {self.p}")
-        return ModularScalar(c.numerator * pow(den, self.p - 2, self.p), self.p)
+        # Raw values are ints in [0, p); see the module docstring.
+        self._modulus = p
+        self._images: dict = {}
+        image = self._image
+        self._mul = lambda x, y: x * y % p
+        self._entry = _Ops(lambda x, y: (x + y) % p, lambda x, y: (x - y) % p,
+                           lambda x: -x % p, lambda c, x: image(c) * x % p)
+        self._block = _Ops(lambda x, y: [v % p for v in map(add, x, y)],
+                           lambda x, y: [v % p for v in map(sub, x, y)],
+                           lambda x: [-v % p for v in x],
+                           lambda c, x: [v % p for v in map(mul, repeat(image(c)), x)])
 
     def coerce(self, x) -> ModularScalar:
-        if isinstance(x, ModularScalar):
-            if x.p != self.p:
-                raise ValueError(f"mixed moduli {self.p} and {x.p}")
-            return x
+        return self._element(self._value(x))
+
+    from_rational = coerce
+
+    def _value(self, x) -> int:
+        p = self.p
         if isinstance(x, int):
-            return ModularScalar(x, self.p)
+            return x % p
+        if isinstance(x, ModularScalar):
+            if x.p != p:
+                raise ValueError(f"mixed moduli {p} and {x.p}")
+            return x.value
         if isinstance(x, Fraction):
-            return self.from_rational(x)
+            den = x.denominator % p
+            if den == 0:
+                raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
+            return x.numerator * pow(den, -1, p) % p
         raise BadArgument(
-            f"cannot coerce {x!r} into GF({self.p}): not an int, Fraction or ModularScalar"
+            f"cannot coerce {x!r} into GF({p}): not an int, Fraction or ModularScalar"
         )
+
+    def _element(self, v: int) -> ModularScalar:
+        # v is already in [0, p): skip ModularScalar.__init__'s check and %.
+        x = ModularScalar.__new__(ModularScalar)
+        x.value = v
+        x.p = self.p
+        return x
+
+    def _elements(self, values: tuple) -> tuple:
+        return tuple(map(self._element, values))
+
+    def _image(self, c) -> int:
+        # Images of Fraction coefficients are cached: a program has few, and
+        # a level of 1x1 blocks scales single entries by them many times.
+        if isinstance(c, int):
+            return c % self.p
+        x = self._images.get(c)
+        if x is None:
+            try:
+                x = self._images[c] = self._value(c)
+            except ZeroDivisionError:
+                raise BadArgument(f"coefficient {c} has no image mod {self.p}") from None
+        return x
+
+    def _reciprocal(self, v: int) -> int:
+        return pow(v, -1, self.p)
+
+    def __reduce__(self):
+        # The raw arithmetic holds closures, which pickle cannot store.
+        return PrimeField, (self.p,)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -240,22 +321,28 @@ class PrimeField:
 
 
 class Matrix:
-    """Dense immutable matrix over an exact ring, stored row-major."""
+    """Dense immutable matrix over an exact ring, stored row-major as raw values."""
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "_values")
 
     def __init__(self, ring: RationalField | PrimeField, rows: int, cols: int, entries: Iterable):
+        """entries, row-major, are ints, Fractions or elements of ring."""
         if rows < 1 or cols < 1:
             raise DimensionError(f"matrix dimensions must be positive, got {rows}x{cols}")
-        entries = tuple(entries)
-        if len(entries) != rows * cols:
+        values = tuple(map(ring._value, entries))
+        if len(values) != rows * cols:
             raise DimensionError(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(values)}"
             )
-        self.ring = ring
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+        self.ring, self.rows, self.cols, self._values = ring, rows, cols, values
+
+    @classmethod
+    def _from_values(cls, ring: RationalField | PrimeField, rows: int, cols: int,
+                     values: Iterable) -> "Matrix":
+        """The rows x cols Matrix of raw row-major values, taken as they are."""
+        a = cls.__new__(cls)
+        a.ring, a.rows, a.cols, a._values = ring, rows, cols, tuple(values)
+        return a
 
     @classmethod
     def from_rows(cls, ring: RationalField | PrimeField, rows: Sequence[Sequence]) -> "Matrix":
@@ -263,12 +350,10 @@ class Matrix:
         if not rows or not rows[0]:
             raise DimensionError("matrix dimensions must be positive")
         width = len(rows[0])
-        flat = []
         for row in rows:
             if len(row) != width:
                 raise DimensionError("ragged rows")
-            flat.extend(ring.coerce(x) for x in row)
-        return cls(ring, len(rows), width, flat)
+        return cls(ring, len(rows), width, [x for row in rows for x in row])
 
     @classmethod
     def identity(cls, ring: RationalField | PrimeField, n: int) -> "Matrix":
@@ -289,25 +374,33 @@ class Matrix:
             if len(row) != len(widths):
                 raise DimensionError("ragged block grid")
             for bj, blk in enumerate(row):
+                if blk.ring != ring:
+                    raise ValueError("mixed rings")
                 if blk.rows != heights[bi] or blk.cols != widths[bj]:
                     raise DimensionError("block shapes do not tile")
-        entries = []
+        values = []
         for bi, row in enumerate(grid):
             for r in range(heights[bi]):
                 for blk in row:
                     base = r * blk.cols
-                    entries.extend(blk.entries[base : base + blk.cols])
-        return cls(ring, sum(heights), sum(widths), entries)
+                    values.extend(blk._values[base : base + blk.cols])
+        return cls._from_values(ring, sum(heights), sum(widths), values)
+
+    @property
+    def entries(self) -> tuple:
+        """The entries, row-major, as ring elements (over QQ, the stored tuple)."""
+        return self.ring._elements(self._values)
 
     def __getitem__(self, rc):
         r, c = rc
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(rc)
-        return self.entries[r * self.cols + c]
+        return self.ring._element(self._values[r * self.cols + c])
 
     def to_rows(self) -> list:
         n = self.cols
-        return [list(self.entries[i * n : (i + 1) * n]) for i in range(self.rows)]
+        e = self.entries
+        return [list(e[i * n : (i + 1) * n]) for i in range(self.rows)]
 
     def _check_same_shape(self, other: "Matrix"):
         if not isinstance(other, Matrix):
@@ -319,33 +412,32 @@ class Matrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
+    def _like(self, values) -> "Matrix":
+        return Matrix._from_values(self.ring, self.rows, self.cols, values)
+
     def __add__(self, other):
         self._check_same_shape(other)
-        return Matrix(
-            self.ring, self.rows, self.cols,
-            [a + b for a, b in zip(self.entries, other.entries)],
-        )
+        return self._like(self.ring._block.add(self._values, other._values))
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return Matrix(
-            self.ring, self.rows, self.cols,
-            [a - b for a, b in zip(self.entries, other.entries)],
-        )
+        return self._like(self.ring._block.sub(self._values, other._values))
 
     def __neg__(self):
-        return Matrix(self.ring, self.rows, self.cols, [-a for a in self.entries])
+        return self._like(self.ring._block.neg(self._values))
 
     def scale(self, s) -> "Matrix":
-        return Matrix(self.ring, self.rows, self.cols, [s * a for a in self.entries])
+        """s times self; s is an int, a Fraction or an element of the ring."""
+        ring = self.ring
+        return self._like(ring._block.times(ring._value(s), self._values))
 
     def __matmul__(self, other):
         return mat_classical_multiply(self, other)
 
     def transpose(self) -> "Matrix":
-        e = self.entries
+        e = self._values
         n = self.cols
-        return Matrix(
+        return Matrix._from_values(
             self.ring, n, self.rows,
             [e[r * n + c] for c in range(n) for r in range(self.rows)],
         )
@@ -353,13 +445,13 @@ class Matrix:
     def submatrix(self, r0: int, c0: int, rows: int, cols: int) -> "Matrix":
         if r0 < 0 or c0 < 0 or r0 + rows > self.rows or c0 + cols > self.cols:
             raise DimensionError("submatrix out of range")
-        e = self.entries
+        e = self._values
         w = self.cols
         out = []
         for r in range(r0, r0 + rows):
             base = r * w + c0
             out.extend(e[base : base + cols])
-        return Matrix(self.ring, rows, cols, out)
+        return Matrix._from_values(self.ring, rows, cols, out)
 
     def embed(self, rows: int, cols: int) -> "Matrix":
         """Return a rows x cols matrix with self in the top-left corner, zeros elsewhere."""
@@ -367,8 +459,8 @@ class Matrix:
             raise DimensionError("embedding target smaller than matrix")
         if rows == self.rows and cols == self.cols:
             return self
-        z = self.ring.zero
-        e = self.entries
+        z = self.ring._value(0)
+        e = self._values
         w = self.cols
         out = []
         for r in range(rows):
@@ -377,7 +469,7 @@ class Matrix:
                 out.extend([z] * (cols - w))
             else:
                 out.extend([z] * cols)
-        return Matrix(self.ring, rows, cols, out)
+        return Matrix._from_values(self.ring, rows, cols, out)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -386,49 +478,17 @@ class Matrix:
             self.ring == other.ring
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._values == other._values
         )
 
     def __hash__(self):
-        return hash((self.ring, self.rows, self.cols, self.entries))
+        return hash((self.ring, self.rows, self.cols, self._values))
 
     def __repr__(self):
         return f"<Matrix {self.rows}x{self.cols} over {self.ring!r}>"
 
 
-def _modulus(ring: RationalField | PrimeField) -> Optional[int]:
-    """p for GF(p), None for QQ: the modulus raw values are reduced by."""
-    return ring.p if isinstance(ring, PrimeField) else None
-
-
-def _raw(a: Matrix) -> list:
-    """a's entries, row-major, as raw values: ints in [0, p) over GF(p), the
-    Fractions themselves over QQ."""
-    if isinstance(a.ring, PrimeField):
-        return [x.value for x in a.entries]
-    return list(a.entries)
-
-
-def _boxed(ring: RationalField | PrimeField, rows: int, cols: int, raw) -> Matrix:
-    """The rows x cols Matrix of raw row-major values (see _raw).
-
-    GF(p) values must already lie in [0, p): they are boxed without
-    ModularScalar.__init__'s primality check and reduction.
-    """
-    if isinstance(ring, PrimeField):
-        p = ring.p
-        new = ModularScalar.__new__
-        boxes = []
-        for v in raw:
-            x = new(ModularScalar)
-            x.value = v
-            x.p = p
-            boxes.append(x)
-        raw = boxes
-    return Matrix(ring, rows, cols, raw)
-
-
-def _classical(ae: list, be: list, m: int, k: int, n: int, p: Optional[int]) -> list:
+def _classical(ae: Sequence, be: Sequence, m: int, k: int, n: int, p: Optional[int]) -> list:
     """Raw row-major m x n product of raw row-major m x k and k x n operands.
 
     Each dot product is summed unreduced and reduced mod p once (not at all
@@ -454,27 +514,28 @@ def mat_classical_multiply(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     m, k, n = a.rows, a.cols, b.cols
-    return _boxed(a.ring, m, n, _classical(_raw(a), _raw(b), m, k, n, _modulus(a.ring)))
+    ring = a.ring
+    return Matrix._from_values(ring, m, n,
+                               _classical(a._values, b._values, m, k, n, ring._modulus))
 
 
 def mat_inverse(a: Matrix) -> Matrix:
-    """Exact Gauss-Jordan inverse with row pivoting.
+    """Exact Gauss-Jordan inverse with row pivoting, run on raw values.
 
     Works over any field ring; raises SingularMatrix when no inverse exists.
     """
+    if not isinstance(a, Matrix):
+        raise TypeError("expected a Matrix")
     if a.rows != a.cols:
         raise DimensionError("only square matrices have inverses")
     n = a.rows
     ring = a.ring
-    zero, one = ring.zero, ring.one
-    work = a.to_rows()
-    inv = Matrix.identity(ring, n).to_rows()
+    block = ring._block
+    zero, one = ring._value(0), ring._value(1)
+    work = [list(a._values[i * n : (i + 1) * n]) for i in range(n)]
+    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if work[r][col] != zero:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
         if pivot_row is None:
             raise SingularMatrix(f"no pivot in column {col}")
         if pivot_row != col:
@@ -482,28 +543,28 @@ def mat_inverse(a: Matrix) -> Matrix:
             inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
         piv = work[col][col]
         if piv != one:
-            scale = one / piv
-            work[col] = [scale * x for x in work[col]]
-            inv[col] = [scale * x for x in inv[col]]
+            scale = ring._reciprocal(piv)
+            work[col] = block.times(scale, work[col])
+            inv[col] = block.times(scale, inv[col])
         for r in range(n):
             if r == col:
                 continue
             factor = work[r][col]
-            if factor == zero:
+            if not factor:
                 continue
-            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return Matrix.from_rows(ring, inv)
+            work[r] = block.sub(work[r], block.times(factor, work[col]))
+            inv[r] = block.sub(inv[r], block.times(factor, inv[col]))
+    return Matrix._from_values(ring, n, n, [v for row in inv for v in row])
 
 
 def random_matrix(ring: RationalField | PrimeField, rows: int, cols: int, rng) -> Matrix:
     """Uniform entries over GF(p); small random rationals over QQ."""
-    if isinstance(ring, PrimeField):
-        p = ring.p
-        return Matrix(ring, rows, cols,
-                      [ModularScalar(rng.randrange(p), p) for _ in range(rows * cols)])
-    return Matrix(ring, rows, cols,
-                  [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rows * cols)])
+    p = ring._modulus
+    if p is not None:
+        values = [rng.randrange(p) for _ in range(rows * cols)]
+    else:
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rows * cols)]
+    return Matrix._from_values(ring, rows, cols, values)
 
 
 def _decode(data: bytes) -> str:
@@ -581,7 +642,7 @@ def _shown(tok: str) -> str:
 
 def _read_rows(records, rows: int, cols: int, ring: RationalField | PrimeField) -> Matrix:
     """Read rows records of cols exact entries (see _exact) each."""
-    embed = ring.from_rational
+    value = ring._value
     flat = []
     for found in range(rows):
         lineno, tokens = next(records)
@@ -591,10 +652,10 @@ def _read_rows(records, rows: int, cols: int, ring: RationalField | PrimeField) 
             raise FormatError(lineno, f"expected {cols} entries, found {len(tokens)}")
         for tok in tokens:
             try:
-                flat.append(embed(_exact(tok)))
+                flat.append(value(_exact(tok)))
             except (ValueError, ZeroDivisionError):
                 raise FormatError(lineno, f"bad entry {_shown(tok)}") from None
-    return Matrix(ring, rows, cols, flat)
+    return Matrix._from_values(ring, rows, cols, flat)
 
 
 def _unwritable(named) -> BadArgument:
@@ -617,10 +678,11 @@ def _unwritable(named) -> BadArgument:
 
 def _row_lines(a: Matrix, name: str = "entry") -> list:
     """One line per row of a, entries separated by single spaces."""
+    e, n = a._values, a.cols
     try:
-        return [" ".join(str(x) for x in row) for row in a.to_rows()]
+        return [" ".join(map(str, e[i : i + n])) for i in range(0, len(e), n)]
     except ValueError:
-        named = ((f"{name} ({i // a.cols},{i % a.cols})", x) for i, x in enumerate(a.entries))
+        named = ((f"{name} ({i // n},{i % n})", x) for i, x in enumerate(e))
         raise _unwritable(named) from None
 
 

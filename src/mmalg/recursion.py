@@ -12,14 +12,15 @@ nodes actually visited and predicted in closed form by cost_model from the
 same per-level counts: at threshold 1 and K a power of the base side the
 two agree exactly.
 
-The recursion runs on raw values, not on Matrix objects: ints in [0, p)
-over GF(p), Fractions over QQ (exact_algebra._raw).  recursive_multiply
-unboxes both padded operands once, reorders them into block order (see
-_block_order), so that every block of every level is one contiguous slice,
-and boxes and crops the result once.  Block additions, subtractions and
-scalings work entry by entry and reduce each entry mod p; the leaves run the
-flat kernel exact_algebra._classical, and a level whose blocks are single
-entries runs the program on the entries themselves.
+The recursion runs on the raw values a Matrix stores (ints in [0, p) over
+GF(p), Fractions over QQ), not on Matrix objects.  recursive_multiply
+reorders both padded operands into block order (see _block_order), so that
+every block of every level is one contiguous slice, and crops the result
+once.  Block additions, subtractions and scalings are the ring's _block
+arithmetic (exact_algebra); the leaves run the flat kernel
+exact_algebra._classical, and a level whose blocks are single entries runs
+the program on the entries themselves with the ring's _entry arithmetic, as
+apply_elementary does.
 
 recursive_invert reduces inversion to multiplication by 2x2 block
 elimination: invert the leading block, form the complement
@@ -34,15 +35,11 @@ embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, mul, neg, sub
-from typing import Callable, Optional
+from typing import Callable
 
-from .bilinear_core import (
-    BilinearAlgorithm, CostReport, _compile, _embedder, _evaluate, _Ops, _Program,
-)
+from .bilinear_core import BilinearAlgorithm, CostReport, _compile, _evaluate, _Program
 from .errors import BadArgument, DimensionError, PivotFailure, SingularMatrix
-from .exact_algebra import Matrix, _boxed, _classical, _modulus, _raw, mat_inverse
+from .exact_algebra import Matrix, PrimeField, RationalField, _classical, mat_inverse
 
 
 @dataclass(frozen=True)
@@ -95,47 +92,26 @@ def _block_order(side: int, s0: int, threshold: int) -> list:
     return [(bi * side + bj) * sub + i for bi in range(s0) for bj in range(s0) for i in inner]
 
 
-def _raw_ops(ring) -> tuple:
-    """Arithmetic on raw values: (ops on entries, product of two entries, ops
-    on blocks).  Over GF(p) every result is reduced mod p, entry by entry."""
-    embed = _embedder(ring)
-    p = _modulus(ring)
-    if p is None:
-        entry = _Ops(add, sub, neg, lambda c, x: embed(c) * x)
-        block = _Ops(lambda x, y: list(map(add, x, y)), lambda x, y: list(map(sub, x, y)),
-                     lambda x: list(map(neg, x)),
-                     lambda c, x: list(map(mul, repeat(embed(c)), x)))
-        return entry, mul, block
-    entry = _Ops(lambda x, y: (x + y) % p, lambda x, y: (x - y) % p, lambda x: -x % p,
-                 lambda c, x: embed(c) * x % p)
-    block = _Ops(lambda x, y: [v % p for v in map(add, x, y)],
-                 lambda x, y: [v % p for v in map(sub, x, y)],
-                 lambda x: [-v % p for v in x],
-                 lambda c, x: [v % p for v in map(mul, repeat(embed(c)), x)])
-    return entry, lambda x, y: x * y % p, block
-
-
-def _multiply_rec(a: list, b: list, side: int, prog: _Program, s0: int, ops: tuple,
-                  p: Optional[int], threshold: int, cost: CostReport) -> list:
+def _multiply_rec(a: list, b: list, side: int, prog: _Program, s0: int,
+                  ring: RationalField | PrimeField, threshold: int, cost: CostReport) -> list:
     """The product of two side x side raw operands in block order (see
-    _block_order), in block order; ops comes from _raw_ops."""
+    _block_order), in block order."""
     if side <= threshold:
         cost.bilinear_mults += side**3
         cost.additions += side * side * (side - 1)
-        return _classical(a, b, side, side, side, p)
+        return _classical(a, b, side, side, side, ring._modulus)
     sub = side // s0
     area = sub * sub
     cost.additions += prog.additions * area
     cost.scalar_mults += prog.scalar_mults * area
-    entry_ops, entry_mul, block_ops = ops
     if sub == 1:
         # The blocks are single entries, and each product a 1x1 leaf.
         cost.bilinear_mults += len(prog.u)
-        return _evaluate(prog, a, b, entry_mul, entry_ops)
+        return _evaluate(prog, a, b, ring._mul, ring._entry)
     cuts = range(0, side * side, area)
     out = _evaluate(
         prog, [a[i:i + area] for i in cuts], [b[i:i + area] for i in cuts],
-        lambda x, y: _multiply_rec(x, y, sub, prog, s0, ops, p, threshold, cost), block_ops,
+        lambda x, y: _multiply_rec(x, y, sub, prog, s0, ring, threshold, cost), ring._block,
     )
     return [v for blk in out for v in blk]
 
@@ -160,17 +136,15 @@ def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
         f"recursive multiply {m}x{k} by {k}x{n} (padded {padded}), "
         f"base {cfg.base_alg.dims} rank {cfg.base_alg.rank}, threshold {cfg.threshold}"
     ))
-    ring = a.ring
     order = _block_order(padded, cfg.side, cfg.threshold)
-    ae, be = _raw(a.embed(padded, padded)), _raw(b.embed(padded, padded))
+    ae, be = a.embed(padded, padded)._values, b.embed(padded, padded)._values
     out = _multiply_rec([ae[i] for i in order], [be[i] for i in order], padded,
-                        _compile(cfg.base_alg), cfg.side, _raw_ops(ring), _modulus(ring),
-                        cfg.threshold, report)
+                        _compile(cfg.base_alg), cfg.side, a.ring, cfg.threshold, report)
     c = [None] * len(out)  # the product, row-major
     for i, v in zip(order, out):
         c[i] = v
     cropped = [v for r in range(0, m * padded, padded) for v in c[r:r + n]]
-    return _boxed(ring, m, n, cropped), report
+    return Matrix._from_values(a.ring, m, n, cropped), report
 
 
 def cost_model(alg: BilinearAlgorithm, k: int) -> CostReport:
@@ -236,6 +210,8 @@ def recursive_invert(cfg: RecursionConfig, a: Matrix):
     SingularMatrix when no inverse exists, PivotFailure when the matrix is
     invertible but a leading block met during elimination is not.
     """
+    if not isinstance(a, Matrix):
+        raise TypeError("expected a Matrix")
     if a.rows != a.cols:
         raise DimensionError("only square matrices have inverses")
     reports = []

@@ -214,21 +214,11 @@ class EquivalenceTransform:
 
 
 def _dense(d: dict, rows: int, cols: int) -> Matrix:
-    zero = Fraction(0)
-    return Matrix(
-        QQ, rows, cols,
-        [d.get((r, c), zero) for r in range(rows) for c in range(cols)],
-    )
+    return Matrix(QQ, rows, cols, [d.get((r, c), 0) for r in range(rows) for c in range(cols)])
 
 
 def _sparse(mat: Matrix) -> dict:
-    out = {}
-    for r in range(mat.rows):
-        for c in range(mat.cols):
-            val = mat[r, c]
-            if val:
-                out[(r, c)] = val
-    return out
+    return {divmod(i, mat.cols): x for i, x in enumerate(mat.entries) if x}
 
 
 def apply_equivalence(

@@ -1,6 +1,7 @@
 """Scalar rings, matrices, and the matrix text format."""
 
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mmalg
 from mmalg import (
@@ -20,6 +23,7 @@ from mmalg import (
     PrimeField,
     QQ,
     Rational,
+    RecursionConfig,
     SingularMatrix,
     format_matrix,
     is_prime,
@@ -27,6 +31,8 @@ from mmalg import (
     mat_inverse,
     parse_matrix,
     random_matrix,
+    recursive_invert,
+    strassen_222,
 )
 
 from helpers import unit_lu_matrix
@@ -205,6 +211,153 @@ def test_from_rows_rejects_inexact_entries():
         for x in (0.5, Decimal("0.5"), "1"):
             with pytest.raises(BadArgument):
                 Matrix.from_rows(ring, [[1, x]])
+
+
+def test_constructor_takes_entries_through_the_ring():
+    f7 = PrimeField(7)
+    a = Matrix(f7, 1, 1, [3])
+    assert a @ a == Matrix.from_rows(f7, [[2]])
+    assert (a @ a).entries == (ModularScalar(2, 7),)
+    b = Matrix(f7, 1, 3, [10, -1, Fraction(1, 2)])
+    assert [(x.value, x.p) for x in b.entries] == [(3, 7), (6, 7), (4, 7)]
+    assert b == Matrix.from_rows(f7, [[3, 6, 4]])
+    with pytest.raises(ValueError, match="mixed moduli"):
+        Matrix(f7, 1, 1, [ModularScalar(3, 5)])
+    q = Matrix(QQ, 1, 2, [2, Fraction(1, 3)])
+    assert all(type(x) is Fraction for x in q.entries)
+    for ring, x in ((QQ, 0.5), (QQ, ModularScalar(3, 5)), (f7, 0.5), (f7, "1")):
+        with pytest.raises(BadArgument):
+            Matrix(ring, 1, 1, [x])
+    with pytest.raises(ValueError, match="mixed rings"):
+        Matrix.from_blocks([[q, a]])
+
+
+def test_scale_takes_the_factor_through_the_ring():
+    f7 = PrimeField(7)
+    a = Matrix.from_rows(f7, [[1, 2], [3, 6]])
+    assert a.scale(Fraction(1, 2)) == Matrix.from_rows(f7, [[4, 1], [5, 3]])
+    assert a.scale(ModularScalar(3, 7)) == a.scale(10) == Matrix.from_rows(f7, [[3, 6], [2, 4]])
+    with pytest.raises(ValueError, match="mixed moduli"):
+        a.scale(ModularScalar(3, 5))
+    q = Matrix.from_rows(QQ, [[1, 3]])
+    half = q.scale(Fraction(1, 2))
+    assert half == Matrix.from_rows(QQ, [[Fraction(1, 2), Fraction(3, 2)]])
+    assert all(type(x) is Fraction for x in half.entries)
+    for m in (a, q):
+        for s in (0.5, "2"):
+            with pytest.raises(BadArgument):
+                m.scale(s)
+    with pytest.raises(BadArgument):
+        q.scale(ModularScalar(1, 7))
+
+
+def test_matrices_survive_pickling():
+    for ring in (QQ, PrimeField(7)):
+        a = Matrix.from_rows(ring, [[1, 2], [3, 4]])
+        b = pickle.loads(pickle.dumps(a))
+        assert b == a and b @ b == a @ a and b.scale(3) == a.scale(3)
+
+
+def test_inverses_require_a_matrix():
+    for invert in (mat_inverse, lambda a: recursive_invert(RecursionConfig(strassen_222()), a)):
+        with pytest.raises(TypeError, match="expected a Matrix"):
+            invert([[1]])
+
+
+RINGS = (PrimeField(2), PrimeField(7), PrimeField(2**61 - 1), QQ)
+
+
+def _scalar(ring, x):
+    """x as a ring element, built with the public scalar constructors only."""
+    return Fraction(x) if ring == QQ else ModularScalar(x.numerator, ring.p) / x.denominator
+
+
+def _det(rows):
+    """Determinant by Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = None
+    for j, x in enumerate(rows[0]):
+        term = x * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+        total = term if total is None else (total - term if j % 2 else total + term)
+    return total
+
+
+def _checked_rows(ring, a):
+    """a.to_rows(), once a's entries, a[r, c] and to_rows() are checked to
+    give the same ring elements."""
+    def ok(x):
+        if ring == QQ:
+            return type(x) is Fraction
+        return type(x) is ModularScalar and x.p == ring.p and 0 <= x.value < ring.p
+    rows = a.to_rows()
+    assert [x for row in rows for x in row] == list(a.entries)
+    assert all(ok(x) for x in a.entries)
+    assert all(ok(a[r, c]) and a[r, c] == rows[r][c]
+               for r in range(a.rows) for c in range(a.cols))
+    return rows
+
+
+@st.composite
+def _scalars(draw, ring, count):
+    if ring == QQ:
+        num, den = st.integers(-50, 50), st.integers(1, 9)
+    else:
+        # entries outside [0, p) and fractions whose denominator is a unit mod p
+        num = st.integers(-(10**20), 10**20)
+        den = st.integers(1, 9).filter(lambda d: d % ring.p)
+    return [Fraction(draw(num), draw(den)) for _ in range(count)]
+
+
+@given(data=st.data())
+def test_matrix_operations_match_entrywise_scalar_arithmetic(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    m, k, n = (data.draw(st.integers(1, 4)) for _ in range(3))
+    xs, ys, zs = (data.draw(_scalars(ring, count)) for count in (m * k, m * k, k * n))
+    a, b, c = Matrix(ring, m, k, xs), Matrix(ring, m, k, ys), Matrix(ring, k, n, zs)
+    ea = [[_scalar(ring, xs[i * k + j]) for j in range(k)] for i in range(m)]
+    eb = [[_scalar(ring, ys[i * k + j]) for j in range(k)] for i in range(m)]
+    ec = [[_scalar(ring, zs[i * n + j]) for j in range(n)] for i in range(k)]
+    s = data.draw(_scalars(ring, 1))[0]
+    es = _scalar(ring, s)
+
+    assert _checked_rows(ring, a) == ea
+    assert _checked_rows(ring, a + b) == [[x + y for x, y in zip(r, t)] for r, t in zip(ea, eb)]
+    assert _checked_rows(ring, a - b) == [[x - y for x, y in zip(r, t)] for r, t in zip(ea, eb)]
+    assert _checked_rows(ring, -a) == [[-x for x in r] for r in ea]
+    for factor in (s, es):
+        assert _checked_rows(ring, a.scale(factor)) == [[es * x for x in r] for r in ea]
+    assert _checked_rows(ring, a @ c) == [
+        [sum((r[t] * ec[t][j] for t in range(1, k)), r[0] * ec[0][j]) for j in range(n)]
+        for r in ea]
+    assert _checked_rows(ring, a.transpose()) == [list(col) for col in zip(*ea)]
+
+    r0, c0 = data.draw(st.integers(1, m)), data.draw(st.integers(1, k))
+    heights = [(0, r0)] + ([(r0, m - r0)] if r0 < m else [])
+    widths = [(0, c0)] + ([(c0, k - c0)] if c0 < k else [])
+    grid = [[a.submatrix(r, c, h, w) for c, w in widths] for r, h in heights]
+    for (r, h), row in zip(heights, grid):
+        for (c, w), blk in zip(widths, row):
+            assert _checked_rows(ring, blk) == [line[c:c + w] for line in ea[r:r + h]]
+    assert Matrix.from_blocks(grid) == a
+    big = a.embed(m + r0, k + c0)
+    zero = _scalar(ring, 0)
+    assert _checked_rows(ring, big) == [
+        [ea[i][j] if i < m and j < k else zero for j in range(k + c0)] for i in range(m + r0)]
+    assert big.submatrix(0, 0, m, k) == a
+
+    ws = data.draw(_scalars(ring, m * m))
+    square = Matrix(ring, m, m, ws)
+    rows = [[_scalar(ring, x) for x in ws[i * m:(i + 1) * m]] for i in range(m)]
+    if _det(rows) == 0:
+        with pytest.raises(SingularMatrix):
+            mat_inverse(square)
+    else:
+        inv = _checked_rows(ring, mat_inverse(square))
+        one = _scalar(ring, 1)
+        assert [[sum((r[t] * inv[t][j] for t in range(1, m)), r[0] * inv[0][j])
+                 for j in range(m)] for r in rows] == [
+            [one if i == j else zero for j in range(m)] for i in range(m)]
 
 
 _REIMPORT = """
