@@ -267,13 +267,24 @@ class _Program(NamedTuple):
     evaluation: a term beyond the first in any combination costs an
     addition, a coefficient outside {1, -1} a scalar multiplication.  Both
     are decided on the rational coefficients, whatever ring runs the program.
+    form_additions and form_scalar_mults split them into the (U, V, W)
+    combinations, which act on blocks of three different shapes when the
+    recursion runs the program on a rectangular product.
     """
 
     u: tuple
     v: tuple
     w: tuple
-    additions: int
-    scalar_mults: int
+    form_additions: tuple
+    form_scalar_mults: tuple
+
+    @property
+    def additions(self) -> int:
+        return sum(self.form_additions)
+
+    @property
+    def scalar_mults(self) -> int:
+        return sum(self.form_scalar_mults)
 
 
 def _coefficient(c: Fraction):
@@ -291,11 +302,13 @@ def _compile(alg: BilinearAlgorithm) -> _Program:
         for (l, q), c in d.items():
             by_output[l * n + q].append((s, _coefficient(c)))
     w = tuple(map(tuple, by_output))
-    forms = u + v + w
+    forms = (u, v, w)
     return _Program(
         u, v, w,
-        additions=sum(max(0, len(terms) - 1) for terms in forms),
-        scalar_mults=sum(c != 1 and c != -1 for terms in forms for _, c in terms),
+        form_additions=tuple(sum(max(0, len(terms) - 1) for terms in f) for f in forms),
+        form_scalar_mults=tuple(
+            sum(c != 1 and c != -1 for terms in f for _, c in terms) for f in forms
+        ),
     )
 
 
@@ -341,6 +354,8 @@ def apply_elementary(alg: BilinearAlgorithm, a: Matrix, b: Matrix):
     coefficient outside {1, -1}, and an addition for each term beyond the
     first in any linear combination.
     """
+    if not isinstance(a, Matrix) or not isinstance(b, Matrix):
+        raise TypeError("expected matrices")
     m, k, n = alg.dims
     if (a.rows, a.cols) != (m, k) or (b.rows, b.cols) != (k, n):
         raise DimensionError(

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .exact_algebra import PrimeField, _decode, dump_matrix, load_matrix, random_matrix
 from .generators import classical, pan_aggregation, strassen_222
-from .recursion import RecursionConfig, cost_model, recursive_invert, recursive_multiply
+from .recursion import RecursionConfig, _depth, cost_model, recursive_invert, recursive_multiply
 from .transforms import (
     apply_equivalence,
     dual,
@@ -296,7 +296,7 @@ def cmd_bench(args) -> int:
         a = random_matrix(field, k, k, rng)
         b = random_matrix(field, k, k, rng)
         _, report = recursive_multiply(cfg, a, b)
-        predicted = cost_model(base, cfg.padded_side(k)).bilinear_mults
+        predicted = cost_model(base, cfg.side ** _depth(cfg.side, k)).bilinear_mults
         rows.append((k, report.bilinear_mults, report.additions, predicted))
     widths = (6, 15, 15, 16)
     header = ("K", "measured_mults", "measured_adds", "predicted_mults")

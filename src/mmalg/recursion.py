@@ -1,23 +1,32 @@
 """Recursive application of a square base program, and block inversion.
 
-recursive_multiply takes any conforming m x k by k x n pair, embeds both
-operands with zeros once into the least power of the base side that is at
-least max(m, k, n), splits them into a grid matching the base program's
-side, runs the program with blocks in place of scalars, recurses on each
-bilinear block product, and crops the result to m x n; below the threshold
-the plain triple loop takes over.  The base program is compiled once per
-product (bilinear_core._compile) and the same evaluator that runs it on
-scalars runs it on blocks.  Costs are tallied into one CostReport at the
-nodes actually visited and predicted in closed form by cost_model from the
-same per-level counts: at threshold 1 and K a power of the base side the
-two agree exactly.
+recursive_multiply takes any conforming m x k by k x n pair and recurses on
+(m, k, n) directly.  At dims (m, k, n) it runs the plain triple loop on the
+rectangle when min(m, k, n) is at most the threshold; otherwise it splits
+each dimension into side parts, runs the base program with blocks in place
+of scalars, and recurses on each bilinear block product.  Since
+ceil(ceil(x/a)/b) = ceil(x/(ab)), splitting into parts of ceil(x / side)
+level by level reaches the same depth and the same leaves as padding once
+at the top, which is what recursive_multiply does: with d the least depth
+at which ceil(min(m, k, n) / side^d) is at most the threshold, each
+dimension x is embedded with zeros into side^d * ceil(x / side^d), and the
+product is cropped back to m x n once.  A product whose sides are all one
+power of the base side is not padded at all.  The base program is
+compiled once per product (bilinear_core._compile) and the same evaluator
+that runs it on scalars runs it on blocks.  Costs are tallied into one
+CostReport at the nodes actually visited: the U, V and W combinations of a
+level are charged per entry of an A, a B and a C block, and a leaf
+m x k x n triple loop m*k*n multiplications and m*(k-1)*n additions.
+cost_model predicts the square case in closed form from the same per-level
+counts: at threshold 1 and K a power of the base side the two agree
+exactly.
 
 The recursion runs on the raw values a Matrix stores (ints in [0, p) over
 GF(p), Fractions over QQ), not on Matrix objects.  recursive_multiply
 reorders both padded operands into block order (see _block_order), so that
-every block of every level is one contiguous slice, and crops the result
-once.  Block additions, subtractions and scalings are the ring's _block
-arithmetic (exact_algebra); the leaves run the flat kernel
+every block of every level is one contiguous slice, and reorders and crops
+the result once.  Block additions, subtractions and scalings are the ring's
+_block arithmetic (exact_algebra); the leaves run the flat kernel
 exact_algebra._classical, and a level whose blocks are single entries runs
 the program on the entries themselves with the ring's _entry arithmetic, as
 apply_elementary does.
@@ -35,6 +44,7 @@ embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable
 
 from .bilinear_core import BilinearAlgorithm, CostReport, _compile, _evaluate, _Program
@@ -64,54 +74,70 @@ class RecursionConfig:
     def side(self) -> int:
         return self.base_alg.dims.m
 
-    def padded_side(self, k: int) -> int:
-        """The least power of the base side that is at least k."""
-        return self.side ** _depth(self.side, k)
+
+def _depth(side: int, x: int, threshold: int = 1) -> int:
+    """The least d with ceil(x / side**d) <= threshold."""
+    d = 0
+    while -(-x // side**d) > threshold:
+        d += 1
+    return d
 
 
-def _depth(side: int, k: int) -> int:
-    """The least t with side**t >= k."""
-    t = 0
-    while side**t < k:
-        t += 1
-    return t
+def _block_order(rows: int, cols: int, side: int, depth: int) -> list:
+    """The row-major positions of a rows x cols matrix, listed in block order.
 
-
-def _block_order(side: int, s0: int, threshold: int) -> list:
-    """The row-major positions of a side x side matrix, listed in block order.
-
-    Block order lists the s0 x s0 grid of blocks one block after another,
-    row by row, each block itself in block order, down to blocks of side at
-    most threshold, which are row-major.  Every block _multiply_rec visits
-    is then one contiguous slice of its parent.
+    Block order lists the side x side grid of blocks one block after
+    another, row by row, each block itself in block order, for depth levels;
+    blocks at the last level are row-major.  rows and cols are multiples of
+    side**depth.  Every block _multiply_rec visits is then one contiguous
+    slice of its parent.
     """
-    if side <= threshold:
-        return list(range(side * side))
-    sub = side // s0
-    inner = [(i // sub) * side + i % sub for i in _block_order(sub, s0, threshold)]
-    return [(bi * side + bj) * sub + i for bi in range(s0) for bj in range(s0) for i in inner]
+    if depth == 0:
+        return list(range(rows * cols))
+    br, bc = rows // side, cols // side
+    inner = [(i // bc) * cols + i % bc for i in _block_order(br, bc, side, depth - 1)]
+    return [bi * br * cols + bj * bc + i
+            for bi in range(side) for bj in range(side) for i in inner]
 
 
-def _multiply_rec(a: list, b: list, side: int, prog: _Program, s0: int,
-                  ring: RationalField | PrimeField, threshold: int, cost: CostReport) -> list:
-    """The product of two side x side raw operands in block order (see
-    _block_order), in block order."""
-    if side <= threshold:
-        cost.bilinear_mults += side**3
-        cost.additions += side * side * (side - 1)
-        return _classical(a, b, side, side, side, ring._modulus)
-    sub = side // s0
-    area = sub * sub
-    cost.additions += prog.additions * area
-    cost.scalar_mults += prog.scalar_mults * area
-    if sub == 1:
-        # The blocks are single entries, and each product a 1x1 leaf.
+def _levels(prog: _Program, s0: int, leaf: tuple, depth: int) -> list:
+    """levels[j] = (dims, additions, scalar_mults) of one node with j levels
+    below it, for a product whose leaves have dims leaf = (m, k, n).
+
+    A leaf is charged m*(k-1)*n additions; a node above it is charged its
+    program's U, V and W combinations once per entry of an A, a B and a C
+    block one level down."""
+    m, k, n = leaf
+    levels = [(leaf, m * (k - 1) * n, 0)]
+    for _ in range(depth):
+        areas = (m * k, k * n, m * n)
+        m, k, n = m * s0, k * s0, n * s0
+        levels.append(((m, k, n), sum(map(mul, prog.form_additions, areas)),
+                       sum(map(mul, prog.form_scalar_mults, areas))))
+    return levels
+
+
+def _multiply_rec(a: list, b: list, depth: int, levels: list, prog: _Program,
+                  ring: RationalField | PrimeField, cost: CostReport) -> list:
+    """The product of two raw operands of levels[depth]'s dims in block
+    order with depth levels (see _block_order), in block order."""
+    (m, k, n), additions, scalar_mults = levels[depth]
+    cost.additions += additions
+    cost.scalar_mults += scalar_mults
+    if depth == 0:
+        cost.bilinear_mults += m * k * n
+        return _classical(a, b, m, k, n, ring._modulus)
+    mb, kb, nb = levels[depth - 1][0]
+    if mb == kb == nb == 1:
+        # The blocks are single entries, and each product a 1x1x1 leaf.
         cost.bilinear_mults += len(prog.u)
         return _evaluate(prog, a, b, ring._mul, ring._entry)
-    cuts = range(0, side * side, area)
+    area_a, area_b = mb * kb, kb * nb
     out = _evaluate(
-        prog, [a[i:i + area] for i in cuts], [b[i:i + area] for i in cuts],
-        lambda x, y: _multiply_rec(x, y, sub, prog, s0, ring, threshold, cost), ring._block,
+        prog,
+        [a[i:i + area_a] for i in range(0, m * k, area_a)],
+        [b[i:i + area_b] for i in range(0, k * n, area_b)],
+        lambda x, y: _multiply_rec(x, y, depth - 1, levels, prog, ring, cost), ring._block,
     )
     return [v for blk in out for v in blk]
 
@@ -119,10 +145,12 @@ def _multiply_rec(a: list, b: list, side: int, prog: _Program, s0: int,
 def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     """Multiply an m x k by a k x n matrix; returns (product, CostReport).
 
-    Both operands are embedded with zeros into the least power of the base
-    side that is at least max(m, k, n), and the product is cropped back to
-    m x n, so the result is exact for every conforming shape.  The counts
-    are those of the square product at the padded side.
+    The recursion takes d levels, d the least depth with
+    ceil(min(m, k, n) / side^d) <= threshold.  Each dimension x is embedded
+    with zeros into side^d * ceil(x / side^d), the least multiple of side^d
+    that is at least x, and the product is cropped back to m x n, so the
+    result is exact for every conforming shape.  The counts are those of
+    the nodes the padded product visits.
     """
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise TypeError("expected matrices")
@@ -131,19 +159,25 @@ def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     if a.cols != b.rows:
         raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     m, k, n = a.rows, a.cols, b.cols
-    padded = cfg.padded_side(max(m, k, n))
+    s0 = cfg.side
+    depth = _depth(s0, min(m, k, n), cfg.threshold)
+    step = s0**depth
+    prog = _compile(cfg.base_alg)
+    levels = _levels(prog, s0, tuple(-(-x // step) for x in (m, k, n)), depth)
+    pm, pk, pn = levels[depth][0]
     report = CostReport(context=(
-        f"recursive multiply {m}x{k} by {k}x{n} (padded {padded}), "
+        f"recursive multiply {m}x{k} by {k}x{n}, "
         f"base {cfg.base_alg.dims} rank {cfg.base_alg.rank}, threshold {cfg.threshold}"
     ))
-    order = _block_order(padded, cfg.side, cfg.threshold)
-    ae, be = a.embed(padded, padded)._values, b.embed(padded, padded)._values
-    out = _multiply_rec([ae[i] for i in order], [be[i] for i in order], padded,
-                        _compile(cfg.base_alg), cfg.side, a.ring, cfg.threshold, report)
+    # One block order per distinct operand shape: a square product has one.
+    orders = {shape: _block_order(*shape, s0, depth) for shape in {(pm, pk), (pk, pn), (pm, pn)}}
+    ae, be = a.embed(pm, pk)._values, b.embed(pk, pn)._values
+    out = _multiply_rec([ae[i] for i in orders[pm, pk]], [be[i] for i in orders[pk, pn]],
+                        depth, levels, prog, a.ring, report)
     c = [None] * len(out)  # the product, row-major
-    for i, v in zip(order, out):
+    for i, v in zip(orders[pm, pn], out):
         c[i] = v
-    cropped = [v for r in range(0, m * padded, padded) for v in c[r:r + n]]
+    cropped = [v for r in range(0, m * pn, pn) for v in c[r:r + n]]
     return Matrix._from_values(a.ring, m, n, cropped), report
 
 
@@ -255,6 +289,8 @@ def multiply_via_inversion(
     (the middle blocks of the inverse are -A and -B).  T is unit-triangular,
     so every leading block is invertible and pivot-free elimination succeeds.
     """
+    if not isinstance(a, Matrix) or not isinstance(b, Matrix):
+        raise TypeError("expected matrices")
     if a.ring != b.ring:
         raise ValueError("mixed rings")
     if a.cols != b.rows:
@@ -264,13 +300,12 @@ def multiply_via_inversion(
     m, k, n = a.rows, a.cols, b.cols
     size = m + k + n
     ring = a.ring
-    rows = Matrix.identity(ring, size).to_rows()
+    values = [ring._value(0)] * (size * size)
+    values[::size + 1] = [ring._value(1)] * size
     for i in range(m):
-        for j in range(k):
-            rows[i][m + j] = a[i, j]
+        values[i * size + m : i * size + m + k] = a._values[i * k : (i + 1) * k]
     for g in range(k):
-        for h in range(n):
-            rows[m + g][m + k + h] = b[g, h]
-    t = Matrix.from_rows(ring, rows)
-    t_inv = invert(t)
+        row = (m + g) * size + m + k
+        values[row : row + n] = b._values[g * n : (g + 1) * n]
+    t_inv = invert(Matrix._from_values(ring, size, size, values))
     return t_inv.submatrix(0, m + k, m, n)

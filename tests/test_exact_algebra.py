@@ -25,13 +25,16 @@ from mmalg import (
     Rational,
     RecursionConfig,
     SingularMatrix,
+    apply_elementary,
     format_matrix,
     is_prime,
     mat_classical_multiply,
     mat_inverse,
+    multiply_via_inversion,
     parse_matrix,
     random_matrix,
     recursive_invert,
+    recursive_multiply,
     strassen_222,
 )
 
@@ -262,6 +265,20 @@ def test_inverses_require_a_matrix():
     for invert in (mat_inverse, lambda a: recursive_invert(RecursionConfig(strassen_222()), a)):
         with pytest.raises(TypeError, match="expected a Matrix"):
             invert([[1]])
+
+
+def test_products_require_matrices():
+    one = Matrix.identity(QQ, 2)
+    products = (
+        mat_classical_multiply,
+        lambda a, b: recursive_multiply(RecursionConfig(strassen_222()), a, b),
+        lambda a, b: apply_elementary(strassen_222(), a, b),
+        lambda a, b: multiply_via_inversion(a, b, mat_inverse),
+    )
+    for multiply in products:
+        for a, b in ((one, [[1, 0], [0, 1]]), ([[1, 0], [0, 1]], one)):
+            with pytest.raises(TypeError, match="expected matrices"):
+                multiply(a, b)
 
 
 RINGS = (PrimeField(2), PrimeField(7), PrimeField(2**61 - 1), QQ)

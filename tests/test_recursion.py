@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mmalg import (
     BadArgument,
@@ -54,13 +56,49 @@ def test_multiply_input_validation():
         recursive_multiply(cfg, Matrix.zeros(QQ, 2, 2), Matrix.zeros(FIELD, 2, 2))
 
 
+def _form_counts(alg):
+    """[(additions, scalar mults)] of the U, V and W combinations of one
+    evaluation, read off the coefficients: a term beyond the first in a
+    combination is an addition, a coefficient outside {1, -1} a scaling."""
+    outputs = {}
+    for d in alg.w:
+        for key, c in d.items():
+            outputs.setdefault(key, []).append(c)
+    groups = ([list(d.values()) for d in alg.u], [list(d.values()) for d in alg.v],
+              list(outputs.values()))
+    return [(sum(max(len(f) - 1, 0) for f in g), sum(c not in (1, -1) for f in g for c in f))
+            for g in groups]
+
+
+def _shape_counts(alg, threshold, m, k, n):
+    """(bilinear_mults, scalar_mults, additions) of an m x k by k x n product
+    under the pad-once rule: d levels, d the least depth with
+    ceil(min(m, k, n) / s^d) <= threshold; leaves of ceil(x / s^d); each of
+    the R^(d-j) nodes j levels above the leaves charged its U, V and W
+    combinations once per entry of an A, a B and a C block one level down."""
+    s, r = alg.dims.m, alg.rank
+    d = 0
+    while -(-min(m, k, n) // s**d) > threshold:
+        d += 1
+    lm, lk, ln = (-(-x // s**d) for x in (m, k, n))
+    mults = r**d * lm * lk * ln
+    adds = r**d * lm * (lk - 1) * ln
+    scalings = 0
+    (ua, us), (va, vs), (wa, ws) = _form_counts(alg)
+    for j in range(1, d + 1):
+        bm, bk, bn = lm * s ** (j - 1), lk * s ** (j - 1), ln * s ** (j - 1)
+        nodes = r ** (d - j)
+        adds += nodes * (ua * bm * bk + va * bk * bn + wa * bm * bn)
+        scalings += nodes * (us * bm * bk + vs * bk * bn + ws * bm * bn)
+    return mults, scalings, adds
+
+
 def test_multiply_any_conforming_shape():
-    # Every m x k by k x n product equals the triple loop, and counts as the
-    # square product at the least power of the base side >= max(m, k, n).
+    # Every m x k by k x n product equals the triple loop, and its counts
+    # equal the pad-once recurrence computed above.
     rng = random.Random(65)
     cfgs = [RecursionConfig(strassen_222(), 1), RecursionConfig(strassen_222(), 2),
             RecursionConfig(classical(3, 3, 3), 1)]
-    square_counts = {}
     for cfg in cfgs:
         for m in range(1, 7):
             for k in range(1, 7):
@@ -69,23 +107,61 @@ def test_multiply_any_conforming_shape():
                     b = random_matrix(FIELD, k, n, rng)
                     got, report = recursive_multiply(cfg, a, b)
                     assert got == mat_classical_multiply(a, b), (cfg, m, k, n)
-                    padded = 1
-                    while padded < max(m, k, n):
-                        padded *= cfg.side
-                    key = (cfg, padded)
-                    if key not in square_counts:
-                        zero = Matrix.zeros(FIELD, padded, padded)
-                        square = recursive_multiply(cfg, zero, zero)[1]
-                        square_counts[key] = (
-                            square.bilinear_mults, square.scalar_mults, square.additions
-                        )
-                    assert (report.bilinear_mults, report.scalar_mults,
-                            report.additions) == square_counts[key], (cfg, m, k, n)
+                    assert (report.bilinear_mults, report.scalar_mults, report.additions) == (
+                        _shape_counts(cfg.base_alg, cfg.threshold, m, k, n)), (cfg, m, k, n)
     for m, k, n in ((1, 5, 2), (3, 2, 7), (6, 1, 4)):
         a = random_matrix(QQ, m, k, rng)
         b = random_matrix(QQ, k, n, rng)
         got, _ = recursive_multiply(cfgs[1], a, b)
         assert got == mat_classical_multiply(a, b), (m, k, n)
+
+
+SHAPE_BASES = (strassen_222(), classical(3, 3, 3), pan_aggregation(4))
+SHAPE_RINGS = (PrimeField(97), QQ)
+
+
+@given(base=st.sampled_from(SHAPE_BASES), threshold=st.integers(1, 3),
+       ring=st.sampled_from(SHAPE_RINGS), m=st.integers(1, 17), k=st.integers(1, 17),
+       n=st.integers(1, 17), seed=st.integers(0, 2**32))
+@example(SHAPE_BASES[0], 1, QQ, 8, 8, 8, 0)
+@example(SHAPE_BASES[0], 1, SHAPE_RINGS[0], 16, 16, 16, 0)
+@example(SHAPE_BASES[1], 1, SHAPE_RINGS[0], 9, 9, 9, 0)
+@example(SHAPE_BASES[2], 1, QQ, 4, 4, 4, 0)
+@example(SHAPE_BASES[2], 1, SHAPE_RINGS[0], 16, 16, 16, 0)
+def test_every_shape_is_exact_and_counted(base, threshold, ring, m, k, n, seed):
+    rng = random.Random(seed)
+    if ring == QQ:
+        p = None
+        a_rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)]
+                  for _ in range(m)]
+        b_rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                  for _ in range(k)]
+    else:
+        p = ring.p
+        a_rows = [[rng.randrange(-10**6, 10**6) for _ in range(k)] for _ in range(m)]
+        b_rows = [[rng.randrange(-10**6, 10**6) for _ in range(n)] for _ in range(k)]
+    got, report = recursive_multiply(RecursionConfig(base, threshold),
+                                     Matrix.from_rows(ring, a_rows), Matrix.from_rows(ring, b_rows))
+    rows = got.to_rows() if p is None else [[x.value for x in row] for row in got.to_rows()]
+    assert rows == naive_product(a_rows, b_rows, p)
+    counts = (report.bilinear_mults, report.scalar_mults, report.additions)
+    assert counts == _shape_counts(base, threshold, m, k, n)
+    side = base.dims.m
+    if threshold == 1 and m == k == n and any(side**t == m for t in range(5)):
+        model = cost_model(base, m)
+        assert counts == (model.bilinear_mults, model.scalar_mults, model.additions)
+
+
+def test_thin_product_is_not_padded_to_a_cube():
+    # The least side is 2, so one Strassen level over 2x33x1 leaves does;
+    # padding every side to 128 would cost 7**7 multiplications.
+    rng = random.Random(66)
+    a_rows = [[rng.randint(-9, 9) for _ in range(65)] for _ in range(3)]
+    b_rows = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(65)]
+    got, report = recursive_multiply(RecursionConfig(strassen_222(), 1),
+                                     Matrix.from_rows(QQ, a_rows), Matrix.from_rows(QQ, b_rows))
+    assert got.to_rows() == naive_product(a_rows, b_rows)
+    assert report.bilinear_mults <= 2 * 3 * 65 * 2
 
 
 def test_products_match_an_independent_triple_loop():
@@ -284,3 +360,17 @@ def test_invert_cost_aggregates_multiplications():
     # six side-2 product subcalls (7 mults each) plus two side-2 inversions
     # that each make six unit-size products
     assert report.bilinear_mults == 6 * 7 + 2 * 6
+
+
+def test_invert_odd_side_costs_about_as_much_as_the_even_one():
+    # Side 33 splits into 16 and 17, so most of its products have odd or
+    # unequal sides; they must not pay for padding to 64.
+    cfg = RecursionConfig(strassen_222(), 4)
+    rng = random.Random(67)
+    mults = {}
+    for side in (32, 33):
+        a = unit_lu_matrix(side, rng)
+        inverse, report = recursive_invert(cfg, a)
+        assert mat_classical_multiply(a, inverse) == Matrix.identity(QQ, side), side
+        mults[side] = report.bilinear_mults
+    assert 2 * mults[33] <= 3 * mults[32], mults
