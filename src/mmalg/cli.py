@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from math import prod
 
 from .bilinear_core import (
     DEFAULT_PRIME,
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .exact_algebra import PrimeField, _decode, dump_matrix, load_matrix, random_matrix
 from .generators import classical, pan_aggregation, strassen_222
-from .recursion import RecursionConfig, _depth, cost_model, recursive_invert, recursive_multiply
+from .recursion import RecursionConfig, _plan, recursive_invert, recursive_multiply
 from .transforms import (
     apply_equivalence,
     dual,
@@ -57,12 +58,10 @@ def _exponent_str(alg: BilinearAlgorithm) -> str:
         return "undefined"
 
 
-def _summary_lines(alg: BilinearAlgorithm) -> list:
-    return [
-        f"dims: {alg.dims}",
-        f"rank: {alg.rank}",
-        f"exponent: {_exponent_str(alg)}",
-    ]
+def _print_summary(alg: BilinearAlgorithm, file=None) -> None:
+    print(f"dims: {alg.dims}", file=file)
+    print(f"rank: {alg.rank}", file=file)
+    print(f"exponent: {_exponent_str(alg)}", file=file)
 
 
 def _read_algorithm(path: str) -> BilinearAlgorithm:
@@ -93,12 +92,10 @@ def cmd_gen(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"wrote {args.out}")
-        for line in _summary_lines(alg):
-            print(line)
+        _print_summary(alg)
     else:
         sys.stdout.write(text)
-        for line in _summary_lines(alg):
-            print(line, file=sys.stderr)
+        _print_summary(alg, sys.stderr)
     return 0
 
 
@@ -131,12 +128,9 @@ def cmd_info(args) -> int:
     nu, nv, nw = alg.nonzero_counts()
     bound = known_bounds().lookup(alg.dims)
     print(f"file: {args.path}")
-    for line in _summary_lines(alg):
-        print(line)
+    _print_summary(alg)
     print(f"nonzeros: u={nu} v={nv} w={nw}")
-    lower = "-" if bound.lower is None else bound.lower
-    upper = "-" if bound.upper is None else bound.upper
-    print(f"bounds: lower {lower}, upper {upper}")
+    print(f"bounds: {_bounds_text(bound)}")
     if bound.upper is not None and alg.rank > bound.upper:
         print(
             f"note: rank {alg.rank} exceeds the known upper bound {bound.upper}; "
@@ -150,6 +144,13 @@ def cmd_info(args) -> int:
     return 0
 
 
+def _bounds_text(row) -> str:
+    """'lower L, upper U' for a bounds row, a missing bound shown as '-'."""
+    lower = "-" if row.lower is None else row.lower
+    upper = "-" if row.upper is None else row.upper
+    return f"lower {lower}, upper {upper}"
+
+
 def cmd_bounds(args) -> int:
     table = known_bounds()
     if args.m or args.k or args.n:
@@ -157,15 +158,11 @@ def cmd_bounds(args) -> int:
             _require(args.m, "--m"), _require(args.k, "--k"), _require(args.n, "--n")
         )
         row = table.lookup(dims)
-        lower = "-" if row.lower is None else row.lower
-        upper = "-" if row.upper is None else row.upper
-        print(f"{dims}: lower {lower}, upper {upper} ({row.note})")
+        print(f"{dims}: {_bounds_text(row)} ({row.note})")
         return 0
     print("known rank bounds:")
     for row in table.entries:
-        lower = "-" if row.lower is None else row.lower
-        upper = "-" if row.upper is None else row.upper
-        print(f"  {row.dims}: lower {lower}, upper {upper} ({row.note})")
+        print(f"  {row.dims}: {_bounds_text(row)} ({row.note})")
     print("rules:")
     for rule in table.rules:
         print(f"  {rule}")
@@ -177,8 +174,7 @@ def _write_transformed(alg: BilinearAlgorithm, out_path: str) -> int:
     # ones, so the result is written without a second check.
     dump_algorithm(alg, out_path)
     print(f"wrote {out_path}")
-    for line in _summary_lines(alg):
-        print(line)
+    _print_summary(alg)
     return 0
 
 
@@ -193,20 +189,14 @@ def cmd_product(args) -> int:
     return _write_transformed(tensor_product(a, b), args.out)
 
 
-def _squared(alg: BilinearAlgorithm) -> BilinearAlgorithm:
-    """alg itself when square, else squareify(alg); verifies alg exactly once."""
-    if not alg.dims.is_square:
-        return squareify(alg)
-    if not verify_brent(alg).valid:
-        raise InvalidAlgorithm("program fails verification")
-    return alg
-
-
 def cmd_square(args) -> int:
     alg = _read_algorithm(args.path)
-    if alg.dims.is_square:
-        print(f"{alg.dims} is already square; writing it unchanged", file=sys.stderr)
-    return _write_transformed(_squared(alg), args.out)
+    if not alg.dims.is_square:
+        return _write_transformed(squareify(alg), args.out)
+    print(f"{alg.dims} is already square; writing it unchanged", file=sys.stderr)
+    if not verify_brent(alg).valid:
+        raise InvalidAlgorithm("program fails verification")
+    return _write_transformed(alg, args.out)
 
 
 def cmd_equiv(args) -> int:
@@ -226,43 +216,37 @@ def cmd_equiv(args) -> int:
     return _write_transformed(result, args.out)
 
 
-def _load_base(path: str) -> BilinearAlgorithm:
-    alg = _read_algorithm(path)
-    try:
-        base = _squared(alg)
-    except InvalidAlgorithm:
-        raise InvalidAlgorithm(f"base program {path} fails verification") from None
-    if base is not alg:
-        print(f"base program is {alg.dims}; using its squared tensor cube", file=sys.stderr)
-    return base
+def _load_config(args) -> RecursionConfig:
+    """The verified base program args.alg, run as it is, at args.threshold."""
+    base = _read_algorithm(args.alg)
+    if not verify_brent(base).valid:
+        raise InvalidAlgorithm(f"base program {args.alg} fails verification")
+    return RecursionConfig(base, args.threshold)
+
+
+def _write_result(matrix, report, out_path: str) -> int:
+    dump_matrix(matrix, out_path)
+    print(f"wrote {out_path} ({matrix.rows}x{matrix.cols})")
+    print(f"bilinear mults: {report.bilinear_mults}")
+    print(f"scalar mults: {report.scalar_mults}")
+    print(f"additions: {report.additions}")
+    return 0
 
 
 def cmd_multiply(args) -> int:
-    base = _load_base(args.alg)
-    cfg = RecursionConfig(base, args.threshold)
+    cfg = _load_config(args)
     product, report = recursive_multiply(cfg, load_matrix(args.a), load_matrix(args.b))
-    dump_matrix(product, args.out)
-    print(f"wrote {args.out} ({product.rows}x{product.cols})")
-    print(f"bilinear mults: {report.bilinear_mults}")
-    print(f"scalar mults: {report.scalar_mults}")
-    print(f"additions: {report.additions}")
-    return 0
+    return _write_result(product, report, args.out)
 
 
 def cmd_invert(args) -> int:
-    base = _load_base(args.alg)
-    cfg = RecursionConfig(base, args.threshold)
-    a = load_matrix(args.a)
-    inverse, report = recursive_invert(cfg, a)
-    dump_matrix(inverse, args.out)
-    print(f"wrote {args.out} ({inverse.rows}x{inverse.cols})")
-    print(f"bilinear mults: {report.bilinear_mults}")
-    print(f"scalar mults: {report.scalar_mults}")
-    print(f"additions: {report.additions}")
-    return 0
+    cfg = _load_config(args)
+    inverse, report = recursive_invert(cfg, load_matrix(args.a))
+    return _write_result(inverse, report, args.out)
 
 
 def _parse_sizes(spec: str, side: int) -> list:
+    """The sizes K of spec; "auto" is the powers of side (at least 2) up to 64."""
     if spec == "auto":
         sizes = []
         power = side
@@ -286,9 +270,9 @@ def _parse_sizes(spec: str, side: int) -> list:
 
 
 def cmd_bench(args) -> int:
-    base = _load_base(args.alg)
-    cfg = RecursionConfig(base, args.threshold)
-    sizes = _parse_sizes(args.sizes, cfg.side)
+    cfg = _load_config(args)
+    base = cfg.base_alg
+    sizes = _parse_sizes(args.sizes, max(base.dims))
     field = PrimeField(DEFAULT_PRIME)
     rng = random.Random(args.seed)
     rows = []
@@ -296,7 +280,8 @@ def cmd_bench(args) -> int:
         a = random_matrix(field, k, k, rng)
         b = random_matrix(field, k, k, rng)
         _, report = recursive_multiply(cfg, a, b)
-        predicted = cost_model(base, cfg.side ** _depth(cfg.side, k)).bilinear_mults
+        depth, leaf = _plan(base.dims, (k, k, k), cfg.threshold)
+        predicted = base.rank**depth * prod(leaf)
         rows.append((k, report.bilinear_mults, report.additions, predicted))
     widths = (6, 15, 15, 16)
     header = ("K", "measured_mults", "measured_adds", "predicted_mults")

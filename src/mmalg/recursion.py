@@ -1,24 +1,26 @@
-"""Recursive application of a square base program, and block inversion.
+"""Recursive application of a base program of any shape, and block inversion.
 
 recursive_multiply takes any conforming m x k by k x n pair and recurses on
-(m, k, n) directly.  At dims (m, k, n) it runs the plain triple loop on the
-rectangle when min(m, k, n) is at most the threshold; otherwise it splits
-each dimension into side parts, runs the base program with blocks in place
-of scalars, and recurses on each bilinear block product.  Since
-ceil(ceil(x/a)/b) = ceil(x/(ab)), splitting into parts of ceil(x / side)
-level by level reaches the same depth and the same leaves as padding once
-at the top, which is what recursive_multiply does: with d the least depth
-at which ceil(min(m, k, n) / side^d) is at most the threshold, each
-dimension x is embedded with zeros into side^d * ceil(x / side^d), and the
-product is cropped back to m x n once.  A product whose sides are all one
-power of the base side is not padded at all.  The base program is
+(m, k, n) directly, over a base program of any shape (m0, k0, n0) larger
+than 1x1x1, run as it is.  At dims (m, k, n) it runs the plain triple loop
+on the rectangle when one of m, k, n is at most the threshold; otherwise it
+splits m into m0, k into k0 and n into n0 parts, runs the base program with
+blocks in place of scalars, and recurses on each bilinear block product.
+Since ceil(ceil(x/a)/b) = ceil(x/(ab)), splitting into parts of
+ceil(x / s_x) level by level reaches the same depth and the same leaves as
+padding once at the top, which is what recursive_multiply does: with d the
+least depth at which min over x of ceil(x / s_x^d) is at most the
+threshold (_plan), each dimension x is embedded with zeros into
+s_x^d * ceil(x / s_x^d), and the product is cropped back to m x n once.
+A side of 1 is never split.  A product whose dimensions are the powers
+s_x^t of the base sides is not padded at all.  The base program is
 compiled once per product (bilinear_core._compile) and the same evaluator
 that runs it on scalars runs it on blocks.  Costs are tallied into one
 CostReport at the nodes actually visited: the U, V and W combinations of a
 level are charged per entry of an A, a B and a C block, and a leaf
 m x k x n triple loop m*k*n multiplications and m*(k-1)*n additions.
 cost_model predicts the square case in closed form from the same per-level
-counts: at threshold 1 and K a power of the base side the two agree
+counts: at threshold 1 and K a power of a square base's side the two agree
 exactly.
 
 The recursion runs on the raw values a Matrix stores (ints in [0, p) over
@@ -54,55 +56,53 @@ from .exact_algebra import Matrix, PrimeField, RationalField, _classical, mat_in
 
 @dataclass(frozen=True)
 class RecursionConfig:
-    """A square base program plus the side at or below which recursion stops."""
+    """A base program of any shape larger than 1x1x1, plus the least block
+    dimension at or below which recursion stops."""
 
     base_alg: BilinearAlgorithm
     threshold: int = 1
 
     def __post_init__(self):
-        if not self.base_alg.dims.is_square:
-            raise BadArgument(
-                f"base program must be square, got {self.base_alg.dims}; "
-                "squareify rectangular programs first"
-            )
-        if self.base_alg.dims.m < 2:
-            raise BadArgument("base program side must be at least 2")
+        if max(self.base_alg.dims) < 2:
+            raise BadArgument(f"base program must be larger than 1x1x1, got {self.base_alg.dims}")
         if not isinstance(self.threshold, int) or self.threshold < 1:
             raise BadArgument(f"threshold must be a positive integer, got {self.threshold!r}")
 
-    @property
-    def side(self) -> int:
-        return self.base_alg.dims.m
 
-
-def _depth(side: int, x: int, threshold: int = 1) -> int:
-    """The least d with ceil(x / side**d) <= threshold."""
+def _plan(sides: tuple, dims: tuple, threshold: int) -> tuple:
+    """(d, leaf) of a product of dims (m, k, n) over a base of sides
+    (m0, k0, n0): d is the least depth with min over x of ceil(x / s_x^d)
+    <= threshold, and leaf[i] = ceil(dims[i] / sides[i]^d).  Some side is at
+    least 2, so the loop ends; a side of 1 is never split."""
     d = 0
-    while -(-x // side**d) > threshold:
+    while True:
+        leaf = tuple(-(-x // s**d) for x, s in zip(dims, sides))
+        if min(leaf) <= threshold:
+            return d, leaf
         d += 1
-    return d
 
 
-def _block_order(rows: int, cols: int, side: int, depth: int) -> list:
+def _block_order(rows: int, cols: int, rside: int, cside: int, depth: int) -> list:
     """The row-major positions of a rows x cols matrix, listed in block order.
 
-    Block order lists the side x side grid of blocks one block after
+    Block order lists the rside x cside grid of blocks one block after
     another, row by row, each block itself in block order, for depth levels;
-    blocks at the last level are row-major.  rows and cols are multiples of
-    side**depth.  Every block _multiply_rec visits is then one contiguous
-    slice of its parent.
+    blocks at the last level are row-major.  rows is a multiple of
+    rside**depth and cols of cside**depth.  Every block _multiply_rec visits
+    is then one contiguous slice of its parent.
     """
     if depth == 0:
         return list(range(rows * cols))
-    br, bc = rows // side, cols // side
-    inner = [(i // bc) * cols + i % bc for i in _block_order(br, bc, side, depth - 1)]
+    br, bc = rows // rside, cols // cside
+    inner = [(i // bc) * cols + i % bc for i in _block_order(br, bc, rside, cside, depth - 1)]
     return [bi * br * cols + bj * bc + i
-            for bi in range(side) for bj in range(side) for i in inner]
+            for bi in range(rside) for bj in range(cside) for i in inner]
 
 
-def _levels(prog: _Program, s0: int, leaf: tuple, depth: int) -> list:
+def _levels(prog: _Program, sides: tuple, leaf: tuple, depth: int) -> list:
     """levels[j] = (dims, additions, scalar_mults) of one node with j levels
-    below it, for a product whose leaves have dims leaf = (m, k, n).
+    below it, for a product whose leaves have dims leaf = (m, k, n) over a
+    base of sides (m0, k0, n0).
 
     A leaf is charged m*(k-1)*n additions; a node above it is charged its
     program's U, V and W combinations once per entry of an A, a B and a C
@@ -111,7 +111,7 @@ def _levels(prog: _Program, s0: int, leaf: tuple, depth: int) -> list:
     levels = [(leaf, m * (k - 1) * n, 0)]
     for _ in range(depth):
         areas = (m * k, k * n, m * n)
-        m, k, n = m * s0, k * s0, n * s0
+        m, k, n = m * sides[0], k * sides[1], n * sides[2]
         levels.append(((m, k, n), sum(map(mul, prog.form_additions, areas)),
                        sum(map(mul, prog.form_scalar_mults, areas))))
     return levels
@@ -145,12 +145,13 @@ def _multiply_rec(a: list, b: list, depth: int, levels: list, prog: _Program,
 def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     """Multiply an m x k by a k x n matrix; returns (product, CostReport).
 
-    The recursion takes d levels, d the least depth with
-    ceil(min(m, k, n) / side^d) <= threshold.  Each dimension x is embedded
-    with zeros into side^d * ceil(x / side^d), the least multiple of side^d
-    that is at least x, and the product is cropped back to m x n, so the
-    result is exact for every conforming shape.  The counts are those of
-    the nodes the padded product visits.
+    Over a base of sides (m0, k0, n0), each level splits m into m0, k into
+    k0 and n into n0 parts, and the recursion takes d levels, d the least
+    depth with min over x of ceil(x / s_x^d) <= threshold (see _plan).  Each
+    dimension x is embedded with zeros into s_x^d * ceil(x / s_x^d), the
+    least multiple of s_x^d that is at least x, and the product is cropped
+    back to m x n, so the result is exact for every conforming shape.  The
+    counts are those of the nodes the padded product visits.
     """
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise TypeError("expected matrices")
@@ -159,23 +160,23 @@ def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     if a.cols != b.rows:
         raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     m, k, n = a.rows, a.cols, b.cols
-    s0 = cfg.side
-    depth = _depth(s0, min(m, k, n), cfg.threshold)
-    step = s0**depth
+    m0, k0, n0 = sides = tuple(cfg.base_alg.dims)
+    depth, leaf = _plan(sides, (m, k, n), cfg.threshold)
     prog = _compile(cfg.base_alg)
-    levels = _levels(prog, s0, tuple(-(-x // step) for x in (m, k, n)), depth)
+    levels = _levels(prog, sides, leaf, depth)
     pm, pk, pn = levels[depth][0]
     report = CostReport(context=(
         f"recursive multiply {m}x{k} by {k}x{n}, "
         f"base {cfg.base_alg.dims} rank {cfg.base_alg.rank}, threshold {cfg.threshold}"
     ))
     # One block order per distinct operand shape: a square product has one.
-    orders = {shape: _block_order(*shape, s0, depth) for shape in {(pm, pk), (pk, pn), (pm, pn)}}
+    a_key, b_key, c_key = (pm, pk, m0, k0), (pk, pn, k0, n0), (pm, pn, m0, n0)
+    orders = {key: _block_order(*key, depth) for key in {a_key, b_key, c_key}}
     ae, be = a.embed(pm, pk)._values, b.embed(pk, pn)._values
-    out = _multiply_rec([ae[i] for i in orders[pm, pk]], [be[i] for i in orders[pk, pn]],
+    out = _multiply_rec([ae[i] for i in orders[a_key]], [be[i] for i in orders[b_key]],
                         depth, levels, prog, a.ring, report)
     c = [None] * len(out)  # the product, row-major
-    for i, v in zip(orders[pm, pn], out):
+    for i, v in zip(orders[c_key], out):
         c[i] = v
     cropped = [v for r in range(0, m * pn, pn) for v in c[r:r + n]]
     return Matrix._from_values(a.ring, m, n, cropped), report
@@ -195,7 +196,7 @@ def cost_model(alg: BilinearAlgorithm, k: int) -> CostReport:
     if not isinstance(k, int) or k < 1:
         raise BadArgument(f"K must be a positive integer, got {k!r}")
     s0 = alg.dims.m
-    t = _depth(s0, k)
+    t, _ = _plan(alg.dims, (k, k, k), 1)
     if s0**t != k:
         raise BadArgument(f"K={k} is not a power of the base side {s0}")
     prog = _compile(alg)

@@ -237,16 +237,17 @@ def test_multiply_rectangular(strassen_file, tmp_path, capsys):
     assert "cannot multiply 2x3 by 2x2" in err
 
 
-def test_multiply_squares_rectangular_base(tmp_path, capsys):
+def test_multiply_runs_rectangular_base_as_it_is(tmp_path, capsys):
     rect = str(tmp_path / "c234.alg")
     dump_algorithm(classical(2, 3, 4), rect)
     a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
     a_path = str(tmp_path / "a.mat")
     out_path = str(tmp_path / "aa.mat")
     dump_matrix(a, a_path)
-    rc, _, err = run(capsys, "multiply", rect, a_path, a_path, "--out", out_path)
-    assert rc == 0
-    assert "squared tensor cube" in err
+    rc, out, err = run(capsys, "multiply", rect, a_path, a_path, "--out", out_path)
+    assert rc == 0 and err == ""
+    # One 2x3x4 level on 1x1x1 leaves, not the 24x24x24 tensor cube's 13,824.
+    assert "bilinear mults: 24" in out and "additions: 16" in out
     assert load_matrix(out_path) == mat_classical_multiply(a, a)
 
 
@@ -317,6 +318,32 @@ def test_bench_table_and_csv(strassen_file, tmp_path, capsys):
     assert rc == 0
     with open(csv_path) as f1, open(csv2) as f2:
         assert f1.read() == f2.read()
+
+
+def _bench_counts(out):
+    """(K, measured_mults, predicted_mults) of each row of a bench table."""
+    return [(int(f[0]), int(f[1]), int(f[3])) for f in map(str.split, out.splitlines()[1:])
+            if f and f[0].isdigit()]
+
+
+def test_bench_predicts_the_measured_count_at_any_threshold(strassen_file, capsys):
+    rc, out, _ = run(capsys, "bench", strassen_file, "--sizes", "4,8,6", "--threshold", "2")
+    assert rc == 0
+    assert _bench_counts(out) == [(4, 56, 56), (8, 392, 392), (6, 392, 392)]
+
+
+def test_bench_rectangular_base(tmp_path, capsys):
+    rect = str(tmp_path / "c234.alg")
+    dump_algorithm(classical(2, 3, 4), rect)
+    rc, out, _ = run(capsys, "bench", rect, "--sizes", "2,5")
+    assert rc == 0
+    assert _bench_counts(out) == [(2, 24, 24), (5, 1152, 1152)]
+    # auto takes powers of the largest side, so a side of 1 cannot stall it.
+    thin = str(tmp_path / "c122.alg")
+    dump_algorithm(classical(1, 2, 2), thin)
+    rc, out, _ = run(capsys, "bench", thin, "--sizes", "auto")
+    assert rc == 0
+    assert [row[0] for row in _bench_counts(out)] == [2, 4, 8, 16, 32, 64]
 
 
 def test_verify_coefficient_without_image_mod_p_is_a_usage_error(tmp_path, capsys):

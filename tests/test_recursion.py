@@ -28,6 +28,7 @@ from mmalg import (
     recursive_invert,
     recursive_multiply,
     strassen_222,
+    tensor_product,
 )
 
 from helpers import P61, naive_product, unit_lu_matrix
@@ -36,14 +37,14 @@ FIELD = PrimeField(P61)
 
 
 def test_config_validation():
-    with pytest.raises(BadArgument):
-        RecursionConfig(classical(2, 3, 4))
+    # A rectangular base runs as it is; only 1x1x1 has nothing to split.
+    assert tuple(RecursionConfig(classical(2, 3, 4)).base_alg.dims) == (2, 3, 4)
     with pytest.raises(BadArgument):
         RecursionConfig(strassen_222(), threshold=0)
     with pytest.raises(BadArgument):
         RecursionConfig(classical(1, 1, 1))
     cfg = RecursionConfig(strassen_222())
-    assert cfg.side == 2 and cfg.threshold == 1
+    assert cfg.threshold == 1
 
 
 def test_multiply_input_validation():
@@ -72,21 +73,22 @@ def _form_counts(alg):
 
 def _shape_counts(alg, threshold, m, k, n):
     """(bilinear_mults, scalar_mults, additions) of an m x k by k x n product
-    under the pad-once rule: d levels, d the least depth with
-    ceil(min(m, k, n) / s^d) <= threshold; leaves of ceil(x / s^d); each of
-    the R^(d-j) nodes j levels above the leaves charged its U, V and W
-    combinations once per entry of an A, a B and a C block one level down."""
-    s, r = alg.dims.m, alg.rank
+    over a base of sides (sm, sk, sn) under the pad-once rule: d levels, d
+    the least depth with min(ceil(m / sm^d), ceil(k / sk^d), ceil(n / sn^d))
+    <= threshold; leaves of ceil(x / s_x^d); each of the R^(d-j) nodes j
+    levels above the leaves charged its U, V and W combinations once per
+    entry of an A, a B and a C block one level down."""
+    (sm, sk, sn), r = alg.dims, alg.rank
     d = 0
-    while -(-min(m, k, n) // s**d) > threshold:
+    while min(-(-m // sm**d), -(-k // sk**d), -(-n // sn**d)) > threshold:
         d += 1
-    lm, lk, ln = (-(-x // s**d) for x in (m, k, n))
+    lm, lk, ln = -(-m // sm**d), -(-k // sk**d), -(-n // sn**d)
     mults = r**d * lm * lk * ln
     adds = r**d * lm * (lk - 1) * ln
     scalings = 0
     (ua, us), (va, vs), (wa, ws) = _form_counts(alg)
     for j in range(1, d + 1):
-        bm, bk, bn = lm * s ** (j - 1), lk * s ** (j - 1), ln * s ** (j - 1)
+        bm, bk, bn = lm * sm ** (j - 1), lk * sk ** (j - 1), ln * sn ** (j - 1)
         nodes = r ** (d - j)
         adds += nodes * (ua * bm * bk + va * bk * bn + wa * bm * bn)
         scalings += nodes * (us * bm * bk + vs * bk * bn + ws * bm * bn)
@@ -116,7 +118,8 @@ def test_multiply_any_conforming_shape():
         assert got == mat_classical_multiply(a, b), (m, k, n)
 
 
-SHAPE_BASES = (strassen_222(), classical(3, 3, 3), pan_aggregation(4))
+SHAPE_BASES = (strassen_222(), classical(3, 3, 3), pan_aggregation(4), classical(2, 3, 4),
+               tensor_product(strassen_222(), classical(1, 2, 3)), classical(1, 2, 2))
 SHAPE_RINGS = (PrimeField(97), QQ)
 
 
@@ -128,6 +131,10 @@ SHAPE_RINGS = (PrimeField(97), QQ)
 @example(SHAPE_BASES[1], 1, SHAPE_RINGS[0], 9, 9, 9, 0)
 @example(SHAPE_BASES[2], 1, QQ, 4, 4, 4, 0)
 @example(SHAPE_BASES[2], 1, SHAPE_RINGS[0], 16, 16, 16, 0)
+@example(SHAPE_BASES[3], 1, QQ, 17, 17, 17, 0)
+@example(SHAPE_BASES[4], 1, SHAPE_RINGS[0], 17, 17, 17, 0)
+@example(SHAPE_BASES[4], 2, QQ, 9, 13, 5, 0)
+@example(SHAPE_BASES[5], 1, SHAPE_RINGS[0], 5, 8, 3, 0)
 def test_every_shape_is_exact_and_counted(base, threshold, ring, m, k, n, seed):
     rng = random.Random(seed)
     if ring == QQ:
@@ -147,7 +154,8 @@ def test_every_shape_is_exact_and_counted(base, threshold, ring, m, k, n, seed):
     counts = (report.bilinear_mults, report.scalar_mults, report.additions)
     assert counts == _shape_counts(base, threshold, m, k, n)
     side = base.dims.m
-    if threshold == 1 and m == k == n and any(side**t == m for t in range(5)):
+    if (base.dims.is_square and threshold == 1 and m == k == n
+            and any(side**t == m for t in range(5))):
         model = cost_model(base, m)
         assert counts == (model.bilinear_mults, model.scalar_mults, model.additions)
 
