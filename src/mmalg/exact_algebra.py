@@ -19,11 +19,20 @@ every other module uses:
 - ``_entry`` and ``_block``: the ``_Ops`` a compiled program runs on, over
   raw values and over equal-length sequences of them, each result reduced;
   ``_mul`` multiplies two raw values and ``_reciprocal`` inverts one;
+- ``_clear`` and ``_restore``: over QQ, ``_clear`` scales each row (or each
+  column) of raw values by the lcm of its denominators to Python ints and
+  returns those lcms, and ``_restore`` divides entry (i, j) of an int
+  result by its row and column scales back into Fractions; over GF(p) both
+  return the values unchanged, with scales of 1.  ``_quotient`` divides
+  cleared values exactly: ``//`` over QQ, times d^-1 mod p over GF(p);
 - ``PrimeField._image(c)``: the raw value of a program coefficient c, or
   BadArgument when c has none (over QQ a coefficient is its own image).
 
+So QQ products (recursion.recursive_multiply) and mat_inverse's
+fraction-free elimination run on ints, with one Fraction per output entry.
 The flat kernel _classical multiplies raw row-major operands with one
-reduction mod p per dot product.
+reduction mod p per dot product (none over QQ, where it takes ints or
+Fractions alike).
 
 A small text format for matrices is provided: a ``rows cols`` header line
 followed by one whitespace-separated row per line, entries written as
@@ -39,6 +48,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import repeat
+from math import lcm
 from operator import add, mul, neg, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -219,6 +229,28 @@ class RationalField:
     def _reciprocal(self, v: Fraction) -> Fraction:
         return 1 / v
 
+    def _clear(self, values: Sequence, cols: int, by_columns: bool = False) -> tuple:
+        """(ints, scales): each row of the raw row-major values (each column,
+        by_columns) times the lcm of its denominators, and those lcms."""
+        if by_columns:
+            scales = [lcm(*(x.denominator for x in values[j::cols])) for j in range(cols)]
+            each = scales * (len(values) // cols)
+        else:
+            scales = [lcm(*(x.denominator for x in values[i:i + cols]))
+                      for i in range(0, len(values), cols)]
+            each = [s for s in scales for _ in range(cols)]
+        return [x.numerator * (s // x.denominator) for x, s in zip(values, each)], scales
+
+    def _restore(self, values: Sequence, row_scales: Sequence, col_scales: Sequence) -> list:
+        """Entry (i, j) of the raw row-major values over row_scales[i] * col_scales[j]."""
+        n = len(col_scales)
+        return [Fraction(v, r * c) for r, i in zip(row_scales, range(0, len(values), n))
+                for v, c in zip(values[i:i + n], col_scales)]
+
+    def _quotient(self, values: Sequence, d: int) -> list:
+        """The cleared values divided by d, which divides each of them."""
+        return [v // d for v in values]
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -299,6 +331,17 @@ class PrimeField:
 
     def _reciprocal(self, v: int) -> int:
         return pow(v, -1, self.p)
+
+    def _clear(self, values: Sequence, cols: int, by_columns: bool = False) -> tuple:
+        return values, [1] * (cols if by_columns else len(values) // cols)
+
+    def _restore(self, values: Sequence, row_scales: Sequence, col_scales: Sequence) -> Sequence:
+        return values
+
+    def _quotient(self, values: Sequence, d: int) -> list:
+        p = self.p
+        q = pow(d, -1, p)
+        return [v * q % p for v in values]
 
     def __reduce__(self):
         # The raw arithmetic holds closures, which pickle cannot store.
@@ -506,7 +549,12 @@ def _classical(ae: Sequence, be: Sequence, m: int, k: int, n: int, p: Optional[i
 
 
 def mat_classical_multiply(a: Matrix, b: Matrix) -> Matrix:
-    """Plain triple-loop product, run on raw values (see _classical)."""
+    """Plain triple-loop product, run on raw values (see _classical).
+
+    Over QQ it runs on the Fractions themselves, with no denominator
+    clearing, so it stays the independent oracle for the cleared-integer
+    paths of recursion.recursive_multiply and mat_inverse.
+    """
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise TypeError("expected matrices")
     if a.ring != b.ring:
@@ -520,9 +568,19 @@ def mat_classical_multiply(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_inverse(a: Matrix) -> Matrix:
-    """Exact Gauss-Jordan inverse with row pivoting, run on raw values.
+    """Exact inverse by fraction-free Gauss-Jordan elimination with row
+    pivoting (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 1968).
 
-    Works over any field ring; raises SingularMatrix when no inverse exists.
+    Row j of a is first scaled by the ring's _clear to a' (times the lcm s_j
+    of its denominators over QQ, unchanged with s_j = 1 over GF(p)).  One
+    loop then eliminates on [a' | I]: at each column every row other than
+    the pivot row becomes (piv * row - f * pivot_row) / prev, prev the
+    previous pivot, a division the ring's _quotient makes exact (// on the
+    QQ integers, times prev^-1 mod p over GF(p)).  The left half ends as
+    d * I, d the last pivot, and the right half as d * a'^-1, so entry
+    (i, j) of the inverse is right[i][j] * s_j / d.  Works over either
+    field ring; raises SingularMatrix when no inverse exists.
     """
     if not isinstance(a, Matrix):
         raise TypeError("expected a Matrix")
@@ -530,31 +588,27 @@ def mat_inverse(a: Matrix) -> Matrix:
         raise DimensionError("only square matrices have inverses")
     n = a.rows
     ring = a.ring
-    block = ring._block
-    zero, one = ring._value(0), ring._value(1)
-    work = [list(a._values[i * n : (i + 1) * n]) for i in range(n)]
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    cleared, scales = ring._clear(a._values, n)
+    rows = [[*cleared[i * n:(i + 1) * n], *(int(i == j) for j in range(n))] for i in range(n)]
+    # Each step drops the column it eliminates, so rows[r][0] is always the
+    # current column and the right half is rows[r][-n:].
+    prev = 1
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
+        pivot_row = next((r for r in range(col, n) if rows[r][0]), None)
         if pivot_row is None:
             raise SingularMatrix(f"no pivot in column {col}")
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        piv = work[col][col]
-        if piv != one:
-            scale = ring._reciprocal(piv)
-            work[col] = block.times(scale, work[col])
-            inv[col] = block.times(scale, inv[col])
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        piv, *top = rows[col]
         for r in range(n):
-            if r == col:
-                continue
-            factor = work[r][col]
-            if not factor:
-                continue
-            work[r] = block.sub(work[r], block.times(factor, work[col]))
-            inv[r] = block.sub(inv[r], block.times(factor, inv[col]))
-    return Matrix._from_values(ring, n, n, [v for row in inv for v in row])
+            if r != col:
+                row = rows[r]
+                f = row[0]
+                rows[r] = ring._quotient([piv * x - f * y for x, y in zip(row[1:], top)], prev)
+        rows[col] = top
+        prev = piv
+    scale = ring._reciprocal(ring._value(prev))
+    return Matrix._from_values(ring, n, n, [ring._mul(x * s, scale)
+                                            for row in rows for x, s in zip(row, scales)])
 
 
 def random_matrix(ring: RationalField | PrimeField, rows: int, cols: int, rng) -> Matrix:

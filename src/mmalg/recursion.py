@@ -14,24 +14,30 @@ threshold (_plan), each dimension x is embedded with zeros into
 s_x^d * ceil(x / s_x^d), and the product is cropped back to m x n once.
 A side of 1 is never split.  A product whose dimensions are the powers
 s_x^t of the base sides is not padded at all.  The base program is
-compiled once per product (bilinear_core._compile) and the same evaluator
-that runs it on scalars runs it on blocks.  Costs are tallied into one
-CostReport at the nodes actually visited: the U, V and W combinations of a
-level are charged per entry of an A, a B and a C block, and a leaf
-m x k x n triple loop m*k*n multiplications and m*(k-1)*n additions.
+compiled once per RecursionConfig (bilinear_core._compile) and the same
+evaluator that runs it on scalars runs it on blocks.  Costs are tallied
+into one CostReport at the nodes actually visited: the U, V and W
+combinations of a level are charged per entry of an A, a B and a C block,
+and a leaf m x k x n triple loop m*k*n multiplications and m*(k-1)*n
+additions.
 cost_model predicts the square case in closed form from the same per-level
 counts: at threshold 1 and K a power of a square base's side the two agree
 exactly.
 
-The recursion runs on the raw values a Matrix stores (ints in [0, p) over
-GF(p), Fractions over QQ), not on Matrix objects.  recursive_multiply
-reorders both padded operands into block order (see _block_order), so that
-every block of every level is one contiguous slice, and reorders and crops
-the result once.  Block additions, subtractions and scalings are the ring's
-_block arithmetic (exact_algebra); the leaves run the flat kernel
-exact_algebra._classical, and a level whose blocks are single entries runs
-the program on the entries themselves with the ring's _entry arithmetic, as
-apply_elementary does.
+The recursion runs on raw values, not on Matrix objects: ints in [0, p)
+over GF(p), and over QQ the ints left by clearing denominators once per
+product.  The ring's _clear scales row i of A by the lcm r_i of its
+denominators and column j of B by the lcm c_j of its own, and _restore
+turns entry (i, j) of the int product into a Fraction over r_i * c_j
+(both are the identity over GF(p)).  A base program with a Fraction
+coefficient runs on the same path, since a Fraction times an int is exact.
+recursive_multiply reorders both padded operands into block order (see
+_block_order), so that every block of every level is one contiguous slice,
+and reorders and crops the result once.  Block additions, subtractions and
+scalings are the ring's _block arithmetic (exact_algebra); the leaves run
+the flat kernel exact_algebra._classical, and a level whose blocks are
+single entries runs the program on the entries themselves with the ring's
+_entry arithmetic, as apply_elementary does.
 
 recursive_invert reduces inversion to multiplication by 2x2 block
 elimination: invert the leading block, form the complement
@@ -45,7 +51,7 @@ embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 from typing import Callable
 
@@ -61,12 +67,15 @@ class RecursionConfig:
 
     base_alg: BilinearAlgorithm
     threshold: int = 1
+    # The compiled base program, shared by every product this config runs.
+    _prog: _Program = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if max(self.base_alg.dims) < 2:
             raise BadArgument(f"base program must be larger than 1x1x1, got {self.base_alg.dims}")
         if not isinstance(self.threshold, int) or self.threshold < 1:
             raise BadArgument(f"threshold must be a positive integer, got {self.threshold!r}")
+        object.__setattr__(self, "_prog", _compile(self.base_alg))
 
 
 def _plan(sides: tuple, dims: tuple, threshold: int) -> tuple:
@@ -151,7 +160,10 @@ def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     dimension x is embedded with zeros into s_x^d * ceil(x / s_x^d), the
     least multiple of s_x^d that is at least x, and the product is cropped
     back to m x n, so the result is exact for every conforming shape.  The
-    counts are those of the nodes the padded product visits.
+    counts are those of the nodes the padded product visits.  Over QQ the
+    recursion runs on ints: rows of A and columns of B are cleared of
+    denominators once (the ring's _clear) and each output entry is divided
+    by its row and column scales once (_restore).
     """
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise TypeError("expected matrices")
@@ -162,7 +174,7 @@ def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     m, k, n = a.rows, a.cols, b.cols
     m0, k0, n0 = sides = tuple(cfg.base_alg.dims)
     depth, leaf = _plan(sides, (m, k, n), cfg.threshold)
-    prog = _compile(cfg.base_alg)
+    prog = cfg._prog
     levels = _levels(prog, sides, leaf, depth)
     pm, pk, pn = levels[depth][0]
     report = CostReport(context=(
@@ -172,14 +184,17 @@ def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     # One block order per distinct operand shape: a square product has one.
     a_key, b_key, c_key = (pm, pk, m0, k0), (pk, pn, k0, n0), (pm, pn, m0, n0)
     orders = {key: _block_order(*key, depth) for key in {a_key, b_key, c_key}}
-    ae, be = a.embed(pm, pk)._values, b.embed(pk, pn)._values
+    ring = a.ring
+    ae, row_scales = ring._clear(a.embed(pm, pk)._values, pk)
+    be, col_scales = ring._clear(b.embed(pk, pn)._values, pn, by_columns=True)
     out = _multiply_rec([ae[i] for i in orders[a_key]], [be[i] for i in orders[b_key]],
-                        depth, levels, prog, a.ring, report)
+                        depth, levels, prog, ring, report)
     c = [None] * len(out)  # the product, row-major
     for i, v in zip(orders[c_key], out):
         c[i] = v
     cropped = [v for r in range(0, m * pn, pn) for v in c[r:r + n]]
-    return Matrix._from_values(a.ring, m, n, cropped), report
+    return Matrix._from_values(
+        ring, m, n, ring._restore(cropped, row_scales[:m], col_scales[:n])), report
 
 
 def cost_model(alg: BilinearAlgorithm, k: int) -> CostReport:

@@ -38,7 +38,7 @@ from mmalg import (
     strassen_222,
 )
 
-from helpers import unit_lu_matrix
+from helpers import naive_product, unit_lu_matrix
 
 
 def test_rational_examples():
@@ -176,6 +176,39 @@ def test_mat_inverse():
     f = PrimeField(13)
     g = Matrix.from_rows(f, [[2, 1], [1, 1]])
     assert mat_classical_multiply(g, mat_inverse(g)) == Matrix.identity(f, 2)
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+_UNITS = st.builds(Fraction, st.integers(-9, -1) | st.integers(1, 9), st.integers(1, 9))
+
+
+@given(ring=st.sampled_from((QQ, PrimeField(97))), data=st.data())
+def test_mat_inverse_inverts_or_refuses(ring, data):
+    # An invertible matrix is a row permutation of L U: L unit lower
+    # triangular, with column 0 zero below the diagonal and about half its
+    # other entries there zero; U upper triangular with a nonzero diagonal
+    # (a unit mod 97 too).  Column 0 of L U is U[0][0] e_0 and the
+    # permutation moves row 0 away, so column 0 needs a row swap; the sparse
+    # L makes zero pivots in later columns too.
+    n = data.draw(st.integers(1, 8))
+    lower = [[Fraction(i == j) if i <= j or j == 0 or data.draw(st.booleans())
+              else data.draw(_FRACTIONS) for j in range(n)] for i in range(n)]
+    upper = [[data.draw(_UNITS) if i == j else data.draw(_FRACTIONS) if i < j else Fraction(0)
+              for j in range(n)] for i in range(n)]
+    product = naive_product(lower, upper)
+    order = data.draw(st.permutations(range(n)).filter(lambda q: n == 1 or q[0] != 0))
+    rows = [product[i] for i in order]
+    a = Matrix.from_rows(ring, rows)
+    inverse = mat_inverse(a)
+    _checked_rows(ring, inverse)
+    assert mat_classical_multiply(a, inverse) == Matrix.identity(ring, n)
+    # One row a rational combination of the others (the zero row when n = 1).
+    r = data.draw(st.integers(0, n - 1))
+    coefficients = [data.draw(_FRACTIONS) for _ in range(n)]
+    rows[r] = [sum((c * row[j] for i, (c, row) in enumerate(zip(coefficients, rows)) if i != r),
+                   Fraction(0)) for j in range(n)]
+    with pytest.raises(SingularMatrix):
+        mat_inverse(Matrix.from_rows(ring, rows))
 
 
 def test_matrix_format_round_trip():

@@ -18,12 +18,14 @@ from mmalg import (
     QQ,
     RecursionConfig,
     SingularMatrix,
+    apply_equivalence,
     classical,
     cost_model,
     mat_classical_multiply,
     mat_inverse,
     multiply_via_inversion,
     pan_aggregation,
+    random_equivalence,
     random_matrix,
     recursive_invert,
     recursive_multiply,
@@ -202,6 +204,32 @@ def test_products_match_an_independent_triple_loop():
     for got in products:
         assert all(type(x) is Fraction for x in got.entries)
         assert got.to_rows() == naive_product(a_rows, b_rows)
+
+
+def test_fractional_coefficient_programs_over_rationals():
+    # QQ products run on cleared integers; a base with Fraction coefficients
+    # takes the same path, since a Fraction times an int is exact.
+    base = strassen_222()
+    for seed in range(20):
+        alg = apply_equivalence(base, random_equivalence(base.dims, base.rank, seed))
+        assert any(c.denominator != 1 for c in alg.coefficient_values()), seed
+        rng = random.Random(seed)
+        for threshold in (1, 2, 3):
+            cfg = RecursionConfig(alg, threshold)
+            m, k, n = (rng.randint(1, 9) for _ in range(3))
+            a_rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)]
+                      for _ in range(m)]
+            b_rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                      for _ in range(k)]
+            zero_row = [row[:] for row in a_rows]
+            zero_row[rng.randrange(m)] = [Fraction(0)] * k
+            zeros = [[Fraction(0)] * n for _ in range(k)]
+            for left, right in ((a_rows, b_rows), (zero_row, b_rows), (a_rows, zeros)):
+                got, _ = recursive_multiply(cfg, Matrix.from_rows(QQ, left),
+                                            Matrix.from_rows(QQ, right))
+                # Over QQ, entries is the stored tuple: no int may leak into it.
+                assert all(type(x) is Fraction for x in got.entries), (seed, threshold)
+                assert got.to_rows() == naive_product(left, right), (seed, threshold)
 
 
 def test_multiplication_count_law():
