@@ -4,7 +4,11 @@ A bilinear algorithm for multiplying an m x k matrix A by a k x n matrix B
 is a list of R products P_s = (sum_ij u^s_ij a_ij) * (sum_gh v^s_gh b_gh)
 together with output coefficients w, so that c_lq = sum_s w^s_lq P_s.  The
 coefficient tensors are stored sparsely: one dict per product, keyed by the
-index pair, holding nonzero exact rationals.
+index pair, holding nonzero exact rationals in one canonical form: an int
+when the value is integral, else a Fraction with denominator > 1.  The
+constructor makes that choice once, so every later step (verification, the
+transforms, the writer, the evaluator) does int arithmetic on the integral
+coefficients that the shipped programs consist of.
 
 Correctness is equivalent to the coefficient equations
 
@@ -72,13 +76,16 @@ def _clean_tensor(slices, rows: int, cols: int, name: str):
                 raise DimensionError(
                     f"{name}[{s}] entry ({r},{c}) outside {rows}x{cols}"
                 )
-            if not isinstance(val, Fraction):
-                if not isinstance(val, int):
+            if type(val) is not int:
+                if isinstance(val, Fraction):
+                    val = val.numerator if val.denominator == 1 else val
+                elif isinstance(val, int):
+                    val = int(val)
+                else:
                     raise BadArgument(
                         f"{name}[{s}] entry ({r},{c}) is {val!r}, not an exact "
                         f"integer or Fraction"
                     )
-                val = Fraction(val)
             if val:
                 d[(r, c)] = val
         out.append(d)
@@ -189,12 +196,10 @@ def verify_brent(alg: BilinearAlgorithm) -> VerificationReport:
                     key = (l, q, i, j, g, h)
                     prev = sums.get(key)
                     sums[key] = cuv * cw if prev is None else prev + cuv * cw
-    one = Fraction(1)
-    zero = Fraction(0)
     violations = []
     for key, val in sums.items():
         l, q, i, j, g, h = key
-        expected = one if (i == l and j == g and h == q) else zero
+        expected = 1 if (i == l and j == g and h == q) else 0
         if val != expected:
             violations.append(((l, q), (i, j), (g, h), expected, val))
     m, k, n = alg.dims
@@ -202,7 +207,7 @@ def verify_brent(alg: BilinearAlgorithm) -> VerificationReport:
         for j in range(k):
             for q in range(n):
                 if (l, q, l, j, j, q) not in sums:
-                    violations.append(((l, q), (l, j), (j, q), one, zero))
+                    violations.append(((l, q), (l, j), (j, q), 1, 0))
     violations.sort()
     return VerificationReport(not violations, tuple(violations))
 
@@ -287,20 +292,14 @@ class _Program(NamedTuple):
         return sum(self.form_scalar_mults)
 
 
-def _coefficient(c: Fraction):
-    """c, as an int when it is integral: the evaluator's +-1 tests are then
-    int comparisons, not Fraction ones."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _compile(alg: BilinearAlgorithm) -> _Program:
     m, k, n = alg.dims
-    u = tuple(tuple((i * k + j, _coefficient(c)) for (i, j), c in d.items()) for d in alg.u)
-    v = tuple(tuple((g * n + h, _coefficient(c)) for (g, h), c in d.items()) for d in alg.v)
+    u = tuple(tuple((i * k + j, c) for (i, j), c in d.items()) for d in alg.u)
+    v = tuple(tuple((g * n + h, c) for (g, h), c in d.items()) for d in alg.v)
     by_output = [[] for _ in range(m * n)]
     for s, d in enumerate(alg.w):
         for (l, q), c in d.items():
-            by_output[l * n + q].append((s, _coefficient(c)))
+            by_output[l * n + q].append((s, c))
     w = tuple(map(tuple, by_output))
     forms = (u, v, w)
     return _Program(

@@ -54,7 +54,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BadArgument, BadField, DimensionError, FormatError, SingularMatrix
 
-# Canonical exact scalar for coefficients: lowest terms, positive denominator.
+# The exact scalar of QQ: lowest terms, positive denominator.  Program
+# coefficients take it only when they are not integral (bilinear_core).
 Rational = Fraction
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -190,7 +191,8 @@ class ModularScalar:
 
 class _Ops(NamedTuple):
     """The arithmetic a compiled program runs on (bilinear_core._evaluate).
-    times(c, x) scales x by a program coefficient c (an int or a Fraction)."""
+    times(c, x) scales x by a program coefficient c: an int when it is
+    integral, else a Fraction with denominator > 1."""
 
     add: Callable
     sub: Callable
@@ -675,9 +677,10 @@ def _read_header(records, magic, names, what: str) -> list:
 _EXACT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _exact(tok: str) -> Fraction:
+def _exact(tok: str) -> int | Fraction:
     """The value of an entry token: an optional sign, ASCII digits, and
-    optionally '/' and ASCII digits.
+    optionally '/' and ASCII digits.  A token without '/' is an int, one
+    with it a Fraction in lowest terms (so '4/2' is Fraction(2)).
 
     Any other token, or one past Python's integer-string conversion limit,
     raises ValueError; a zero denominator raises ZeroDivisionError.
@@ -686,7 +689,7 @@ def _exact(tok: str) -> Fraction:
     if match is None:
         raise ValueError(tok)
     num, den = match.groups()
-    return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+    return int(num) if den is None else Fraction(int(num), int(den))
 
 
 def _shown(tok: str) -> str:

@@ -213,12 +213,20 @@ class EquivalenceTransform:
         )
 
 
-def _dense(d: dict, rows: int, cols: int) -> Matrix:
-    return Matrix(QQ, rows, cols, [d.get((r, c), 0) for r in range(rows) for c in range(cols)])
+def _nonzeros(vectors) -> list:
+    """Each vector as its list of (index, value) over nonzero values."""
+    return [[(a, x) for a, x in enumerate(vec) if x] for vec in vectors]
 
 
-def _sparse(mat: Matrix) -> dict:
-    return {divmod(i, mat.cols): x for i, x in enumerate(mat.entries) if x}
+def _outer_sum(d: dict, left: list, right: list) -> dict:
+    """sum over the entries c at (i, j) of d of c * left[i] (x) right[j]."""
+    acc: dict = {}
+    for (i, j), c in d.items():
+        for a, x in left[i]:
+            cx = c * x
+            for b, y in right[j]:
+                acc[a, b] = acc.get((a, b), 0) + cx * y
+    return acc
 
 
 def apply_equivalence(
@@ -229,7 +237,11 @@ def apply_equivalence(
     The input must verify; the output then verifies by construction.
 
     New coefficients: u-bar^s = sigma u^t(s) nabla^T, v-bar^s = lam^T v^t(s) mu^T,
-    w-bar^s = gamma^T w^t(s) beta, with t(s) = perm[s].
+    w-bar^s = gamma^T w^t(s) beta, with t(s) = perm[s].  Each is a sum of
+    outer products over the nonzeros of the source slice: a coefficient c
+    at (i, j) adds c times column i of sigma (x) column j of nabla to u-bar,
+    c at (g, h) adds c times row g of lam (x) column h of mu to v-bar, and
+    c at (l, q) adds c times row l of gamma (x) row q of beta to w-bar.
     """
     m, k, n = alg.dims
     if transform.sigma.rows != m or transform.nabla.rows != k or transform.mu.rows != n:
@@ -243,16 +255,14 @@ def apply_equivalence(
         )
     if not verify_brent(alg).valid:
         raise InvalidAlgorithm("cannot transform an invalid program")
-    nabla_t = transform.nabla.transpose()
-    lam_t = transform.lam.transpose()
-    mu_t = transform.mu.transpose()
-    gamma_t = transform.gamma.transpose()
+    t = transform
+    sigma_c, nabla_c, mu_c = (_nonzeros(zip(*x.to_rows())) for x in (t.sigma, t.nabla, t.mu))
+    lam_r, gamma_r, beta_r = (_nonzeros(x.to_rows()) for x in (t.lam, t.gamma, t.beta))
     u, v, w = [], [], []
-    for s in range(alg.rank):
-        src = transform.perm[s]
-        u.append(_sparse(transform.sigma @ _dense(alg.u[src], m, k) @ nabla_t))
-        v.append(_sparse(lam_t @ _dense(alg.v[src], k, n) @ mu_t))
-        w.append(_sparse(gamma_t @ _dense(alg.w[src], m, n) @ transform.beta))
+    for src in t.perm:
+        u.append(_outer_sum(alg.u[src], sigma_c, nabla_c))
+        v.append(_outer_sum(alg.v[src], lam_r, mu_c))
+        w.append(_outer_sum(alg.w[src], gamma_r, beta_r))
     return BilinearAlgorithm(alg.dims, alg.rank, u, v, w)
 
 

@@ -67,12 +67,27 @@ def test_coefficients_must_be_exact():
     dims = DimensionTriple(1, 1, 1)
     half = Fraction(1, 2)
     alg = BilinearAlgorithm(dims, 1, [{(0, 0): 3}], [{(0, 0): half}], [{}])
-    assert type(alg.u[0][(0, 0)]) is Fraction and alg.u[0][(0, 0)] == 3
+    assert type(alg.u[0][(0, 0)]) is int and alg.u[0][(0, 0)] == 3
     assert alg.v[0][(0, 0)] is half
     for bad in (0.1, Decimal("0.1"), "1/2"):
         with pytest.raises(BadArgument) as err:
             BilinearAlgorithm(dims, 1, [{}], [{}], [{(0, 0): bad}])
         assert "w[0]" in str(err.value) and repr(bad) in str(err.value)
+
+
+def test_coefficients_take_one_canonical_form():
+    # An integral value is an int, whatever spelled it; any other value is a
+    # Fraction with denominator > 1.
+    text = "mmalg-v1 1 2 1 1\nU\n0 0 4/2\n0 1 -0\nV\n0 0 007\nW\n0 0 -3/6\n"
+    alg = parse_algorithm(text)
+    assert alg.u[0] == {(0, 0): 2} and type(alg.u[0][(0, 0)]) is int
+    assert alg.v[0] == {(0, 0): 7} and type(alg.v[0][(0, 0)]) is int
+    assert alg.w[0] == {(0, 0): Fraction(-1, 2)} and type(alg.w[0][(0, 0)]) is Fraction
+    built = BilinearAlgorithm(DimensionTriple(1, 1, 1), 1, [{(0, 0): True}],
+                              [{(0, 0): Fraction(6, 3)}], [{(0, 0): False}])
+    assert built.u[0] == {(0, 0): 1} and type(built.u[0][(0, 0)]) is int
+    assert built.v[0] == {(0, 0): 2} and type(built.v[0][(0, 0)]) is int
+    assert built.w[0] == {}
 
 
 def test_verify_brent_accepts_correct_programs():

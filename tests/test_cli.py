@@ -364,7 +364,7 @@ def test_bench_coefficient_without_image_mod_p_is_a_usage_error(tmp_path, capsys
     u = [dict(d) for d in s.u]
     w = [dict(d) for d in s.w]
     u[0] = {key: c * p61 for key, c in u[0].items()}
-    w[0] = {key: c / p61 for key, c in w[0].items()}
+    w[0] = {key: Fraction(c, p61) for key, c in w[0].items()}
     scaled = str(tmp_path / "scaled.alg")
     dump_algorithm(BilinearAlgorithm(s.dims, s.rank, u, s.v, w), scaled)
     rc, _, _ = run(capsys, "verify", scaled)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mmalg import (
     BadArgument,
@@ -274,3 +276,96 @@ def test_transform_file_errors():
     bad[sigma_row] = "5 0"
     with pytest.raises(BadTransform):
         parse_transform("\n".join(bad))
+
+
+def _dense_slice(d, rows, cols):
+    return Matrix(QQ, rows, cols, [d.get((r, c), 0) for r in range(rows) for c in range(cols)])
+
+
+def _nonzeros(mat):
+    return {divmod(i, mat.cols): x for i, x in enumerate(mat.entries) if x}
+
+
+def test_apply_equivalence_matches_dense_formulas():
+    # u-bar = sigma U nabla^T, v-bar = lam^T V mu^T, w-bar = gamma^T W beta,
+    # each product taken densely with the classical kernel.
+    s = strassen_222()
+    halved = BilinearAlgorithm(
+        s.dims, s.rank,
+        [{key: c * Fraction(1, 2) for key, c in s.u[0].items()}, *s.u[1:]],
+        s.v,
+        [{key: c * 2 for key, c in s.w[0].items()}, *s.w[1:]],
+    )
+    assert verify_brent(halved).valid
+    mul = mat_classical_multiply
+    for alg, seeds in ((s, range(6)), (pan_aggregation(4), range(2)),
+                       (classical(2, 3, 4), range(4)), (halved, range(4))):
+        m, k, n = alg.dims
+        for seed in seeds:
+            t = random_equivalence(alg.dims, alg.rank, seed)
+            out = apply_equivalence(alg, t)
+            for r, src in enumerate(t.perm):
+                u = mul(mul(t.sigma, _dense_slice(alg.u[src], m, k)), t.nabla.transpose())
+                v = mul(mul(t.lam.transpose(), _dense_slice(alg.v[src], k, n)),
+                        t.mu.transpose())
+                w = mul(mul(t.gamma.transpose(), _dense_slice(alg.w[src], m, n)), t.beta)
+                assert out.u[r] == _nonzeros(u), (alg.dims, seed, r)
+                assert out.v[r] == _nonzeros(v), (alg.dims, seed, r)
+                assert out.w[r] == _nonzeros(w), (alg.dims, seed, r)
+
+
+def _canonical(alg):
+    """Every coefficient is a nonzero int, or a Fraction with denominator > 1."""
+    return all(
+        c and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
+        for tensor in (alg.u, alg.v, alg.w) for d in tensor for c in d.values()
+    )
+
+
+_SMALL = (classical(1, 1, 1), classical(1, 1, 2), classical(2, 1, 1), classical(1, 2, 2),
+          classical(2, 1, 2), classical(2, 2, 1), classical(1, 2, 3), strassen_222(),
+          pan_aggregation(2))
+_SCALES = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+
+
+@st.composite
+def valid_programs(draw, max_volume=8):
+    """A shipped small program, each product's U scaled by some f and its W
+    by 1/f, then optionally put through a random equivalence."""
+    alg = draw(st.sampled_from([a for a in _SMALL if a.dims.volume <= max_volume]))
+    scales = [draw(st.sampled_from(_SCALES)) for _ in range(alg.rank)]
+    alg = BilinearAlgorithm(
+        alg.dims, alg.rank,
+        [{key: c * f for key, c in d.items()} for d, f in zip(alg.u, scales)],
+        alg.v,
+        [{key: c / Fraction(f) for key, c in d.items()} for d, f in zip(alg.w, scales)],
+    )
+    if draw(st.booleans()):
+        alg = apply_equivalence(
+            alg, random_equivalence(alg.dims, alg.rank, draw(st.integers(0, 2**32))))
+    return alg
+
+
+@given(valid_programs(), st.sampled_from(DualityPermutation))
+def test_dual_maps_valid_to_valid_canonical(alg, perm):
+    assert _canonical(alg)
+    out = dual(alg, perm)
+    assert verify_brent(out).valid and _canonical(out)
+
+
+@given(valid_programs(), valid_programs(max_volume=4))
+def test_tensor_product_maps_valid_to_valid_canonical(a, b):
+    out = tensor_product(a, b)
+    assert verify_brent(out).valid and _canonical(out)
+
+
+@given(valid_programs(max_volume=2))
+def test_squareify_maps_valid_to_valid_canonical(alg):
+    out = squareify(alg)
+    assert verify_brent(out).valid and _canonical(out)
+
+
+@given(valid_programs(), st.integers(0, 2**32))
+def test_apply_equivalence_maps_valid_to_valid_canonical(alg, seed):
+    out = apply_equivalence(alg, random_equivalence(alg.dims, alg.rank, seed))
+    assert verify_brent(out).valid and _canonical(out)
