@@ -16,7 +16,6 @@ from .errors import (
     FormatError,
     InvalidAlgorithm,
     MmalgError,
-    PivotFailure,
     SingularMatrix,
 )
 from .exact_algebra import (
@@ -82,7 +81,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BadArgument", "BadField", "BadTransform", "DimensionError",
     "ExponentUndefined", "FormatError", "InvalidAlgorithm", "MmalgError",
-    "PivotFailure", "SingularMatrix",
+    "SingularMatrix",
     "Matrix", "ModularScalar", "PrimeField", "QQ", "Rational", "RationalField",
     "dump_matrix", "format_matrix", "is_prime", "load_matrix",
     "mat_classical_multiply", "mat_inverse", "parse_matrix", "random_matrix",

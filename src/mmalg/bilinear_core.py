@@ -157,9 +157,6 @@ class BilinearAlgorithm:
         return f"<BilinearAlgorithm {self.dims} rank {self.rank}>"
 
 
-Violation = tuple  # ((l, q), (i, j), (g, h), expected, actual)
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     valid: bool

@@ -34,10 +34,16 @@ from .errors import (
     ExponentUndefined,
     FormatError,
     InvalidAlgorithm,
-    PivotFailure,
     SingularMatrix,
 )
-from .exact_algebra import PrimeField, _decode, dump_matrix, load_matrix, random_matrix
+from .exact_algebra import (
+    PrimeField,
+    _decode,
+    _write_text,
+    dump_matrix,
+    load_matrix,
+    random_matrix,
+)
 from .generators import classical, pan_aggregation, strassen_222
 from .recursion import RecursionConfig, _plan, recursive_invert, recursive_multiply
 from .transforms import (
@@ -89,8 +95,7 @@ def cmd_gen(args) -> int:
         alg = pan_aggregation(_require(args.n, "--n"))
     text = format_algorithm(alg)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
         print(f"wrote {args.out}")
         _print_summary(alg)
     else:
@@ -292,10 +297,8 @@ def cmd_bench(args) -> int:
               + (f"  {marker}" if marker else ""))
     print("(* = fewer multiplications than the K^3 triple loop)")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("K,measured_mults,measured_adds,predicted_mults\n")
-            for row in rows:
-                fh.write(",".join(str(x) for x in row) + "\n")
+        _write_text(args.out, "K,measured_mults,measured_adds,predicted_mults\n"
+                    + "".join(",".join(map(str, row)) + "\n" for row in rows))
         print(f"wrote {args.out}")
     return 0
 
@@ -393,7 +396,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (InvalidAlgorithm, SingularMatrix, PivotFailure) as exc:
+    except (InvalidAlgorithm, SingularMatrix) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (FormatError, BadArgument, BadField, BadTransform, DimensionError, OSError) as exc:

@@ -33,14 +33,6 @@ class SingularMatrix(MmalgError):
     """The matrix has no inverse."""
 
 
-class PivotFailure(MmalgError):
-    """Block elimination hit a singular leading block of an invertible matrix.
-
-    The recursive inversion does not pivot, so this can happen even though
-    a full inverse exists; callers can fall back to straight elimination.
-    """
-
-
 class ExponentUndefined(MmalgError):
     """The 1x1x1 problem has no multiplication exponent."""
 

@@ -41,9 +41,13 @@ _entry arithmetic, as apply_elementary does.
 
 recursive_invert reduces inversion to multiplication by 2x2 block
 elimination: invert the leading block, form the complement
-S - R P^-1 Q, invert that, and assemble.  It never pivots, so it can fail
-on an invertible matrix whose leading blocks are singular (PivotFailure);
-matrices that are unit-triangular products never trigger this.
+S - R P^-1 Q, invert that, and assemble.  It follows the leaf rule of
+recursive_multiply: it splits while the side is above the threshold and
+inverts a leaf with mat_inverse.  The elimination does not pivot between
+blocks, so a singular leading block or complement of an invertible matrix
+stops it; recursive_invert then returns mat_inverse of the whole matrix,
+which pivots by rows.  Matrices that are unit-triangular products never
+take that fallback.
 multiply_via_inversion closes the loop in the other direction by reading a
 product off one corner block of the inverse of a 3x3 block unit-triangular
 embedding.
@@ -56,14 +60,16 @@ from operator import mul
 from typing import Callable
 
 from .bilinear_core import BilinearAlgorithm, CostReport, _compile, _evaluate, _Program
-from .errors import BadArgument, DimensionError, PivotFailure, SingularMatrix
+from .errors import BadArgument, DimensionError, SingularMatrix
 from .exact_algebra import Matrix, PrimeField, RationalField, _classical, mat_inverse
 
 
 @dataclass(frozen=True)
 class RecursionConfig:
-    """A base program of any shape larger than 1x1x1, plus the least block
-    dimension at or below which recursion stops."""
+    """A base program of any shape larger than 1x1x1, plus the threshold:
+    recursive_multiply stops at a block dimension at or below it and runs
+    the triple loop, recursive_invert at a side at or below it and runs
+    mat_inverse."""
 
     base_alg: BilinearAlgorithm
     threshold: int = 1
@@ -224,28 +230,20 @@ def cost_model(alg: BilinearAlgorithm, k: int) -> CostReport:
     )
 
 
-class _PivotZero(Exception):
-    pass
-
-
-def _invert_rec(a: Matrix, mul: Callable[[Matrix, Matrix], Matrix]) -> Matrix:
+def _invert_rec(a: Matrix, threshold: int, mul: Callable[[Matrix, Matrix], Matrix]) -> Matrix:
     side = a.rows
-    ring = a.ring
-    if side == 1:
-        x = a[0, 0]
-        if x == ring.zero:
-            raise _PivotZero
-        return Matrix(ring, 1, 1, [ring.one / x])
+    if side <= threshold:
+        return mat_inverse(a)
     p = side // 2
     lead = a.submatrix(0, 0, p, p)
     q = a.submatrix(0, p, p, side - p)
     r = a.submatrix(p, 0, side - p, p)
     s = a.submatrix(p, p, side - p, side - p)
-    lead_inv = _invert_rec(lead, mul)
+    lead_inv = _invert_rec(lead, threshold, mul)
     lead_inv_q = mul(lead_inv, q)
     r_lead_inv = mul(r, lead_inv)
     complement = s - mul(r, lead_inv_q)
-    comp_inv = _invert_rec(complement, mul)
+    comp_inv = _invert_rec(complement, threshold, mul)
     x21 = -mul(comp_inv, r_lead_inv)
     x12 = -mul(lead_inv_q, comp_inv)
     x11 = lead_inv - mul(lead_inv_q, x21)
@@ -255,10 +253,13 @@ def _invert_rec(a: Matrix, mul: Callable[[Matrix, Matrix], Matrix]) -> Matrix:
 def recursive_invert(cfg: RecursionConfig, a: Matrix):
     """Invert a square matrix over a field; returns (inverse, CostReport).
 
-    The CostReport aggregates the multiplication subcalls (block additions
-    and the scalar divisions at 1x1 leaves are not counted).  Raises
-    SingularMatrix when no inverse exists, PivotFailure when the matrix is
-    invertible but a leading block met during elimination is not.
+    Block elimination splits while the side is above cfg.threshold and
+    inverts each leaf with mat_inverse.  When a leading block or a
+    complement is singular, the matrix is inverted by mat_inverse instead,
+    which pivots by rows, and the report's context says so.  The
+    CostReport aggregates the multiplication subcalls that ran (block
+    additions and the leaf inversions are not counted).  Raises
+    SingularMatrix when no inverse exists.
     """
     if not isinstance(a, Matrix):
         raise TypeError("expected a Matrix")
@@ -271,17 +272,15 @@ def recursive_invert(cfg: RecursionConfig, a: Matrix):
         reports.append(report)
         return product
 
+    finish = ""
     try:
-        inverse = _invert_rec(a, mul)
-    except _PivotZero:
+        inverse = _invert_rec(a, cfg.threshold, mul)
+    except SingularMatrix:
         try:
-            mat_inverse(a)
+            inverse = mat_inverse(a)
         except SingularMatrix:
             raise SingularMatrix(f"{a.rows}x{a.cols} matrix is singular") from None
-        raise PivotFailure(
-            "singular leading block; the matrix is invertible but this "
-            "pivot-free elimination cannot proceed"
-        ) from None
+        finish = ", finished by elimination with row pivoting"
     report = CostReport(
         bilinear_mults=sum(r.bilinear_mults for r in reports),
         scalar_mults=sum(r.scalar_mults for r in reports),
@@ -289,7 +288,7 @@ def recursive_invert(cfg: RecursionConfig, a: Matrix):
         context=(
             f"recursive invert side {a.rows}, {len(reports)} multiplication "
             f"subcalls, base {cfg.base_alg.dims} rank {cfg.base_alg.rank}, "
-            f"threshold {cfg.threshold}"
+            f"threshold {cfg.threshold}{finish}"
         ),
     )
     return inverse, report
@@ -314,14 +313,11 @@ def multiply_via_inversion(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
     m, k, n = a.rows, a.cols, b.cols
-    size = m + k + n
     ring = a.ring
-    values = [ring._value(0)] * (size * size)
-    values[::size + 1] = [ring._value(1)] * size
-    for i in range(m):
-        values[i * size + m : i * size + m + k] = a._values[i * k : (i + 1) * k]
-    for g in range(k):
-        row = (m + g) * size + m + k
-        values[row : row + n] = b._values[g * n : (g + 1) * n]
-    t_inv = invert(Matrix._from_values(ring, size, size, values))
+    eye, zero = Matrix.identity, Matrix.zeros
+    t_inv = invert(Matrix.from_blocks([
+        [eye(ring, m), a, zero(ring, m, n)],
+        [zero(ring, k, m), eye(ring, k), b],
+        [zero(ring, n, m), zero(ring, n, k), eye(ring, n)],
+    ]))
     return t_inv.submatrix(0, m + k, m, n)

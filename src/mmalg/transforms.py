@@ -45,30 +45,6 @@ def _t(d: dict) -> dict:
     return {(c, r): val for (r, c), val in d.items()}
 
 
-def _cyclic(alg: BilinearAlgorithm) -> BilinearAlgorithm:
-    """Rotate the roles (A,B,D) -> (B,D,A): dims (m,k,n) -> (k,n,m)."""
-    m, k, n = alg.dims
-    return BilinearAlgorithm(
-        DimensionTriple(k, n, m),
-        alg.rank,
-        [dict(d) for d in alg.v],
-        [_t(d) for d in alg.w],
-        [_t(d) for d in alg.u],
-    )
-
-
-def _swap(alg: BilinearAlgorithm) -> BilinearAlgorithm:
-    """Transpose all three factors: dims (m,k,n) -> (m,n,k)."""
-    m, k, n = alg.dims
-    return BilinearAlgorithm(
-        DimensionTriple(m, n, k),
-        alg.rank,
-        [dict(d) for d in alg.w],
-        [_t(d) for d in alg.v],
-        [dict(d) for d in alg.u],
-    )
-
-
 class DualityPermutation(Enum):
     """The six duals, named by the dimension triple of the result."""
 
@@ -86,14 +62,25 @@ class DualityPermutation(Enum):
         return DimensionTriple(lookup[a], lookup[b], lookup[c])
 
 
-_DUAL_STEPS = {
-    DualityPermutation.MKN: (),
-    DualityPermutation.KNM: (_cyclic,),
-    DualityPermutation.NMK: (_cyclic, _cyclic),
-    DualityPermutation.MNK: (_swap,),
-    DualityPermutation.NKM: (_swap, _cyclic),
-    DualityPermutation.KMN: (_swap, _cyclic, _cyclic),
+# For each dual, the source factor (0 = u, 1 = v, 2 = w) of the result's u,
+# v and w, and whether it is transposed.  KNM is the cyclic rotation of the
+# roles (A, B, D) -> (B, D, A) and MNK the transposition of all three
+# factors; the other three are their compositions.
+_DUAL_ROLES = {
+    DualityPermutation.MKN: ((0, False), (1, False), (2, False)),
+    DualityPermutation.KNM: ((1, False), (2, True), (0, True)),
+    DualityPermutation.NMK: ((2, True), (0, False), (1, True)),
+    DualityPermutation.MNK: ((2, False), (1, True), (0, False)),
+    DualityPermutation.NKM: ((1, True), (0, True), (2, True)),
+    DualityPermutation.KMN: ((0, True), (2, False), (1, False)),
 }
+
+
+def _dual(alg: BilinearAlgorithm, perm: DualityPermutation) -> BilinearAlgorithm:
+    factors = (alg.u, alg.v, alg.w)
+    u, v, w = ([_t(d) if transposed else d for d in factors[src]]
+               for src, transposed in _DUAL_ROLES[perm])
+    return BilinearAlgorithm(perm.target_dims(alg.dims), alg.rank, u, v, w)
 
 
 def dual(alg: BilinearAlgorithm, perm) -> BilinearAlgorithm:
@@ -114,10 +101,7 @@ def dual(alg: BilinearAlgorithm, perm) -> BilinearAlgorithm:
         raise BadArgument(f"expected a DualityPermutation, got {perm!r}")
     if not verify_brent(alg).valid:
         raise InvalidAlgorithm("dual of an invalid program is undefined")
-    out = alg
-    for step in _DUAL_STEPS[perm]:
-        out = step(out)
-    return out
+    return _dual(alg, perm)
 
 
 def _tensor(a: BilinearAlgorithm, b: BilinearAlgorithm) -> BilinearAlgorithm:
@@ -163,8 +147,8 @@ def squareify(alg: BilinearAlgorithm) -> BilinearAlgorithm:
     scheme of rank R^3 with the same exponent."""
     if not verify_brent(alg).valid:
         raise InvalidAlgorithm("cannot squareify an invalid program")
-    c1 = _cyclic(alg)
-    c2 = _cyclic(c1)
+    c1 = _dual(alg, DualityPermutation.KNM)
+    c2 = _dual(alg, DualityPermutation.NMK)
     return _tensor(_tensor(alg, c1), c2)
 
 

@@ -283,9 +283,9 @@ def test_invert_failure_exit_codes(strassen_file, tmp_path, capsys):
     assert "singular" in err
     swap = str(tmp_path / "swap.mat")
     dump_matrix(Matrix.from_rows(QQ, [[0, 1], [1, 0]]), swap)
-    rc, _, err = run(capsys, "invert", strassen_file, swap, "--out", str(tmp_path / "o"))
-    assert rc == 1
-    assert "pivot" in err.lower()
+    rc, _, _ = run(capsys, "invert", strassen_file, swap, "--out", str(tmp_path / "o"))
+    assert rc == 0
+    assert load_matrix(str(tmp_path / "o")) == Matrix.from_rows(QQ, [[0, 1], [1, 0]])
     rect = str(tmp_path / "rect.mat")
     dump_matrix(Matrix.zeros(QQ, 2, 3), rect)
     rc, _, _ = run(capsys, "invert", strassen_file, rect, "--out", str(tmp_path / "o"))

@@ -189,8 +189,11 @@ def test_mat_inverse_inverts_or_refuses(ring, data):
     # other entries there zero; U upper triangular with a nonzero diagonal
     # (a unit mod 97 too).  Column 0 of L U is U[0][0] e_0 and the
     # permutation moves row 0 away, so column 0 needs a row swap; the sparse
-    # L makes zero pivots in later columns too.
+    # L makes zero pivots in later columns too.  Block inversion at a
+    # threshold in 1..3 meets the same zero blocks and must give the same
+    # inverse, or refuse the same singular matrix.
     n = data.draw(st.integers(1, 8))
+    cfg = RecursionConfig(strassen_222(), data.draw(st.integers(1, 3)))
     lower = [[Fraction(i == j) if i <= j or j == 0 or data.draw(st.booleans())
               else data.draw(_FRACTIONS) for j in range(n)] for i in range(n)]
     upper = [[data.draw(_UNITS) if i == j else data.draw(_FRACTIONS) if i < j else Fraction(0)
@@ -202,13 +205,17 @@ def test_mat_inverse_inverts_or_refuses(ring, data):
     inverse = mat_inverse(a)
     _checked_rows(ring, inverse)
     assert mat_classical_multiply(a, inverse) == Matrix.identity(ring, n)
+    assert recursive_invert(cfg, a)[0] == inverse
     # One row a rational combination of the others (the zero row when n = 1).
     r = data.draw(st.integers(0, n - 1))
     coefficients = [data.draw(_FRACTIONS) for _ in range(n)]
     rows[r] = [sum((c * row[j] for i, (c, row) in enumerate(zip(coefficients, rows)) if i != r),
                    Fraction(0)) for j in range(n)]
+    singular = Matrix.from_rows(ring, rows)
     with pytest.raises(SingularMatrix):
-        mat_inverse(Matrix.from_rows(ring, rows))
+        mat_inverse(singular)
+    with pytest.raises(SingularMatrix, match="singular"):
+        recursive_invert(cfg, singular)
 
 
 def test_matrix_format_round_trip():
@@ -435,3 +442,9 @@ def test_reimport_frees_the_previous_package():
     out = subprocess.run([sys.executable, "-c", _REIMPORT], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == ["1"]
+
+
+def test_public_names_resolve():
+    # A stale name in __all__ would break "from mmalg import *".
+    for name in mmalg.__all__:
+        getattr(mmalg, name)

@@ -13,7 +13,6 @@ from mmalg import (
     DimensionError,
     Matrix,
     ModularScalar,
-    PivotFailure,
     PrimeField,
     QQ,
     RecursionConfig,
@@ -364,9 +363,12 @@ def test_invert_failure_taxonomy():
         recursive_invert(cfg, Matrix.from_rows(QQ, [[1, 2], [2, 4]]))
     with pytest.raises(SingularMatrix):
         recursive_invert(cfg, Matrix.zeros(QQ, 1, 1))
-    # invertible, but the leading 1x1 block is zero and there is no pivoting
-    with pytest.raises(PivotFailure):
-        recursive_invert(cfg, Matrix.from_rows(QQ, [[0, 1], [1, 0]]))
+    # The leading 1x1 block is zero, so elimination hands the whole matrix
+    # to mat_inverse, which pivots by rows.
+    swap = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
+    inverse, report = recursive_invert(cfg, swap)
+    assert inverse == swap
+    assert "finished by elimination" in report.context
     with pytest.raises(DimensionError):
         recursive_invert(cfg, Matrix.zeros(QQ, 2, 3))
 
@@ -396,6 +398,13 @@ def test_invert_cost_aggregates_multiplications():
     # six side-2 product subcalls (7 mults each) plus two side-2 inversions
     # that each make six unit-size products
     assert report.bilinear_mults == 6 * 7 + 2 * 6
+    # At threshold 2 the six side-2 products are leaves (8 mults each) and
+    # the side-2 blocks are inverted by mat_inverse; at 4 nothing is split.
+    for threshold, subcalls, mults in ((2, 6, 48), (4, 0, 0)):
+        inverse, report = recursive_invert(RecursionConfig(strassen_222(), threshold), a)
+        assert mat_classical_multiply(a, inverse) == Matrix.identity(QQ, 4)
+        assert f" {subcalls} multiplication subcalls" in report.context
+        assert report.bilinear_mults == mults
 
 
 def test_invert_odd_side_costs_about_as_much_as_the_even_one():
