@@ -27,6 +27,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BadArgument, DimensionError, ExponentUndefined, FormatError
@@ -209,6 +211,37 @@ def verify_brent(alg: BilinearAlgorithm) -> VerificationReport:
     return VerificationReport(not violations, tuple(violations))
 
 
+# Trials checked together: every packed int holds one slot per trial of a
+# batch, so memory stays bounded however many trials are asked for.
+_TRIAL_BATCH = 64
+
+
+def _packed(values, width: int) -> int:
+    """The values (each below 2^(8 width)) as consecutive width-byte slots."""
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, values, repeat(width), repeat("little"))), "little"
+    )
+
+
+def _unpacked(x: int, slots: list):
+    """The slot values of x, one per slice in slots (the inverse of _packed)."""
+    return map(int.from_bytes, map(x.to_bytes(slots[-1].stop, "little").__getitem__, slots),
+               repeat("little"))
+
+
+def _trace_abd(vals: list, m: int, k: int, n: int) -> int:
+    """trace(A B D) of one trial's draws: A (m x k), B (k x n), D (n x m),
+    row-major one after another."""
+    mk, kn = m * k, k * n
+    b_cols = [vals[mk + h:mk + kn:n] for h in range(n)]
+    total = 0
+    for i in range(m):
+        a_row = vals[i * k:(i + 1) * k]
+        ab_row = [sum(map(mul, a_row, col)) for col in b_cols]
+        total += sum(map(mul, ab_row, vals[mk + kn + i::m]))
+    return total
+
+
 def verify_trilinear_random(
     alg: BilinearAlgorithm,
     trials: int = 20,
@@ -222,6 +255,16 @@ def verify_trilinear_random(
     through a single trial with probability at most 3/p, so for a 61-bit
     prime even a handful of trials is conclusive in practice.  A coefficient
     whose denominator is divisible by prime raises BadArgument.
+
+    Trials run in batches of up to 64 (Kronecker substitution): each entry
+    of A, B and D holds its values for the whole batch as slots of one int,
+    so a linear form is one bigint sum per product for every trial at once,
+    and its slots are read back per trial.  A slot is the fewest 64-bit
+    words that hold (most nonzeros in a slice) * (p-1)^2, so a form's sum
+    never carries into the next slot.  The draws are those of a
+    trial-by-trial loop (per trial: A row-major, then B, then D, each by
+    rng.randrange(p)), so a seed gives the same samples and the same
+    verdict; the check stops after the first batch with a failing trial.
     """
     if not isinstance(trials, int) or trials < 1:
         raise BadArgument(f"trials must be a positive integer, got {trials!r}")
@@ -231,32 +274,31 @@ def verify_trilinear_random(
         raise BadArgument(
             f"prime {prime} too small for a {alg.dims} rank-{alg.rank} program"
         )
-    u_flat = [[(i, j, embed(c)) for (i, j), c in d.items()] for d in alg.u]
-    v_flat = [[(g, h, embed(c)) for (g, h), c in d.items()] for d in alg.v]
-    w_flat = [[(q, l, embed(c)) for (l, q), c in d.items()] for d in alg.w]
+    # Forms index one trial's draws: A at i*k + j, B after it, then D, whose
+    # entry (q, l) the third form reads for w_lq.
+    mk, kn = m * k, k * n
+    u_flat = [[(i * k + j, embed(c)) for (i, j), c in d.items()] for d in alg.u]
+    v_flat = [[(mk + g * n + h, embed(c)) for (g, h), c in d.items()] for d in alg.v]
+    w_flat = [[(mk + kn + q * m + l, embed(c)) for (l, q), c in d.items()] for d in alg.w]
+    widest = max(map(len, u_flat + v_flat + w_flat))
+    width = 8 * max(1, -(-(widest * (prime - 1) ** 2).bit_length() // 64))
 
     rng = random.Random(seed)
-    p = prime
-    for _ in range(trials):
-        A = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
-        B = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
-        D = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
-        lhs = 0
+    size = mk + kn + n * m
+    for start in range(0, trials, _TRIAL_BATCH):
+        batch = min(_TRIAL_BATCH, trials - start)
+        draws = [[rng.randrange(prime) for _ in range(size)] for _ in range(batch)]
+        packed = [_packed(column, width) for column in zip(*draws)]
+        slots = [slice(t * width, (t + 1) * width) for t in range(batch)]
+        lhs = [0] * batch
         for eu, ev, ew in zip(u_flat, v_flat, w_flat):
-            la = sum(c * A[i][j] for i, j, c in eu) % p
-            lb = sum(c * B[g][h] for g, h, c in ev) % p
-            ld = sum(c * D[q][l] for q, l, c in ew) % p
-            lhs += la * lb % p * ld
-        lhs %= p
-        rhs = 0
-        for i in range(m):
-            Ai = A[i]
-            for h in range(n):
-                ab = sum(Ai[j] * B[j][h] for j in range(k)) % p
-                rhs += ab * D[h][i]
-        rhs %= p
-        if lhs != rhs:
-            return False
+            la = _unpacked(sum(c * packed[x] for x, c in eu), slots)
+            lb = _unpacked(sum(c * packed[x] for x, c in ev), slots)
+            ld = _unpacked(sum(c * packed[x] for x, c in ew), slots)
+            lhs = list(map(add, lhs, map(mul, map(mul, la, lb), ld)))
+        for left, vals in zip(lhs, draws):
+            if (left - _trace_abd(vals, m, k, n)) % prime:
+                return False
     return True
 
 

@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import prod
+from operator import mul
 
 from .bilinear_core import (
     BilinearAlgorithm,
@@ -104,7 +106,25 @@ def dual(alg: BilinearAlgorithm, perm) -> BilinearAlgorithm:
     return _dual(alg, perm)
 
 
+# The most nonzero coefficients any one tensor of a tensor_product or
+# squareify result may hold.  Those counts are known before anything is
+# built, and a result past this limit (hundreds of MB as text) is refused.
+_MAX_NONZEROS = 2_000_000
+
+
+def _check_size(counts) -> None:
+    """BadArgument unless each of the result's (u, v, w) nonzero counts is
+    within _MAX_NONZEROS."""
+    for name, count in zip("uvw", counts):
+        if count > _MAX_NONZEROS:
+            raise BadArgument(
+                f"result would hold {count} nonzero {name} coefficients, "
+                f"over the limit of {_MAX_NONZEROS}"
+            )
+
+
 def _tensor(a: BilinearAlgorithm, b: BilinearAlgorithm) -> BilinearAlgorithm:
+    _check_size(map(mul, a.nonzero_counts(), b.nonzero_counts()))
     m1, k1, n1 = a.dims
     m2, k2, n2 = b.dims
     dims = DimensionTriple(m1 * m2, k1 * k2, n1 * n2)
@@ -135,6 +155,8 @@ def tensor_product(a: BilinearAlgorithm, b: BilinearAlgorithm) -> BilinearAlgori
     """Blockwise composition: dims and ranks multiply, indices flatten row-major.
 
     Both inputs must verify.  tensor_product(x, classical(1,1,1)) == x exactly.
+    A result with more than _MAX_NONZEROS nonzeros in u, v or w, that is
+    nnz(u) * nnz(u') and likewise, is refused with BadArgument.
     """
     for side, name in ((a, "first"), (b, "second")):
         if not verify_brent(side).valid:
@@ -144,7 +166,12 @@ def tensor_product(a: BilinearAlgorithm, b: BilinearAlgorithm) -> BilinearAlgori
 
 def squareify(alg: BilinearAlgorithm) -> BilinearAlgorithm:
     """Tensor the program with its two cyclic duals: an (mkn)^3-sized square
-    scheme of rank R^3 with the same exponent."""
+    scheme of rank R^3 with the same exponent.
+
+    Each of its tensors holds nnz(u) * nnz(v) * nnz(w) nonzeros; past
+    _MAX_NONZEROS the program is refused with BadArgument before any work.
+    """
+    _check_size([prod(alg.nonzero_counts())] * 3)
     if not verify_brent(alg).valid:
         raise InvalidAlgorithm("cannot squareify an invalid program")
     c1 = _dual(alg, DualityPermutation.KNM)

@@ -4,11 +4,14 @@ independent matrix product, corruption helpers, and matrix builders.
 brute_force_brent deliberately shares nothing with the package's sparse
 verifier: it densifies the coefficient tensors and walks the full
 six-index grid, so the two can cross-check each other.  naive_product
-likewise shares nothing with the package's product kernels.
+likewise shares nothing with the package's product kernels, and
+reference_trilinear_random is the trial-by-trial form of the package's
+batched trace-identity check.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from mmalg import BilinearAlgorithm, Matrix, QQ, mat_classical_multiply
@@ -48,6 +51,41 @@ def brute_force_brent(alg: BilinearAlgorithm) -> list:
                             if total != expected:
                                 bad.append((l, q, i, j, g, h, total))
     return bad
+
+
+def reference_trilinear_random(alg: BilinearAlgorithm, trials: int, prime: int, seed) -> bool:
+    """The trace identity checked one trial at a time, drawing A, B and D
+    exactly as verify_trilinear_random does (per trial: A row-major, then B,
+    then D, each by randrange(prime))."""
+    p = prime
+
+    def image(c) -> int:
+        c = Fraction(c)
+        return c.numerator * pow(c.denominator, -1, p) % p
+
+    m, k, n = alg.dims
+    u_flat = [[(i, j, image(c)) for (i, j), c in d.items()] for d in alg.u]
+    v_flat = [[(g, h, image(c)) for (g, h), c in d.items()] for d in alg.v]
+    w_flat = [[(q, l, image(c)) for (l, q), c in d.items()] for d in alg.w]
+    rng = random.Random(seed)
+    for _ in range(trials):
+        A = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+        B = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+        D = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+        lhs = 0
+        for eu, ev, ew in zip(u_flat, v_flat, w_flat):
+            la = sum(c * A[i][j] for i, j, c in eu) % p
+            lb = sum(c * B[g][h] for g, h, c in ev) % p
+            ld = sum(c * D[q][l] for q, l, c in ew) % p
+            lhs += la * lb % p * ld
+        rhs = 0
+        for i in range(m):
+            for h in range(n):
+                ab = sum(A[i][j] * B[j][h] for j in range(k)) % p
+                rhs += ab * D[h][i]
+        if lhs % p != rhs % p:
+            return False
+    return True
 
 
 def naive_product(a_rows, b_rows, p=None) -> list:

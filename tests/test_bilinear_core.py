@@ -19,6 +19,7 @@ from mmalg import (
     PrimeField,
     QQ,
     apply_elementary,
+    apply_equivalence,
     classical,
     cost_model,
     exponent,
@@ -28,6 +29,7 @@ from mmalg import (
     mat_classical_multiply,
     pan_aggregation,
     parse_algorithm,
+    random_equivalence,
     random_matrix,
     sanity_rank_lower_bound,
     strassen_222,
@@ -35,7 +37,9 @@ from mmalg import (
     verify_trilinear_random,
 )
 
-from helpers import P31, P61, brute_force_brent, corrupt_one
+from helpers import (
+    P31, P61, brute_force_brent, corrupt_one, reference_trilinear_random,
+)
 
 
 def small_shipped():
@@ -161,6 +165,39 @@ def test_trilinear_agrees_with_brent():
             random_ok = verify_trilinear_random(bad, trials=10, prime=P61, seed=case)
             disagreements += brent_ok != random_ok
     assert disagreements == 0
+
+
+def test_trilinear_random_matches_the_trial_by_trial_reference():
+    # At small primes an invalid program passes some trials and fails
+    # others, so agreeing on every seed pins the samples each seed draws.
+    # The error term (a10 + a11) b00 d10 of this change is symmetric in no
+    # two of A, B and D, so drawing them in another order changes verdicts.
+    base = strassen_222()
+    w = [dict(d) for d in base.w]
+    w[1][(0, 1)] = 1
+    bad = BilinearAlgorithm(base.dims, base.rank, base.u, base.v, w)
+    verdicts = set()
+    for p in (11, 13, 101):
+        for trials in (1, 2, 3):
+            for seed in range(150):
+                expected = reference_trilinear_random(bad, trials, p, seed)
+                got = verify_trilinear_random(bad, trials=trials, prime=p, seed=seed)
+                assert got == expected, (p, trials, seed)
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+    # Fraction coefficients, slots of two (2^61-1) and four (2^127-1) words,
+    # a non-square shape, and trial counts on both sides of the batch of 64.
+    rng = random.Random(12)
+    for seed, alg in enumerate((strassen_222(), classical(2, 3, 4))):
+        valid = apply_equivalence(alg, random_equivalence(alg.dims, alg.rank, seed))
+        assert any(type(c) is Fraction for c in valid.coefficient_values())
+        invalid = corrupt_one(valid, rng)
+        for p in (P61, 2**127 - 1):
+            for trials in (1, 63, 64, 65, 130):
+                for prog, expected in ((valid, True), (invalid, False)):
+                    assert reference_trilinear_random(prog, trials, p, trials) == expected
+                    got = verify_trilinear_random(prog, trials=trials, prime=p, seed=trials)
+                    assert got == expected, (alg.dims, p, trials, expected)
 
 
 def test_apply_elementary_identity_case():

@@ -1,7 +1,9 @@
 """End-to-end command-line tests, run in process through main(argv)."""
 
 import io
+import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from mmalg import (
     load_algorithm,
     load_matrix,
     mat_classical_multiply,
+    pan_aggregation,
     strassen_222,
 )
 from mmalg.bilinear_core import BilinearAlgorithm
@@ -83,6 +86,13 @@ def test_verify_modes(strassen_file, capsys):
     assert rc == 0
     assert "5 random trials" in out
     rc, _, err = run(capsys, "verify", strassen_file, "--mode", "random", "--prime", "6")
+    assert rc == 2
+    assert "error:" in err
+    # Trials run in batches, so a large count costs memory for one batch.
+    rc, out, _ = run(capsys, "verify", strassen_file, "--mode", "random", "--trials", "5000")
+    assert rc == 0
+    assert out == "VALID (2x2x2 rank 7, 5000 random trials mod 2305843009213693951 agree)\n"
+    rc, _, err = run(capsys, "verify", strassen_file, "--mode", "random", "--trials", "0")
     assert rc == 2
     assert "error:" in err
 
@@ -171,6 +181,10 @@ def test_product_and_square(strassen_file, tmp_path, capsys):
     rc, out, _ = run(capsys, "product", strassen_file, strassen_file, "--out", prod_path)
     assert rc == 0
     assert "dims: 4x4x4" in out and "rank: 49" in out
+    rc, out, _ = run(capsys, "product", prod_path, strassen_file,
+                     "--out", str(tmp_path / "s8.alg"))
+    assert rc == 0
+    assert "dims: 8x8x8" in out and "rank: 343" in out
 
     rect = str(tmp_path / "c234.alg")
     dump_algorithm(classical(2, 3, 4), rect)
@@ -183,6 +197,25 @@ def test_product_and_square(strassen_file, tmp_path, capsys):
     assert rc == 0
     assert "already square" in err
     assert load_algorithm(sq_path).rank == 7
+
+
+def test_square_and_product_refuse_oversized_results(tmp_path, capsys):
+    c234 = str(tmp_path / "c234.alg")
+    dump_algorithm(classical(2, 3, 4), c234)
+    dense = str(tmp_path / "c234-eq.alg")
+    assert run(capsys, "equiv", c234, "--seed", "5", "--out", dense)[0] == 0
+    # nnz 108 * 240 * 135 = 3,499,200 per tensor: a 116 MB file if built.
+    out = str(tmp_path / "sq.alg")
+    start = time.perf_counter()
+    rc, _, err = run(capsys, "square", dense, "--out", out)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and not os.path.exists(out)
+    assert err.startswith("error:") and "3499200" in err and "2000000" in err
+    pan12 = str(tmp_path / "pan12.alg")
+    dump_algorithm(pan_aggregation(12), pan12)
+    rc, _, err = run(capsys, "product", pan12, pan12, "--out", out)
+    assert rc == 2 and not os.path.exists(out)
+    assert err.startswith("error:") and "2000000" in err
 
 
 def test_equiv_generate_save_replay(strassen_file, tmp_path, capsys):
