@@ -268,18 +268,21 @@ def verify_trilinear_random(
     """
     if not isinstance(trials, int) or trials < 1:
         raise BadArgument(f"trials must be a positive integer, got {trials!r}")
-    embed = PrimeField(prime)._image
+    field = PrimeField(prime)
     m, k, n = alg.dims
     if prime <= max(m, k, n, alg.rank):
         raise BadArgument(
             f"prime {prime} too small for a {alg.dims} rank-{alg.rank} program"
         )
+    # Each distinct coefficient is mapped once, in the order the forms meet it.
+    image = {c: field._image(c) for c in dict.fromkeys(
+        c for tensor in (alg.u, alg.v, alg.w) for d in tensor for c in d.values())}
     # Forms index one trial's draws: A at i*k + j, B after it, then D, whose
     # entry (q, l) the third form reads for w_lq.
     mk, kn = m * k, k * n
-    u_flat = [[(i * k + j, embed(c)) for (i, j), c in d.items()] for d in alg.u]
-    v_flat = [[(mk + g * n + h, embed(c)) for (g, h), c in d.items()] for d in alg.v]
-    w_flat = [[(mk + kn + q * m + l, embed(c)) for (l, q), c in d.items()] for d in alg.w]
+    u_flat = [[(i * k + j, image[c]) for (i, j), c in d.items()] for d in alg.u]
+    v_flat = [[(mk + g * n + h, image[c]) for (g, h), c in d.items()] for d in alg.v]
+    w_flat = [[(mk + kn + q * m + l, image[c]) for (l, q), c in d.items()] for d in alg.w]
     widest = max(map(len, u_flat + v_flat + w_flat))
     width = 8 * max(1, -(-(widest * (prime - 1) ** 2).bit_length() // 64))
 
@@ -370,20 +373,6 @@ def _linear_combination(terms, values, ops: _Ops):
     return times(0, values[0]) if acc is None else acc
 
 
-def _evaluate(prog: _Program, a, b, mul, ops: _Ops) -> list:
-    """Run a compiled program on flat row-major operands; returns C row-major.
-
-    ops is a ring's _entry or _block arithmetic (exact_algebra), and mul
-    multiplies the two linear forms of a product: raw entries here, raw
-    blocks (recursively) in the recursion driver.
-    """
-    products = [
-        mul(_linear_combination(us, a, ops), _linear_combination(vs, b, ops))
-        for us, vs in zip(prog.u, prog.v)
-    ]
-    return [_linear_combination(ws, products, ops) for ws in prog.w]
-
-
 def apply_elementary(alg: BilinearAlgorithm, a: Matrix, b: Matrix):
     """Run the program on concrete matrices; returns (product, CostReport).
 
@@ -401,9 +390,12 @@ def apply_elementary(alg: BilinearAlgorithm, a: Matrix, b: Matrix):
         )
     if a.ring != b.ring:
         raise ValueError("mixed rings")
-    ring = a.ring
+    ring, ops = a.ring, a.ring._entry
     prog = _compile(alg)
-    values = _evaluate(prog, a._values, b._values, ring._mul, ring._entry)
+    products = [ring._mul(_linear_combination(us, a._values, ops),
+                          _linear_combination(vs, b._values, ops))
+                for us, vs in zip(prog.u, prog.v)]
+    values = [_linear_combination(ws, products, ops) for ws in prog.w]
     report = CostReport(
         bilinear_mults=alg.rank,
         scalar_mults=prog.scalar_mults,

@@ -16,23 +16,30 @@ every other module uses:
 - ``_modulus``: p, or None over QQ, where raw values are never reduced;
 - ``_value(x)``: an int, a Fraction or a ring element as a raw value;
   ``_element(v)`` and ``_elements(values)`` turn raw values into elements;
-- ``_entry`` and ``_block``: the ``_Ops`` a compiled program runs on, over
-  raw values and over equal-length sequences of them, each result reduced;
-  ``_mul`` multiplies two raw values and ``_reciprocal`` inverts one;
+- ``_entry``: the ``_Ops`` a compiled program runs on over raw values
+  (apply_elementary), and ``_block`` the same over equal-length sequences
+  of them (Matrix sums and scaling), each result reduced; ``_mul``
+  multiplies two raw values and ``_reciprocal`` inverts one;
+- ``_unreduced``: the ``_Ops`` of the recursion's blocks, exact list
+  arithmetic that never reduces mod p (QQ's ``_block``); over GF(p) a
+  Fraction coefficient scales by its image mod p;
 - ``_clear`` and ``_restore``: over QQ, ``_clear`` scales each row (or each
   column) of raw values by the lcm of its denominators to Python ints and
   returns those lcms, and ``_restore`` divides entry (i, j) of an int
-  result by its row and column scales back into Fractions; over GF(p) both
-  return the values unchanged, with scales of 1.  ``_quotient`` divides
-  cleared values exactly: ``//`` over QQ, times d^-1 mod p over GF(p);
+  result by its row and column scales back into Fractions; over GF(p)
+  ``_clear`` returns the values unchanged, with scales of 1, and
+  ``_restore`` reduces an int result of any size mod p.  ``_quotient``
+  divides cleared values exactly: ``//`` over QQ, times d^-1 mod p over
+  GF(p);
 - ``PrimeField._image(c)``: the raw value of a program coefficient c, or
   BadArgument when c has none (over QQ a coefficient is its own image).
 
 So QQ products (recursion.recursive_multiply) and mat_inverse's
 fraction-free elimination run on ints, with one Fraction per output entry.
-The flat kernel _classical multiplies raw row-major operands with one
-reduction mod p per dot product (none over QQ, where it takes ints or
-Fractions alike).
+Two flat kernels multiply raw row-major operands: _classical, the plain
+loop with one reduction mod p per dot product (none over QQ, where it takes
+ints or Fractions alike), and over GF(p) _packed_classical, which packs
+each row of B into one int (Kronecker substitution).
 
 A small text format for matrices is provided: a ``rows cols`` header line
 followed by one whitespace-separated row per line, entries written as
@@ -190,14 +197,20 @@ class ModularScalar:
 
 
 class _Ops(NamedTuple):
-    """The arithmetic a compiled program runs on (bilinear_core._evaluate).
-    times(c, x) scales x by a program coefficient c: an int when it is
-    integral, else a Fraction with denominator > 1."""
+    """The arithmetic of a linear form (bilinear_core._linear_combination).
+    times(c, x) scales x by a program coefficient c (an int when it is
+    integral, else a Fraction with denominator > 1) or, in a ring's _block,
+    by a raw Matrix scale factor."""
 
     add: Callable
     sub: Callable
     neg: Callable
     times: Callable
+
+
+# Exact arithmetic on equal-length lists of raw values, never reduced.
+_LISTS = _Ops(lambda x, y: list(map(add, x, y)), lambda x, y: list(map(sub, x, y)),
+              lambda x: list(map(neg, x)), lambda c, x: list(map(mul, repeat(c), x)))
 
 
 class RationalField:
@@ -210,8 +223,7 @@ class RationalField:
     _modulus = None
     _mul = mul
     _entry = _Ops(add, sub, neg, mul)
-    _block = _Ops(lambda x, y: list(map(add, x, y)), lambda x, y: list(map(sub, x, y)),
-                  lambda x: list(map(neg, x)), lambda c, x: list(map(mul, repeat(c), x)))
+    _block = _unreduced = _LISTS
 
     def coerce(self, x) -> Fraction:
         if isinstance(x, Fraction):
@@ -281,10 +293,15 @@ class PrimeField:
         self._mul = lambda x, y: x * y % p
         self._entry = _Ops(lambda x, y: (x + y) % p, lambda x, y: (x - y) % p,
                            lambda x: -x % p, lambda c, x: image(c) * x % p)
+        # Matrix scale passes a raw factor, not a program coefficient.
         self._block = _Ops(lambda x, y: [v % p for v in map(add, x, y)],
                            lambda x, y: [v % p for v in map(sub, x, y)],
                            lambda x: [-v % p for v in x],
-                           lambda c, x: [v % p for v in map(mul, repeat(image(c)), x)])
+                           lambda c, x: [v % p for v in map(mul, repeat(c), x)])
+        # A Fraction coefficient scales by its image; an int one by itself,
+        # which is congruent and smaller.
+        self._unreduced = _LISTS._replace(
+            times=lambda c, x: _LISTS.times(c if isinstance(c, int) else image(c), x))
 
     def coerce(self, x) -> ModularScalar:
         return self._element(self._value(x))
@@ -320,7 +337,7 @@ class PrimeField:
 
     def _image(self, c) -> int:
         # Images of Fraction coefficients are cached: a program has few, and
-        # a level of 1x1 blocks scales single entries by them many times.
+        # each level of a recursive product scales blocks by them.
         if isinstance(c, int):
             return c % self.p
         x = self._images.get(c)
@@ -337,8 +354,9 @@ class PrimeField:
     def _clear(self, values: Sequence, cols: int, by_columns: bool = False) -> tuple:
         return values, [1] * (cols if by_columns else len(values) // cols)
 
-    def _restore(self, values: Sequence, row_scales: Sequence, col_scales: Sequence) -> Sequence:
-        return values
+    def _restore(self, values: Sequence, row_scales: Sequence, col_scales: Sequence) -> list:
+        p = self.p
+        return [v % p for v in values]
 
     def _quotient(self, values: Sequence, d: int) -> list:
         p = self.p
@@ -538,7 +556,9 @@ def _classical(ae: Sequence, be: Sequence, m: int, k: int, n: int, p: Optional[i
 
     Each dot product is summed unreduced and reduced mod p once (not at all
     when p is None).  The sum starts from its first term, so a QQ entry
-    never adds an int 0 to a Fraction.
+    never adds an int 0 to a Fraction.  It serves the oracle
+    mat_classical_multiply and the recursion's QQ leaves; GF(p) leaves run
+    _packed_classical.
     """
     cols = [be[j::n] for j in range(n)]
     out = []
@@ -550,12 +570,37 @@ def _classical(ae: Sequence, be: Sequence, m: int, k: int, n: int, p: Optional[i
     return out if p is None else [x % p for x in out]
 
 
+def _packed_classical(ae: Sequence, be: Sequence, m: int, k: int, n: int, p: int) -> list:
+    """Raw row-major m x n product mod p of row-major operands of any ints,
+    each entry reduced to [0, p).
+
+    Kronecker substitution (Dumas, Fousse and Salvy, J. Symbolic Comput.
+    2011): the operands are reduced mod p first, and each row of B becomes
+    one int of n slots of w bytes, w enough for k * (p-1)^2, so that row i
+    of C is the one sum of a_ij times packed row j, whose slots never carry
+    into each other.
+    """
+    ae = [x % p for x in ae]
+    width = -(-(k * (p - 1) ** 2).bit_length() // 8)
+    packed = [int.from_bytes(b"".join(map(int.to_bytes, [x % p for x in be[j:j + n]],
+                                          repeat(width), repeat("little"))), "little")
+              for j in range(0, k * n, n)]
+    size = n * width
+    slots = [slice(j, j + width) for j in range(0, size, width)]
+    out = []
+    for i in range(0, m * k, k):
+        row = sum(map(mul, ae[i:i + k], packed)).to_bytes(size, "little")
+        out += [int.from_bytes(row[s], "little") % p for s in slots]
+    return out
+
+
 def mat_classical_multiply(a: Matrix, b: Matrix) -> Matrix:
     """Plain triple-loop product, run on raw values (see _classical).
 
     Over QQ it runs on the Fractions themselves, with no denominator
     clearing, so it stays the independent oracle for the cleared-integer
-    paths of recursion.recursive_multiply and mat_inverse.
+    paths of recursion.recursive_multiply and mat_inverse; over GF(p) it
+    shares no kernel with the recursion, whose leaves run _packed_classical.
     """
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise TypeError("expected matrices")

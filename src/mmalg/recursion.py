@@ -14,30 +14,52 @@ threshold (_plan), each dimension x is embedded with zeros into
 s_x^d * ceil(x / s_x^d), and the product is cropped back to m x n once.
 A side of 1 is never split.  A product whose dimensions are the powers
 s_x^t of the base sides is not padded at all.  The base program is
-compiled once per RecursionConfig (bilinear_core._compile) and the same
-evaluator that runs it on scalars runs it on blocks.  Costs are tallied
-into one CostReport at the nodes actually visited: the U, V and W
-combinations of a level are charged per entry of an A, a B and a C block,
-and a leaf m x k x n triple loop m*k*n multiplications and m*(k-1)*n
-additions.
+compiled once per RecursionConfig (bilinear_core._compile), and its linear
+forms run through bilinear_core._linear_combination, as apply_elementary's
+do.  Costs are tallied into one CostReport level by level: a level charges
+its batch's node count times one node's U, V and W combinations, counted
+per entry of an A, a B and a C block one level down, and a leaf
+m x k x n triple loop m*k*n multiplications and m*(k-1)*n additions.
 cost_model predicts the square case in closed form from the same per-level
 counts: at threshold 1 and K a power of a square base's side the two agree
 exactly.
 
-The recursion runs on raw values, not on Matrix objects: ints in [0, p)
-over GF(p), and over QQ the ints left by clearing denominators once per
-product.  The ring's _clear scales row i of A by the lcm r_i of its
-denominators and column j of B by the lcm c_j of its own, and _restore
-turns entry (i, j) of the int product into a Fraction over r_i * c_j
-(both are the identity over GF(p)).  A base program with a Fraction
-coefficient runs on the same path, since a Fraction times an int is exact.
-recursive_multiply reorders both padded operands into block order (see
-_block_order), so that every block of every level is one contiguous slice,
-and reorders and crops the result once.  Block additions, subtractions and
-scalings are the ring's _block arithmetic (exact_algebra); the leaves run
-the flat kernel exact_algebra._classical, and a level whose blocks are
-single entries runs the program on the entries themselves with the ring's
-_entry arithmetic, as apply_elementary does.
+The recursion runs on raw values, not on Matrix objects: ints over GF(p),
+and over QQ the ints left by clearing denominators once per product.  The
+ring's _clear scales row i of A by the lcm r_i of its denominators and
+column j of B by the lcm c_j of its own (the identity over GF(p)), and
+_restore turns entry (i, j) of the int product back into a raw value: a
+Fraction over r_i * c_j over QQ, the int reduced mod p over GF(p).  A base
+program with a Fraction coefficient runs on the same path over QQ, since a
+Fraction times an int is exact.
+
+Delayed reduction (as in FFLAS-FFPACK; Dumas, Giorgi and Pernet, ACM TOMS
+2008): over GF(p) no block operation reduces mod p.  Block additions,
+subtractions and scalings are the ring's _unreduced arithmetic, exact list
+arithmetic on ints (QQ's is its _block) in which a Fraction coefficient
+scales by its image mod p and an int coefficient by itself, congruent and
+smaller; _restore reduces the product once.
+
+Level order and batches.  recursive_multiply reorders both padded operands
+into level order (see _level_order): the entries of a leaf block
+outermost, then the block index of each level from the last to the first,
+which is innermost.  Block q of a node of A is then the strided slice
+[q::m0*k0] (of B, [q::k0*n0]), and the same slice of a batch of sibling
+nodes stored end to end, node index outermost, holds block q of every one
+of them.  _multiply_levels runs one level of one batch per call: each U
+and V form is one list operation over those slices for the whole batch,
+the operands of the R products are concatenated into the next batch, and
+each W form writes output block r into the slice [r::m0*n0].  A whole
+level at once (breadth-first) would hold R^d blocks at depth d, so a level
+whose next batch would hold more than _BATCH_ENTRIES operand entries runs
+each product as a batch of its own (depth-first) instead: breadth-first
+near the leaves, depth-first near the root (Benson and Ballard,
+arXiv:1409.2908).  A batch of small leaves, at most _LEAF_BATCH
+multiplications per node, runs the triple loop with each step one map over
+the batch (a 1x1x1 leaf is one map); a larger leaf runs a kernel per node:
+over GF(p) the packed kernel exact_algebra._packed_classical, which
+reduces its inputs first, over QQ exact_algebra._classical.  The result is
+reordered and cropped once.
 
 recursive_invert reduces inversion to multiplication by 2x2 block
 elimination: invert the leading block, form the complement
@@ -56,12 +78,22 @@ embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
+from functools import partial
+from itertools import chain
+from operator import add, mul
 from typing import Callable
 
-from .bilinear_core import BilinearAlgorithm, CostReport, _compile, _evaluate, _Program
+from .bilinear_core import BilinearAlgorithm, CostReport, _compile, _linear_combination, _Program
 from .errors import BadArgument, DimensionError, SingularMatrix
-from .exact_algebra import Matrix, PrimeField, RationalField, _classical, mat_inverse
+from .exact_algebra import Matrix, _classical, _Ops, _packed_classical, mat_inverse
+
+# A level runs its R products as one batch while that batch holds at most
+# this many operand entries, and each product as a batch of its own above
+# it, so memory stays near that of a depth-first recursion.
+_BATCH_ENTRIES = 4096
+# A batch of leaves with at most this many multiplications per node runs the
+# triple loop as maps over the batch; larger leaves run a kernel per node.
+_LEAF_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -97,21 +129,23 @@ def _plan(sides: tuple, dims: tuple, threshold: int) -> tuple:
         d += 1
 
 
-def _block_order(rows: int, cols: int, rside: int, cside: int, depth: int) -> list:
-    """The row-major positions of a rows x cols matrix, listed in block order.
+def _level_order(rows: int, cols: int, rside: int, cside: int, depth: int) -> list:
+    """The row-major positions of a rows x cols matrix, listed in level order.
 
-    Block order lists the rside x cside grid of blocks one block after
-    another, row by row, each block itself in block order, for depth levels;
-    blocks at the last level are row-major.  rows is a multiple of
-    rside**depth and cols of cside**depth.  Every block _multiply_rec visits
-    is then one contiguous slice of its parent.
+    Split depth times into an rside x cside grid of blocks, a matrix in
+    level order lists its entries by their row-major position in a leaf
+    block, outermost, then by their block index (row by row) at each level
+    from the last up to the first, which is innermost.  rows is a multiple
+    of rside**depth and cols of cside**depth.  Block q of the first split is
+    then the strided slice [q::rside * cside], itself in level order, and so
+    is block q of every node of a batch of such matrices stored end to end.
     """
     if depth == 0:
         return list(range(rows * cols))
     br, bc = rows // rside, cols // cside
-    inner = [(i // bc) * cols + i % bc for i in _block_order(br, bc, rside, cside, depth - 1)]
+    inner = [(i // bc) * cols + i % bc for i in _level_order(br, bc, rside, cside, depth - 1)]
     return [bi * br * cols + bj * bc + i
-            for bi in range(rside) for bj in range(cside) for i in inner]
+            for i in inner for bi in range(rside) for bj in range(cside)]
 
 
 def _levels(prog: _Program, sides: tuple, leaf: tuple, depth: int) -> list:
@@ -132,29 +166,75 @@ def _levels(prog: _Program, sides: tuple, leaf: tuple, depth: int) -> list:
     return levels
 
 
-def _multiply_rec(a: list, b: list, depth: int, levels: list, prog: _Program,
-                  ring: RationalField | PrimeField, cost: CostReport) -> list:
-    """The product of two raw operands of levels[depth]'s dims in block
-    order with depth levels (see _block_order), in block order."""
-    (m, k, n), additions, scalar_mults = levels[depth]
-    cost.additions += additions
-    cost.scalar_mults += scalar_mults
-    if depth == 0:
-        cost.bilinear_mults += m * k * n
-        return _classical(a, b, m, k, n, ring._modulus)
-    mb, kb, nb = levels[depth - 1][0]
-    if mb == kb == nb == 1:
-        # The blocks are single entries, and each product a 1x1x1 leaf.
-        cost.bilinear_mults += len(prog.u)
-        return _evaluate(prog, a, b, ring._mul, ring._entry)
-    area_a, area_b = mb * kb, kb * nb
-    out = _evaluate(
-        prog,
-        [a[i:i + area_a] for i in range(0, m * k, area_a)],
-        [b[i:i + area_b] for i in range(0, k * n, area_b)],
-        lambda x, y: _multiply_rec(x, y, depth - 1, levels, prog, ring, cost), ring._block,
-    )
-    return [v for blk in out for v in blk]
+def _leaves(a: list, b: list, nodes: int, m: int, k: int, n: int) -> list:
+    """The products of a batch of m x k by k x n leaves stored end to end,
+    row-major, by the triple loop: each multiplication and addition is one
+    map over the whole batch, entry (i, j) of every node the slice
+    [i*n + j::m*n] of the result."""
+    area_a, area_b = m * k, k * n
+    a_entries = [a[x::area_a] for x in range(area_a)]
+    b_entries = [b[x::area_b] for x in range(area_b)]
+    out = [None] * (nodes * m * n)
+    for i in range(m):
+        for j in range(n):
+            acc = list(map(mul, a_entries[i * k], b_entries[j]))
+            for l in range(1, k):
+                acc = list(map(add, acc, map(mul, a_entries[i * k + l], b_entries[l * n + j])))
+            out[i * n + j::m * n] = acc
+    return out
+
+
+def _multiply_levels(a: list, b: list, levels: list, prog: _Program, sides: tuple,
+                     ops: _Ops, kernel: Callable, cost: CostReport) -> list:
+    """The unreduced product of two raw operands of levels[-1]'s dims in
+    level order (see _level_order), in level order.
+
+    run(a, b, nodes, depth) multiplies a batch of nodes sibling pairs with
+    depth levels below them, stored end to end.  Its next batch, the
+    operands of its R products, runs in one call while it holds at most
+    _BATCH_ENTRIES entries; above that, each product runs as a batch of its
+    own.  The linear forms run on ops, and kernel(x, y, m, k, n) multiplies
+    one m x k by k x n leaf.
+    """
+    m0, k0, n0 = sides
+    sa, sb, sc = m0 * k0, k0 * n0, m0 * n0
+    rank = len(prog.u)
+
+    def combine(terms, values):
+        return _linear_combination(terms, values, ops)
+
+    def run(a: list, b: list, nodes: int, depth: int) -> list:
+        (m, k, n), additions, scalar_mults = levels[depth]
+        cost.additions += nodes * additions
+        cost.scalar_mults += nodes * scalar_mults
+        if depth == 0:
+            cost.bilinear_mults += nodes * m * k * n
+            if m * k * n <= _LEAF_BATCH * nodes:
+                return _leaves(a, b, nodes, m, k, n)
+            area_a, area_b = m * k, k * n
+            out = []
+            for i in range(nodes):
+                out += kernel(a[i * area_a:(i + 1) * area_a], b[i * area_b:(i + 1) * area_b],
+                              m, k, n)
+            return out
+        a_blocks = [a[q::sa] for q in range(sa)]
+        b_blocks = [b[q::sb] for q in range(sb)]
+        mb, kb, nb = levels[depth - 1][0]
+        if rank * nodes * (mb * kb + kb * nb) <= _BATCH_ENTRIES:
+            c = run(list(chain.from_iterable(combine(us, a_blocks) for us in prog.u)),
+                    list(chain.from_iterable(combine(vs, b_blocks) for vs in prog.v)),
+                    rank * nodes, depth - 1)
+            size = nodes * mb * nb
+            products = [c[i:i + size] for i in range(0, len(c), size)]
+        else:
+            products = [run(combine(us, a_blocks), combine(vs, b_blocks), nodes, depth - 1)
+                        for us, vs in zip(prog.u, prog.v)]
+        out = [None] * (nodes * m * n)
+        for r, ws in enumerate(prog.w):
+            out[r::sc] = combine(ws, products)
+        return out
+
+    return run(a, b, 1, len(levels) - 1)
 
 
 def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
@@ -169,7 +249,8 @@ def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     counts are those of the nodes the padded product visits.  Over QQ the
     recursion runs on ints: rows of A and columns of B are cleared of
     denominators once (the ring's _clear) and each output entry is divided
-    by its row and column scales once (_restore).
+    by its row and column scales once (_restore).  Over GF(p) it reduces
+    mod p once, at the end (_restore).
     """
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise TypeError("expected matrices")
@@ -187,14 +268,16 @@ def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
         f"recursive multiply {m}x{k} by {k}x{n}, "
         f"base {cfg.base_alg.dims} rank {cfg.base_alg.rank}, threshold {cfg.threshold}"
     ))
-    # One block order per distinct operand shape: a square product has one.
+    # One level order per distinct operand shape: a square product has one.
     a_key, b_key, c_key = (pm, pk, m0, k0), (pk, pn, k0, n0), (pm, pn, m0, n0)
-    orders = {key: _block_order(*key, depth) for key in {a_key, b_key, c_key}}
+    orders = {key: _level_order(*key, depth) for key in {a_key, b_key, c_key}}
     ring = a.ring
+    p = ring._modulus
+    kernel = partial(_classical, p=None) if p is None else partial(_packed_classical, p=p)
     ae, row_scales = ring._clear(a.embed(pm, pk)._values, pk)
     be, col_scales = ring._clear(b.embed(pk, pn)._values, pn, by_columns=True)
-    out = _multiply_rec([ae[i] for i in orders[a_key]], [be[i] for i in orders[b_key]],
-                        depth, levels, prog, ring, report)
+    out = _multiply_levels([ae[i] for i in orders[a_key]], [be[i] for i in orders[b_key]],
+                           levels, prog, sides, ring._unreduced, kernel, report)
     c = [None] * len(out)  # the product, row-major
     for i, v in zip(orders[c_key], out):
         c[i] = v

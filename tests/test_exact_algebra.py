@@ -9,7 +9,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import mmalg
@@ -38,7 +38,9 @@ from mmalg import (
     strassen_222,
 )
 
-from helpers import naive_product, unit_lu_matrix
+from mmalg.exact_algebra import _classical, _packed_classical
+
+from helpers import P61, naive_product, unit_lu_matrix
 
 
 def test_rational_examples():
@@ -120,6 +122,25 @@ def test_matrix_multiply_examples():
         mat_classical_multiply(Matrix.zeros(QQ, 2, 3), Matrix.zeros(QQ, 2, 2))
     with pytest.raises(ValueError):
         mat_classical_multiply(a, Matrix.identity(PrimeField(7), 2))
+
+
+@given(p=st.sampled_from((2, 3, 97, P61)), m=st.integers(1, 20), k=st.integers(1, 20),
+       n=st.integers(1, 20), bits=st.sampled_from((0, 8, 64, 200)), seed=st.integers(0, 2**32))
+@example(p=P61, m=20, k=20, n=20, bits=0, seed=0)
+@example(p=2, m=20, k=20, n=20, bits=0, seed=0)
+def test_packed_kernel_matches_the_plain_loop(p, m, k, n, bits, seed):
+    # Entries are unreduced and of either sign; bits=0 makes every entry -1,
+    # which is p-1 once reduced, so every slot holds its largest sum.
+    rng = random.Random(seed)
+
+    def draw(count):
+        return [rng.randrange(-2**bits, 2**bits) if bits else -1 for _ in range(count)]
+    a, b = draw(m * k), draw(k * n)
+    got = _packed_classical(a, b, m, k, n, p)
+    assert got == _classical(a, b, m, k, n, p)
+    assert got == [x for row in naive_product([a[i:i + k] for i in range(0, m * k, k)],
+                                              [b[j:j + n] for j in range(0, k * n, n)], p)
+                   for x in row]
 
 
 def test_gf_multiply_matches_rational_reduction():

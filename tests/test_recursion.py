@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,9 @@ from mmalg import (
     strassen_222,
     tensor_product,
 )
+
+from mmalg import recursion
+from mmalg.recursion import _BATCH_ENTRIES, _plan
 
 from helpers import P61, naive_product, unit_lu_matrix
 
@@ -159,6 +163,85 @@ def test_every_shape_is_exact_and_counted(base, threshold, ring, m, k, n, seed):
             and any(side**t == m for t in range(5))):
         model = cost_model(base, m)
         assert counts == (model.bilinear_mults, model.scalar_mults, model.additions)
+
+
+def test_batches_above_the_entry_cap_are_exact_and_counted():
+    # Sides beyond the property test's 17: the next batch of each root
+    # holds more than _BATCH_ENTRIES operand entries, so the root runs each
+    # product as a batch of its own, and levels nearer the leaves batch.
+    rng = random.Random(67)
+    cases = ((strassen_222(), PrimeField(97), 64, 64, 64),
+             (strassen_222(), FIELD, 64, 64, 64),
+             (pan_aggregation(4), FIELD, 64, 64, 64),
+             (classical(2, 3, 4), PrimeField(97), 40, 72, 90))
+    for base, ring, m, k, n in cases:
+        sides = tuple(base.dims)
+        depth, leaf = _plan(sides, (m, k, n), 1)
+        bm, bk, bn = (x * s ** (depth - 1) for x, s in zip(leaf, sides))
+        assert base.rank * (bm * bk + bk * bn) > _BATCH_ENTRIES, sides
+        a, b = random_matrix(ring, m, k, rng), random_matrix(ring, k, n, rng)
+        got, report = recursive_multiply(RecursionConfig(base, 1), a, b)
+        assert got == mat_classical_multiply(a, b), (sides, ring)
+        assert (report.bilinear_mults, report.scalar_mults, report.additions) == (
+            _shape_counts(base, 1, m, k, n)), (sides, ring)
+
+
+@pytest.mark.parametrize("batch_entries, leaf_batch", [(0, 0), (0, 10**9), (10**9, 0),
+                                                       (10**9, 10**9)])
+def test_every_traversal_gives_the_same_product_and_counts(monkeypatch, batch_entries,
+                                                           leaf_batch):
+    # All depth-first or all breadth-first, every leaf through the kernel or
+    # every leaf batch through the mapped triple loop: the same result.
+    monkeypatch.setattr(recursion, "_BATCH_ENTRIES", batch_entries)
+    monkeypatch.setattr(recursion, "_LEAF_BATCH", leaf_batch)
+    rng = random.Random(70)
+    for base, threshold, (m, k, n) in ((strassen_222(), 1, (16, 16, 16)),
+                                       (strassen_222(), 3, (21, 17, 19)),
+                                       (classical(2, 3, 4), 2, (9, 10, 11))):
+        for ring in (PrimeField(97), QQ):
+            a, b = random_matrix(ring, m, k, rng), random_matrix(ring, k, n, rng)
+            got, report = recursive_multiply(RecursionConfig(base, threshold), a, b)
+            assert got == mat_classical_multiply(a, b), (base.dims, ring)
+            assert (report.bilinear_mults, report.scalar_mults, report.additions) == (
+                _shape_counts(base, threshold, m, k, n)), (base.dims, ring)
+
+
+def test_fraction_coefficients_over_prime_fields():
+    # Equivalence transforms of Strassen have Fraction coefficients, whose
+    # images mod p are about as large as p.  Over GF(p) the recursion
+    # reduces only once, at the end, so at depths 4 and 5 the blocks grow
+    # far past p; the all-(p-1) inputs make every image product largest.
+    base = strassen_222()
+    rng = random.Random(68)
+    for seed in (1, 2):
+        alg = apply_equivalence(base, random_equivalence(base.dims, base.rank, seed))
+        assert any(type(c) is Fraction for c in alg.coefficient_values()), seed
+        for p in (97, P61):
+            field = PrimeField(p)
+            for side in (16, 32):
+                top = Matrix(field, side, side, [p - 1] * (side * side))
+                pairs = ((random_matrix(field, side, side, rng),
+                          random_matrix(field, side, side, rng)), (top, top))
+                for a, b in pairs:
+                    got, _ = recursive_multiply(RecursionConfig(alg, 1), a, b)
+                    assert got == mat_classical_multiply(a, b), (seed, p, side)
+                    # Raw values stay ints: no Fraction ran through the blocks.
+                    assert all(type(x.value) is int for x in got.entries), (seed, p, side)
+
+
+def test_deep_product_memory_stays_bounded():
+    # Whole levels at once would hold every block of a level: about 31 MB
+    # traced here.  Capped batches stay near a depth-first recursion's peak.
+    rng = random.Random(69)
+    a, b = random_matrix(FIELD, 64, 64, rng), random_matrix(FIELD, 64, 64, rng)
+    cfg = RecursionConfig(strassen_222(), 1)
+    tracemalloc.start()
+    try:
+        recursive_multiply(cfg, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000, peak
 
 
 def test_thin_product_is_not_padded_to_a_cube():
