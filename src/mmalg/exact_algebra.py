@@ -19,7 +19,7 @@ every other module uses:
 - ``_entry``: the ``_Ops`` a compiled program runs on over raw values
   (apply_elementary), and ``_block`` the same over equal-length sequences
   of them (Matrix sums and scaling), each result reduced; ``_mul``
-  multiplies two raw values and ``_reciprocal`` inverts one;
+  multiplies two raw values;
 - ``_unreduced``: the ``_Ops`` of the recursion's blocks, exact list
   arithmetic that never reduces mod p (QQ's ``_block``); over GF(p) a
   Fraction coefficient scales by its image mod p;
@@ -30,12 +30,18 @@ every other module uses:
   ``_clear`` returns the values unchanged, with scales of 1, and
   ``_restore`` reduces an int result of any size mod p.  ``_quotient``
   divides cleared values exactly: ``//`` over QQ, times d^-1 mod p over
-  GF(p);
+  GF(p), and ``_normal(ints, d)`` puts a block ints / d of cleared values
+  in normal form: over QQ with d > 0 and gcd(d, *ints) divided out, over
+  GF(p) times d^-1 mod p, so that d = 1;
 - ``PrimeField._image(c)``: the raw value of a program coefficient c, or
   BadArgument when c has none (over QQ a coefficient is its own image).
 
-So QQ products (recursion.recursive_multiply) and mat_inverse's
-fraction-free elimination run on ints, with one Fraction per output entry.
+So QQ products (recursion.recursive_multiply), block inversion
+(recursion.recursive_invert) and mat_inverse's fraction-free elimination
+run on ints, with one Fraction per output entry.  The two inverses share
+the elimination (_bareiss, which gives d times the inverse of the cleared
+matrix) and the conversion of its result into the inverse
+(_cleared_inverse).
 Two flat kernels multiply raw row-major operands: _classical, the plain
 loop with one reduction mod p per dot product (none over QQ, where it takes
 ints or Fractions alike), and over GF(p) _packed_classical, which packs
@@ -54,8 +60,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from itertools import repeat
-from math import lcm
+from itertools import cycle, repeat
+from math import gcd, lcm
 from operator import add, mul, neg, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -240,9 +246,6 @@ class RationalField:
     def _elements(self, values: tuple) -> tuple:
         return values
 
-    def _reciprocal(self, v: Fraction) -> Fraction:
-        return 1 / v
-
     def _clear(self, values: Sequence, cols: int, by_columns: bool = False) -> tuple:
         """(ints, scales): each row of the raw row-major values (each column,
         by_columns) times the lcm of its denominators, and those lcms."""
@@ -264,6 +267,15 @@ class RationalField:
     def _quotient(self, values: Sequence, d: int) -> list:
         """The cleared values divided by d, which divides each of them."""
         return [v // d for v in values]
+
+    def _normal(self, values: Sequence, d: int) -> tuple:
+        """The block values / d as (ints, e) with e > 0 and gcd(e, *ints) = 1."""
+        g = gcd(d, *values)
+        if d < 0:
+            g = -g
+        if g == 1:
+            return values, d
+        return [v // g for v in values], d // g
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -348,9 +360,6 @@ class PrimeField:
                 raise BadArgument(f"coefficient {c} has no image mod {self.p}") from None
         return x
 
-    def _reciprocal(self, v: int) -> int:
-        return pow(v, -1, self.p)
-
     def _clear(self, values: Sequence, cols: int, by_columns: bool = False) -> tuple:
         return values, [1] * (cols if by_columns else len(values) // cols)
 
@@ -362,6 +371,9 @@ class PrimeField:
         p = self.p
         q = pow(d, -1, p)
         return [v * q % p for v in values]
+
+    def _normal(self, values: Sequence, d: int) -> tuple:
+        return self._quotient(values, d), 1
 
     def __reduce__(self):
         # The raw arithmetic holds closures, which pickle cannot store.
@@ -520,19 +532,9 @@ class Matrix:
         """Return a rows x cols matrix with self in the top-left corner, zeros elsewhere."""
         if rows < self.rows or cols < self.cols:
             raise DimensionError("embedding target smaller than matrix")
-        if rows == self.rows and cols == self.cols:
-            return self
-        z = self.ring._value(0)
-        e = self._values
-        w = self.cols
-        out = []
-        for r in range(rows):
-            if r < self.rows:
-                out.extend(e[r * w : (r + 1) * w])
-                out.extend([z] * (cols - w))
-            else:
-                out.extend([z] * cols)
-        return Matrix._from_values(self.ring, rows, cols, out)
+        ring = self.ring
+        return Matrix._from_values(ring, rows, cols, _padded(self._values, self.rows, self.cols,
+                                                             rows, cols, ring._value(0)))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -549,6 +551,18 @@ class Matrix:
 
     def __repr__(self):
         return f"<Matrix {self.rows}x{self.cols} over {self.ring!r}>"
+
+
+def _padded(values: Sequence, rows: int, cols: int, prows: int, pcols: int, zero=0) -> Sequence:
+    """Row-major rows x cols values embedded with zero into prows x pcols."""
+    if (rows, cols) == (prows, pcols):
+        return values
+    pad = [zero] * (pcols - cols)
+    out = []
+    for i in range(0, rows * cols, cols):
+        out += values[i:i + cols]
+        out += pad
+    return out + [zero] * ((prows - rows) * pcols)
 
 
 def _classical(ae: Sequence, be: Sequence, m: int, k: int, n: int, p: Optional[int]) -> list:
@@ -614,29 +628,20 @@ def mat_classical_multiply(a: Matrix, b: Matrix) -> Matrix:
                                _classical(a._values, b._values, m, k, n, ring._modulus))
 
 
-def mat_inverse(a: Matrix) -> Matrix:
-    """Exact inverse by fraction-free Gauss-Jordan elimination with row
-    pivoting (Bareiss, "Sylvester's identity and multistep
+def _bareiss(ring: RationalField | PrimeField, values: Sequence, n: int) -> tuple:
+    """(right, d) for the n x n cleared values a': right, row-major, is
+    d * a'^-1 and d the last pivot of fraction-free Gauss-Jordan elimination
+    with row pivoting (Bareiss, "Sylvester's identity and multistep
     integer-preserving Gaussian elimination", Math. Comp. 1968).
 
-    Row j of a is first scaled by the ring's _clear to a' (times the lcm s_j
-    of its denominators over QQ, unchanged with s_j = 1 over GF(p)).  One
-    loop then eliminates on [a' | I]: at each column every row other than
-    the pivot row becomes (piv * row - f * pivot_row) / prev, prev the
-    previous pivot, a division the ring's _quotient makes exact (// on the
-    QQ integers, times prev^-1 mod p over GF(p)).  The left half ends as
-    d * I, d the last pivot, and the right half as d * a'^-1, so entry
-    (i, j) of the inverse is right[i][j] * s_j / d.  Works over either
-    field ring; raises SingularMatrix when no inverse exists.
+    One loop eliminates on [a' | I]: at each column every row other than the
+    pivot row becomes (piv * row - f * pivot_row) / prev, prev the previous
+    pivot, a division the ring's _quotient makes exact (// on the QQ
+    integers, times prev^-1 mod p over GF(p), whose values must lie in
+    [0, p)).  The left half ends as d * I.  Raises SingularMatrix when a
+    column has no pivot.
     """
-    if not isinstance(a, Matrix):
-        raise TypeError("expected a Matrix")
-    if a.rows != a.cols:
-        raise DimensionError("only square matrices have inverses")
-    n = a.rows
-    ring = a.ring
-    cleared, scales = ring._clear(a._values, n)
-    rows = [[*cleared[i * n:(i + 1) * n], *(int(i == j) for j in range(n))] for i in range(n)]
+    rows = [[*values[i * n:(i + 1) * n], *(int(i == j) for j in range(n))] for i in range(n)]
     # Each step drops the column it eliminates, so rows[r][0] is always the
     # current column and the right half is rows[r][-n:].
     prev = 1
@@ -653,9 +658,37 @@ def mat_inverse(a: Matrix) -> Matrix:
                 rows[r] = ring._quotient([piv * x - f * y for x, y in zip(row[1:], top)], prev)
         rows[col] = top
         prev = piv
-    scale = ring._reciprocal(ring._value(prev))
-    return Matrix._from_values(ring, n, n, [ring._mul(x * s, scale)
-                                            for row in rows for x, s in zip(row, scales)])
+    return [x for row in rows for x in row], prev
+
+
+def _cleared_inverse(ring: RationalField | PrimeField, n: int, right: Sequence, d: int,
+                     scales: Sequence) -> Matrix:
+    """The inverse of an n x n matrix a whose row j the ring's _clear scaled
+    by s_j = scales[j] to a', given right / d = a'^-1: since a^-1 = a'^-1 S,
+    entry (i, j) is right[i][j] * s_j / d, one raw value built per entry."""
+    right, d = ring._normal(right, d)
+    return Matrix._from_values(ring, n, n, ring._restore(
+        [x * s for x, s in zip(right, cycle(scales))], [d] * n, [1] * n))
+
+
+def mat_inverse(a: Matrix) -> Matrix:
+    """Exact inverse by fraction-free elimination (_bareiss).
+
+    Row j of a is first scaled by the ring's _clear to a' (times the lcm s_j
+    of its denominators over QQ, unchanged with s_j = 1 over GF(p)).
+    _bareiss then gives d * a'^-1 on the integers, and _cleared_inverse
+    turns it into the inverse, one value per entry: right[i][j] * s_j / d.
+    recursion.recursive_invert shares both steps.  Works over either field
+    ring; raises SingularMatrix when no inverse exists.
+    """
+    if not isinstance(a, Matrix):
+        raise TypeError("expected a Matrix")
+    if a.rows != a.cols:
+        raise DimensionError("only square matrices have inverses")
+    n = a.rows
+    ring = a.ring
+    cleared, scales = ring._clear(a._values, n)
+    return _cleared_inverse(ring, n, *_bareiss(ring, cleared, n), scales)
 
 
 def random_matrix(ring: RationalField | PrimeField, rows: int, cols: int, rng) -> Matrix:

@@ -24,13 +24,16 @@ cost_model predicts the square case in closed form from the same per-level
 counts: at threshold 1 and K a power of a square base's side the two agree
 exactly.
 
-The recursion runs on raw values, not on Matrix objects: ints over GF(p),
-and over QQ the ints left by clearing denominators once per product.  The
-ring's _clear scales row i of A by the lcm r_i of its denominators and
-column j of B by the lcm c_j of its own (the identity over GF(p)), and
-_restore turns entry (i, j) of the int product back into a raw value: a
-Fraction over r_i * c_j over QQ, the int reduced mod p over GF(p).  A base
-program with a Fraction coefficient runs on the same path over QQ, since a
+The recursion runs on raw values, not on Matrix objects: _multiply is its
+core, which takes row-major int lists and dims, tallies into a CostReport
+and returns the unreduced product, and recursive_multiply is a thin Matrix
+wrapper around it.  Over GF(p) the ints are the raw values; over QQ they
+are the ints left by clearing denominators once per product.  The ring's
+_clear scales row i of A by the lcm r_i of its denominators and column j
+of B by the lcm c_j of its own (the identity over GF(p)), and _restore
+turns entry (i, j) of the int product back into a raw value: a Fraction
+over r_i * c_j over QQ, the int reduced mod p over GF(p).  A base program
+with a Fraction coefficient runs on the same path over QQ, since a
 Fraction times an int is exact.
 
 Delayed reduction (as in FFLAS-FFPACK; Dumas, Giorgi and Pernet, ACM TOMS
@@ -62,14 +65,22 @@ reduces its inputs first, over QQ exact_algebra._classical.  The result is
 reordered and cropped once.
 
 recursive_invert reduces inversion to multiplication by 2x2 block
-elimination: invert the leading block, form the complement
-S - R P^-1 Q, invert that, and assemble.  It follows the leaf rule of
-recursive_multiply: it splits while the side is above the threshold and
-inverts a leaf with mat_inverse.  The elimination does not pivot between
-blocks, so a singular leading block or complement of an invertible matrix
-stops it; recursive_invert then returns mat_inverse of the whole matrix,
-which pivots by rows.  Matrices that are unit-triangular products never
-take that fallback.
+elimination (Strassen, "Gaussian elimination is not optimal", Numer. Math.
+1969): invert the leading block, form the complement S - R P^-1 Q, invert
+that, and assemble.  It follows the leaf rule of recursive_multiply: it
+splits while the side is above the threshold and inverts a leaf by
+mat_inverse's fraction-free elimination (exact_algebra._bareiss).  It
+clears the rows of the matrix once, as mat_inverse does, and then holds
+every block as a row-major list of ints and one denominator, which the
+ring's _normal keeps in normal form (over QQ a positive denominator prime
+to the ints, over GF(p) the denominator 1 and ints in [0, p)), so one
+recursion serves both rings.  Each block product is one call of _multiply
+on the ints, and the inverse takes one raw value per entry at the end
+(exact_algebra._cleared_inverse, which mat_inverse shares).  The
+elimination does not pivot between blocks, so a singular leading block or
+complement of an invertible matrix stops it; recursive_invert then
+returns mat_inverse of the whole matrix, which pivots by rows.  Matrices
+that are unit-triangular products never take that fallback.
 multiply_via_inversion closes the loop in the other direction by reading a
 product off one corner block of the inverse of a 3x3 block unit-triangular
 embedding.
@@ -80,12 +91,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
-from operator import add, mul
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Callable
 
 from .bilinear_core import BilinearAlgorithm, CostReport, _compile, _linear_combination, _Program
 from .errors import BadArgument, DimensionError, SingularMatrix
-from .exact_algebra import Matrix, _classical, _Ops, _packed_classical, mat_inverse
+from .exact_algebra import (Matrix, _bareiss, _classical, _cleared_inverse, _Ops,
+                            _packed_classical, _padded, mat_inverse)
 
 # A level runs its R products as one batch while that batch holds at most
 # this many operand entries, and each product as a batch of its own above
@@ -101,7 +114,7 @@ class RecursionConfig:
     """A base program of any shape larger than 1x1x1, plus the threshold:
     recursive_multiply stops at a block dimension at or below it and runs
     the triple loop, recursive_invert at a side at or below it and runs
-    mat_inverse."""
+    mat_inverse's elimination."""
 
     base_alg: BilinearAlgorithm
     threshold: int = 1
@@ -237,6 +250,34 @@ def _multiply_levels(a: list, b: list, levels: list, prog: _Program, sides: tupl
     return run(a, b, 1, len(levels) - 1)
 
 
+def _multiply(cfg: RecursionConfig, ring, a, b, m: int, k: int, n: int,
+              cost: CostReport) -> list:
+    """The unreduced m x n product of row-major m x k and k x n raw ints
+    (over QQ, cleared ones), row-major, with its counts tallied into cost.
+
+    Each dimension x is embedded with zeros into s_x^d * ceil(x / s_x^d),
+    d the depth of _plan, both operands are put in level order, and the
+    product is put back in row order and cropped once.
+    """
+    m0, k0, n0 = sides = tuple(cfg.base_alg.dims)
+    depth, leaf = _plan(sides, (m, k, n), cfg.threshold)
+    prog = cfg._prog
+    levels = _levels(prog, sides, leaf, depth)
+    pm, pk, pn = levels[depth][0]
+    # One level order per distinct operand shape: a square product has one.
+    a_key, b_key, c_key = (pm, pk, m0, k0), (pk, pn, k0, n0), (pm, pn, m0, n0)
+    orders = {key: _level_order(*key, depth) for key in {a_key, b_key, c_key}}
+    p = ring._modulus
+    kernel = partial(_classical, p=None) if p is None else partial(_packed_classical, p=p)
+    ae, be = _padded(a, m, k, pm, pk), _padded(b, k, n, pk, pn)
+    out = _multiply_levels([ae[i] for i in orders[a_key]], [be[i] for i in orders[b_key]],
+                           levels, prog, sides, ring._unreduced, kernel, cost)
+    c = [None] * len(out)  # the product, row-major
+    for i, v in zip(orders[c_key], out):
+        c[i] = v
+    return [v for r in range(0, m * pn, pn) for v in c[r:r + n]]
+
+
 def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     """Multiply an m x k by a k x n matrix; returns (product, CostReport).
 
@@ -250,7 +291,7 @@ def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     recursion runs on ints: rows of A and columns of B are cleared of
     denominators once (the ring's _clear) and each output entry is divided
     by its row and column scales once (_restore).  Over GF(p) it reduces
-    mod p once, at the end (_restore).
+    mod p once, at the end (_restore).  The recursion itself is _multiply.
     """
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise TypeError("expected matrices")
@@ -259,31 +300,15 @@ def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     if a.cols != b.rows:
         raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     m, k, n = a.rows, a.cols, b.cols
-    m0, k0, n0 = sides = tuple(cfg.base_alg.dims)
-    depth, leaf = _plan(sides, (m, k, n), cfg.threshold)
-    prog = cfg._prog
-    levels = _levels(prog, sides, leaf, depth)
-    pm, pk, pn = levels[depth][0]
     report = CostReport(context=(
         f"recursive multiply {m}x{k} by {k}x{n}, "
         f"base {cfg.base_alg.dims} rank {cfg.base_alg.rank}, threshold {cfg.threshold}"
     ))
-    # One level order per distinct operand shape: a square product has one.
-    a_key, b_key, c_key = (pm, pk, m0, k0), (pk, pn, k0, n0), (pm, pn, m0, n0)
-    orders = {key: _level_order(*key, depth) for key in {a_key, b_key, c_key}}
     ring = a.ring
-    p = ring._modulus
-    kernel = partial(_classical, p=None) if p is None else partial(_packed_classical, p=p)
-    ae, row_scales = ring._clear(a.embed(pm, pk)._values, pk)
-    be, col_scales = ring._clear(b.embed(pk, pn)._values, pn, by_columns=True)
-    out = _multiply_levels([ae[i] for i in orders[a_key]], [be[i] for i in orders[b_key]],
-                           levels, prog, sides, ring._unreduced, kernel, report)
-    c = [None] * len(out)  # the product, row-major
-    for i, v in zip(orders[c_key], out):
-        c[i] = v
-    cropped = [v for r in range(0, m * pn, pn) for v in c[r:r + n]]
-    return Matrix._from_values(
-        ring, m, n, ring._restore(cropped, row_scales[:m], col_scales[:n])), report
+    ae, row_scales = ring._clear(a._values, k)
+    be, col_scales = ring._clear(b._values, n, by_columns=True)
+    c = _multiply(cfg, ring, ae, be, m, k, n, report)
+    return Matrix._from_values(ring, m, n, ring._restore(c, row_scales, col_scales)), report
 
 
 def cost_model(alg: BilinearAlgorithm, k: int) -> CostReport:
@@ -313,66 +338,102 @@ def cost_model(alg: BilinearAlgorithm, k: int) -> CostReport:
     )
 
 
-def _invert_rec(a: Matrix, threshold: int, mul: Callable[[Matrix, Matrix], Matrix]) -> Matrix:
-    side = a.rows
-    if side <= threshold:
-        return mat_inverse(a)
-    p = side // 2
-    lead = a.submatrix(0, 0, p, p)
-    q = a.submatrix(0, p, p, side - p)
-    r = a.submatrix(p, 0, side - p, p)
-    s = a.submatrix(p, p, side - p, side - p)
-    lead_inv = _invert_rec(lead, threshold, mul)
-    lead_inv_q = mul(lead_inv, q)
-    r_lead_inv = mul(r, lead_inv)
-    complement = s - mul(r, lead_inv_q)
-    comp_inv = _invert_rec(complement, threshold, mul)
-    x21 = -mul(comp_inv, r_lead_inv)
-    x12 = -mul(lead_inv_q, comp_inv)
-    x11 = lead_inv - mul(lead_inv_q, x21)
-    return Matrix.from_blocks([[x11, x12], [x21, comp_inv]])
+def _quarters(a, n: int, h: int) -> tuple:
+    """The blocks [[P, Q], [R, S]] of a row-major n x n block, P of side h."""
+    rows = [a[i:i + n] for i in range(0, n * n, n)]
+    return ([v for row in rows[:h] for v in row[:h]], [v for row in rows[:h] for v in row[h:]],
+            [v for row in rows[h:] for v in row[:h]], [v for row in rows[h:] for v in row[h:]])
+
+
+def _difference(ring, a: list, da: int, b: list, db: int) -> tuple:
+    """a / da - b / db as a normalised block (see _invert_rec)."""
+    if da == db:
+        return ring._normal(list(map(sub, a, b)), da)
+    g = gcd(da, db)
+    sa, sb = db // g, da // g
+    return ring._normal([x * sa - y * sb for x, y in zip(a, b)], sa * da)
+
+
+def _invert_rec(a, d: int, n: int, threshold: int, ring, mul: Callable) -> tuple:
+    """(x, e) with x / e the inverse of the n x n block a / d.
+
+    A block is a row-major list of ints and one denominator, normalised by
+    the ring's _normal: over QQ, e > 0 and gcd(e, *x) = 1; over GF(p),
+    e = 1 and x in [0, p).  mul(x, y, m, k, n) is the unreduced int product
+    of an m x k by a k x n block.  Raises SingularMatrix when a leading
+    block or a complement is singular.
+    """
+    if n <= threshold:
+        x, e = _bareiss(ring, a, n)
+        return ring._normal(x if d == 1 else [v * d for v in x], e)
+    h, t = n // 2, n - n // 2
+    lead, q, r, s = _quarters(a, n, h)
+    li, dl = _invert_rec(lead, d, h, threshold, ring, mul)
+    lq, dlq = ring._normal(mul(li, q, h, h, t), dl * d)
+    rl, drl = ring._normal(mul(r, li, t, h, h), d * dl)
+    comp, dc = _difference(ring, s, d, mul(r, lq, t, h, t), d * dlq)
+    ci, dci = _invert_rec(comp, dc, t, threshold, ring, mul)
+    # A negative denominator negates: _normal makes it positive.
+    x21, d21 = ring._normal(mul(ci, rl, t, t, h), -dci * drl)
+    x12, d12 = ring._normal(mul(lq, ci, h, t, t), -dlq * dci)
+    x11, d11 = _difference(ring, li, dl, mul(lq, x21, h, t, h), dlq * d21)
+    e = lcm(d11, d12, d21, dci)
+    x11, x12, x21, ci = (x if dx == e else [v * (e // dx) for v in x]
+                         for x, dx in ((x11, d11), (x12, d12), (x21, d21), (ci, dci)))
+    out = []
+    for i in range(h):
+        out += x11[i * h:(i + 1) * h]
+        out += x12[i * t:(i + 1) * t]
+    for i in range(t):
+        out += x21[i * h:(i + 1) * h]
+        out += ci[i * t:(i + 1) * t]
+    return out, e
 
 
 def recursive_invert(cfg: RecursionConfig, a: Matrix):
     """Invert a square matrix over a field; returns (inverse, CostReport).
 
-    Block elimination splits while the side is above cfg.threshold and
-    inverts each leaf with mat_inverse.  When a leading block or a
-    complement is singular, the matrix is inverted by mat_inverse instead,
-    which pivots by rows, and the report's context says so.  The
-    CostReport aggregates the multiplication subcalls that ran (block
-    additions and the leaf inversions are not counted).  Raises
+    Rows are cleared of denominators once, as mat_inverse clears them (the
+    ring's _clear), and block elimination (_invert_rec) runs on blocks of
+    ints with one denominator each, calling the multiplication core
+    _multiply directly.  It splits while the side is above cfg.threshold
+    and inverts each leaf with mat_inverse's elimination (_bareiss); the
+    inverse takes one value per entry at the end (_cleared_inverse).  When
+    a leading block or a complement is singular, the matrix is inverted by
+    mat_inverse instead, which pivots by rows, and the report's context
+    says so.  The CostReport aggregates the multiplication subcalls that
+    ran (block additions and the leaf inversions are not counted).  Raises
     SingularMatrix when no inverse exists.
     """
     if not isinstance(a, Matrix):
         raise TypeError("expected a Matrix")
     if a.rows != a.cols:
         raise DimensionError("only square matrices have inverses")
-    reports = []
+    side = a.rows
+    ring = a.ring
+    report = CostReport()
+    subcalls = 0
 
-    def mul(x: Matrix, y: Matrix) -> Matrix:
-        product, report = recursive_multiply(cfg, x, y)
-        reports.append(report)
-        return product
+    def mul(x: list, y: list, m: int, k: int, n: int) -> list:
+        nonlocal subcalls
+        subcalls += 1
+        return _multiply(cfg, ring, x, y, m, k, n, report)
 
     finish = ""
+    cleared, scales = ring._clear(a._values, side)
     try:
-        inverse = _invert_rec(a, cfg.threshold, mul)
+        x, e = _invert_rec(cleared, 1, side, cfg.threshold, ring, mul)
+        inverse = _cleared_inverse(ring, side, x, e, scales)
     except SingularMatrix:
         try:
             inverse = mat_inverse(a)
         except SingularMatrix:
             raise SingularMatrix(f"{a.rows}x{a.cols} matrix is singular") from None
         finish = ", finished by elimination with row pivoting"
-    report = CostReport(
-        bilinear_mults=sum(r.bilinear_mults for r in reports),
-        scalar_mults=sum(r.scalar_mults for r in reports),
-        additions=sum(r.additions for r in reports),
-        context=(
-            f"recursive invert side {a.rows}, {len(reports)} multiplication "
-            f"subcalls, base {cfg.base_alg.dims} rank {cfg.base_alg.rank}, "
-            f"threshold {cfg.threshold}{finish}"
-        ),
+    report.context = (
+        f"recursive invert side {side}, {subcalls} multiplication "
+        f"subcalls, base {cfg.base_alg.dims} rank {cfg.base_alg.rank}, "
+        f"threshold {cfg.threshold}{finish}"
     )
     return inverse, report
 

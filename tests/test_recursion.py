@@ -4,9 +4,10 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmalg import (
@@ -502,3 +503,129 @@ def test_invert_odd_side_costs_about_as_much_as_the_even_one():
         assert mat_classical_multiply(a, inverse) == Matrix.identity(QQ, side), side
         mults[side] = report.bilinear_mults
     assert 2 * mults[33] <= 3 * mults[32], mults
+
+
+@pytest.mark.parametrize("side, mults, additions, subcalls", [
+    (32, 25_728, 41_760, 42),
+    (33, 34_710, 54_680, 48),
+    (24, 10_854, 19_872, 42),
+])
+def test_invert_counts_are_pinned(side, mults, additions, subcalls):
+    # The counts depend only on the shapes of the block products, so any
+    # unit-LU input of a side gives the same report.
+    cfg = RecursionConfig(strassen_222(), 4)
+    a = unit_lu_matrix(side, random.Random(side))
+    inverse, report = recursive_invert(cfg, a)
+    assert inverse == mat_inverse(a)
+    assert (report.bilinear_mults, report.additions, report.scalar_mults) == (mults, additions, 0)
+    assert f" {subcalls} multiplication subcalls" in report.context
+    assert "finished by elimination" not in report.context
+
+
+_INVERT_RINGS = (QQ, PrimeField(2), PrimeField(3), PrimeField(97), PrimeField(P61))
+
+
+def _entries(ring, data, count):
+    """count entries: over QQ Fractions whose numerators and denominators
+    reach 10^18, over GF(p) ints in [0, p)."""
+    if ring == QQ:
+        return [Fraction(data.draw(st.integers(-10**18, 10**18)), data.draw(st.integers(1, 10**18)))
+                for _ in range(count)]
+    return [data.draw(st.integers(0, ring.p - 1)) for _ in range(count)]
+
+
+def _det(rows):
+    """The determinant, by Gaussian elimination on Fractions."""
+    rows = [list(map(Fraction, row)) for row in rows]
+    n, det = len(rows), Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot], det = rows[pivot], rows[c], -det
+        det *= rows[c][c]
+        for r in range(c + 1, n):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return det
+
+
+def _same_inverse(cfg, a):
+    """recursive_invert(cfg, a) equals mat_inverse(a), an inverse by the
+    independent triple loop, or both refuse a; returns the report, or None
+    when a is singular."""
+    try:
+        want = mat_inverse(a)
+    except SingularMatrix:
+        with pytest.raises(SingularMatrix, match="singular"):
+            recursive_invert(cfg, a)
+        return None
+    got, report = recursive_invert(cfg, a)
+    assert got == want
+    assert mat_classical_multiply(a, got) == Matrix.identity(a.ring, a.rows)
+    return report
+
+
+@settings(max_examples=100)
+@given(ring=st.sampled_from(_INVERT_RINGS), threshold=st.integers(1, 5), data=st.data())
+def test_invert_matches_mat_inverse_on_dense_matrices(ring, threshold, data):
+    # Dense random matrices; over QQ the determinant is made negative by
+    # negating a row, so the blocks meet negative denominators and gcds
+    # above 1, which unit-LU inputs (determinant 1) never do.
+    n = data.draw(st.integers(1, 12))
+    rows = [_entries(ring, data, n) for _ in range(n)]
+    if ring == QQ and _det(rows) > 0:
+        rows[0] = [-x for x in rows[0]]
+    _same_inverse(RecursionConfig(strassen_222(), threshold), Matrix.from_rows(ring, rows))
+
+
+@settings(max_examples=100)
+@given(ring=st.sampled_from(_INVERT_RINGS), threshold=st.integers(1, 5),
+       invertible=st.booleans(), data=st.data())
+def test_invert_falls_back_from_inside_the_recursion(ring, threshold, invertible, data):
+    # A = [[P, Q], [R, S]] with P = [[I, B], [C, C B]]: the leading block I
+    # of P is invertible and P's complement C B - C I^-1 B is zero.  When A
+    # is invertible, elimination stops inside the recursion on P and
+    # mat_inverse finishes; otherwise S = R Q also makes A's own complement
+    # singular (P = I) and both refuse.
+    n = data.draw(st.integers(2 * threshold + 2, 12)) if invertible else data.draw(st.integers(2, 12))
+    h = n // 2
+    cfg = RecursionConfig(strassen_222(), threshold)
+    if invertible:
+        g = h // 2
+        b = [_entries(ring, data, h - g) for _ in range(g)]
+        c = [_entries(ring, data, g) for _ in range(h - g)]
+        lead = ([[int(i == j) for j in range(g)] + b[i] for i in range(g)]
+                + [c[i] + row for i, row in enumerate(naive_product(c, b))])
+    else:
+        lead = [[int(i == j) for j in range(h)] for i in range(h)]
+    q = [_entries(ring, data, n - h) for _ in range(h)]
+    r = [_entries(ring, data, h) for _ in range(n - h)]
+    s = [_entries(ring, data, n - h) for _ in range(n - h)] if invertible else naive_product(r, q)
+    a = Matrix.from_rows(ring, [x + y for x, y in zip(lead, q)] + [x + y for x, y in zip(r, s)])
+    report = _same_inverse(cfg, a)
+    assert (report is not None) <= invertible
+    if report is not None:
+        assert "finished by elimination" in report.context
+
+
+@given(ring=st.sampled_from(_INVERT_RINGS),
+       values=st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=8),
+       d=st.integers(-10**30, 10**30).filter(bool), common=st.integers(1, 10**6))
+def test_normal_form_of_a_block(ring, values, d, common):
+    # The block values / d in normal form: over QQ, Fraction's own (the
+    # least positive common denominator), over GF(p) denominator 1.  The
+    # common factor makes a gcd above 1 the usual case.
+    values, d = [v * common for v in values], d * common
+    if ring != QQ and d % ring.p == 0:
+        return
+    ints, e = ring._normal(values, d)
+    if ring == QQ:
+        fractions = [Fraction(v, d) for v in values]
+        assert e == lcm(*(x.denominator for x in fractions))
+        assert list(ints) == [x * e for x in fractions]
+    else:
+        p = ring.p
+        assert e == 1
+        assert list(ints) == [v * pow(d, -1, p) % p for v in values]
