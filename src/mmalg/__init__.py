@@ -42,7 +42,6 @@ from .bilinear_core import (
     KnownRankBounds,
     RankBound,
     VerificationReport,
-    apply_elementary,
     dump_algorithm,
     exponent,
     format_algorithm,
@@ -70,6 +69,7 @@ from .transforms import (
 )
 from .recursion import (
     RecursionConfig,
+    apply_elementary,
     cost_model,
     multiply_via_inversion,
     recursive_invert,

@@ -27,13 +27,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from operator import add, mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BadArgument, DimensionError, ExponentUndefined, FormatError
 from .exact_algebra import (
-    Matrix, PrimeField, _exact, _Ops, _read_header, _read_text, _records, _shown,
+    PrimeField, _exact, _packed, _read_header, _read_text, _records, _shown, _unpacked,
     _unwritable, _write_text,
 )
 
@@ -171,7 +170,8 @@ class VerificationReport:
 
 @dataclass
 class CostReport:
-    """Operation counts; recursive_multiply tallies into one as it runs."""
+    """Operation counts; the recursion (recursion._multiply_levels) tallies
+    into one as it runs."""
 
     bilinear_mults: int = 0
     scalar_mults: int = 0
@@ -214,19 +214,6 @@ def verify_brent(alg: BilinearAlgorithm) -> VerificationReport:
 # Trials checked together: every packed int holds one slot per trial of a
 # batch, so memory stays bounded however many trials are asked for.
 _TRIAL_BATCH = 64
-
-
-def _packed(values, width: int) -> int:
-    """The values (each below 2^(8 width)) as consecutive width-byte slots."""
-    return int.from_bytes(
-        b"".join(map(int.to_bytes, values, repeat(width), repeat("little"))), "little"
-    )
-
-
-def _unpacked(x: int, slots: list):
-    """The slot values of x, one per slice in slots (the inverse of _packed)."""
-    return map(int.from_bytes, map(x.to_bytes(slots[-1].stop, "little").__getitem__, slots),
-               repeat("little"))
 
 
 def _trace_abd(vals: list, m: int, k: int, n: int) -> int:
@@ -351,58 +338,6 @@ def _compile(alg: BilinearAlgorithm) -> _Program:
             sum(c != 1 and c != -1 for terms in f for _, c in terms) for f in forms
         ),
     )
-
-
-def _linear_combination(terms, values, ops: _Ops):
-    """sum of c * values[i] over terms, with the +-1 shortcuts.
-
-    An empty combination is 0 times any value.
-    """
-    add, sub, neg, times = ops
-    acc = None
-    for i, c in terms:
-        x = values[i]
-        if acc is None:
-            acc = x if c == 1 else neg(x) if c == -1 else times(c, x)
-        elif c == 1:
-            acc = add(acc, x)
-        elif c == -1:
-            acc = sub(acc, x)
-        else:
-            acc = add(acc, times(c, x))
-    return times(0, values[0]) if acc is None else acc
-
-
-def apply_elementary(alg: BilinearAlgorithm, a: Matrix, b: Matrix):
-    """Run the program on concrete matrices; returns (product, CostReport).
-
-    Operations are counted symbolically from the coefficient structure:
-    one bilinear multiplication per product, a scalar multiplication for each
-    coefficient outside {1, -1}, and an addition for each term beyond the
-    first in any linear combination.
-    """
-    if not isinstance(a, Matrix) or not isinstance(b, Matrix):
-        raise TypeError("expected matrices")
-    m, k, n = alg.dims
-    if (a.rows, a.cols) != (m, k) or (b.rows, b.cols) != (k, n):
-        raise DimensionError(
-            f"{alg.dims} program cannot run on {a.rows}x{a.cols} * {b.rows}x{b.cols}"
-        )
-    if a.ring != b.ring:
-        raise ValueError("mixed rings")
-    ring, ops = a.ring, a.ring._entry
-    prog = _compile(alg)
-    products = [ring._mul(_linear_combination(us, a._values, ops),
-                          _linear_combination(vs, b._values, ops))
-                for us, vs in zip(prog.u, prog.v)]
-    values = [_linear_combination(ws, products, ops) for ws in prog.w]
-    report = CostReport(
-        bilinear_mults=alg.rank,
-        scalar_mults=prog.scalar_mults,
-        additions=prog.additions,
-        context=f"elementary program {alg.dims} rank {alg.rank}",
-    )
-    return Matrix._from_values(ring, m, n, values), report
 
 
 def exponent(alg: BilinearAlgorithm) -> float:

@@ -16,13 +16,6 @@ every other module uses:
 - ``_modulus``: p, or None over QQ, where raw values are never reduced;
 - ``_value(x)``: an int, a Fraction or a ring element as a raw value;
   ``_element(v)`` and ``_elements(values)`` turn raw values into elements;
-- ``_entry``: the ``_Ops`` a compiled program runs on over raw values
-  (apply_elementary), and ``_block`` the same over equal-length sequences
-  of them (Matrix sums and scaling), each result reduced; ``_mul``
-  multiplies two raw values;
-- ``_unreduced``: the ``_Ops`` of the recursion's blocks, exact list
-  arithmetic that never reduces mod p (QQ's ``_block``); over GF(p) a
-  Fraction coefficient scales by its image mod p;
 - ``_clear`` and ``_restore``: over QQ, ``_clear`` scales each row (or each
   column) of raw values by the lcm of its denominators to Python ints and
   returns those lcms, and ``_restore`` divides entry (i, j) of an int
@@ -36,6 +29,10 @@ every other module uses:
 - ``PrimeField._image(c)``: the raw value of a program coefficient c, or
   BadArgument when c has none (over QQ a coefficient is its own image).
 
+Matrix sums, negation and scaling compute on the raw values and take each
+result through ``_value``; program evaluation (recursion) is exact list
+arithmetic on ints and reduces once, through ``_restore``.
+
 So QQ products (recursion.recursive_multiply), block inversion
 (recursion.recursive_invert) and mat_inverse's fraction-free elimination
 run on ints, with one Fraction per output entry.  The two inverses share
@@ -45,7 +42,9 @@ matrix) and the conversion of its result into the inverse
 Two flat kernels multiply raw row-major operands: _classical, the plain
 loop with one reduction mod p per dot product (none over QQ, where it takes
 ints or Fractions alike), and over GF(p) _packed_classical, which packs
-each row of B into one int (Kronecker substitution).
+each row of B into one int (Kronecker substitution) with _packed and reads
+the slots of a row of C back with _unpacked, the pair the batched
+trace-identity verifier (bilinear_core) packs its trials with.
 
 A small text format for matrices is provided: a ``rows cols`` header line
 followed by one whitespace-separated row per line, entries written as
@@ -63,7 +62,7 @@ from fractions import Fraction
 from itertools import cycle, repeat
 from math import gcd, lcm
 from operator import add, mul, neg, sub
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import BadArgument, BadField, DimensionError, FormatError, SingularMatrix
 
@@ -202,23 +201,6 @@ class ModularScalar:
         return str(self.value)
 
 
-class _Ops(NamedTuple):
-    """The arithmetic of a linear form (bilinear_core._linear_combination).
-    times(c, x) scales x by a program coefficient c (an int when it is
-    integral, else a Fraction with denominator > 1) or, in a ring's _block,
-    by a raw Matrix scale factor."""
-
-    add: Callable
-    sub: Callable
-    neg: Callable
-    times: Callable
-
-
-# Exact arithmetic on equal-length lists of raw values, never reduced.
-_LISTS = _Ops(lambda x, y: list(map(add, x, y)), lambda x, y: list(map(sub, x, y)),
-              lambda x: list(map(neg, x)), lambda c, x: list(map(mul, repeat(c), x)))
-
-
 class RationalField:
     """The field of exact rationals.  Use the module-level singleton QQ."""
 
@@ -227,9 +209,6 @@ class RationalField:
 
     # Raw values are the Fractions themselves; see the module docstring.
     _modulus = None
-    _mul = mul
-    _entry = _Ops(add, sub, neg, mul)
-    _block = _unreduced = _LISTS
 
     def coerce(self, x) -> Fraction:
         if isinstance(x, Fraction):
@@ -301,19 +280,6 @@ class PrimeField:
         # Raw values are ints in [0, p); see the module docstring.
         self._modulus = p
         self._images: dict = {}
-        image = self._image
-        self._mul = lambda x, y: x * y % p
-        self._entry = _Ops(lambda x, y: (x + y) % p, lambda x, y: (x - y) % p,
-                           lambda x: -x % p, lambda c, x: image(c) * x % p)
-        # Matrix scale passes a raw factor, not a program coefficient.
-        self._block = _Ops(lambda x, y: [v % p for v in map(add, x, y)],
-                           lambda x, y: [v % p for v in map(sub, x, y)],
-                           lambda x: [-v % p for v in x],
-                           lambda c, x: [v % p for v in map(mul, repeat(c), x)])
-        # A Fraction coefficient scales by its image; an int one by itself,
-        # which is congruent and smaller.
-        self._unreduced = _LISTS._replace(
-            times=lambda c, x: _LISTS.times(c if isinstance(c, int) else image(c), x))
 
     def coerce(self, x) -> ModularScalar:
         return self._element(self._value(x))
@@ -374,10 +340,6 @@ class PrimeField:
 
     def _normal(self, values: Sequence, d: int) -> tuple:
         return self._quotient(values, d), 1
-
-    def __reduce__(self):
-        # The raw arithmetic holds closures, which pickle cannot store.
-        return PrimeField, (self.p,)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -488,23 +450,25 @@ class Matrix:
             )
 
     def _like(self, values) -> "Matrix":
-        return Matrix._from_values(self.ring, self.rows, self.cols, values)
+        """A Matrix of self's ring and shape holding values, raw values
+        computed from self's, each taken through the ring's _value."""
+        ring = self.ring
+        return Matrix._from_values(ring, self.rows, self.cols, map(ring._value, values))
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return self._like(self.ring._block.add(self._values, other._values))
+        return self._like(map(add, self._values, other._values))
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return self._like(self.ring._block.sub(self._values, other._values))
+        return self._like(map(sub, self._values, other._values))
 
     def __neg__(self):
-        return self._like(self.ring._block.neg(self._values))
+        return self._like(map(neg, self._values))
 
     def scale(self, s) -> "Matrix":
         """s times self; s is an int, a Fraction or an element of the ring."""
-        ring = self.ring
-        return self._like(ring._block.times(ring._value(s), self._values))
+        return self._like(map(mul, repeat(self.ring._value(s)), self._values))
 
     def __matmul__(self, other):
         return mat_classical_multiply(self, other)
@@ -584,28 +548,59 @@ def _classical(ae: Sequence, be: Sequence, m: int, k: int, n: int, p: Optional[i
     return out if p is None else [x % p for x in out]
 
 
+def _packed(values, width: int) -> int:
+    """The values (each below 2^(8 width)) as consecutive width-byte slots."""
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, values, repeat(width), repeat("little"))), "little"
+    )
+
+
+def _unpacked(x: int, slots: list):
+    """The slot values of x, one per slice in slots (the inverse of _packed)."""
+    return map(int.from_bytes, map(x.to_bytes(slots[-1].stop, "little").__getitem__, slots),
+               repeat("little"))
+
+
 def _packed_classical(ae: Sequence, be: Sequence, m: int, k: int, n: int, p: int) -> list:
     """Raw row-major m x n product mod p of row-major operands of any ints,
     each entry reduced to [0, p).
 
     Kronecker substitution (Dumas, Fousse and Salvy, J. Symbolic Comput.
     2011): the operands are reduced mod p first, and each row of B becomes
-    one int of n slots of w bytes, w enough for k * (p-1)^2, so that row i
-    of C is the one sum of a_ij times packed row j, whose slots never carry
-    into each other.
+    one int of n slots of w bytes (_packed), w enough for k * (p-1)^2, so
+    that row i of C is the one sum of a_ij times packed row j, whose slots
+    never carry into each other.
     """
     ae = [x % p for x in ae]
     width = -(-(k * (p - 1) ** 2).bit_length() // 8)
-    packed = [int.from_bytes(b"".join(map(int.to_bytes, [x % p for x in be[j:j + n]],
-                                          repeat(width), repeat("little"))), "little")
-              for j in range(0, k * n, n)]
-    size = n * width
-    slots = [slice(j, j + width) for j in range(0, size, width)]
+    packed = [_packed([x % p for x in be[j:j + n]], width) for j in range(0, k * n, n)]
+    slots = [slice(j, j + width) for j in range(0, n * width, width)]
     out = []
     for i in range(0, m * k, k):
-        row = sum(map(mul, ae[i:i + k], packed)).to_bytes(size, "little")
-        out += [int.from_bytes(row[s], "little") % p for s in slots]
+        out += [x % p for x in _unpacked(sum(map(mul, ae[i:i + k], packed)), slots)]
     return out
+
+
+def _product_dims(a: Matrix, b: Matrix) -> tuple:
+    """(m, k, n) of the product of an m x k matrix a and a k x n matrix b;
+    raises TypeError, ValueError or DimensionError for any other operands."""
+    if not isinstance(a, Matrix) or not isinstance(b, Matrix):
+        raise TypeError("expected matrices")
+    if a.ring != b.ring:
+        raise ValueError("mixed rings")
+    if a.cols != b.rows:
+        raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    return a.rows, a.cols, b.cols
+
+
+def _square_side(a: Matrix) -> int:
+    """The side of the square matrix a; raises TypeError or DimensionError
+    for any other operand."""
+    if not isinstance(a, Matrix):
+        raise TypeError("expected a Matrix")
+    if a.rows != a.cols:
+        raise DimensionError("only square matrices have inverses")
+    return a.rows
 
 
 def mat_classical_multiply(a: Matrix, b: Matrix) -> Matrix:
@@ -616,13 +611,7 @@ def mat_classical_multiply(a: Matrix, b: Matrix) -> Matrix:
     paths of recursion.recursive_multiply and mat_inverse; over GF(p) it
     shares no kernel with the recursion, whose leaves run _packed_classical.
     """
-    if not isinstance(a, Matrix) or not isinstance(b, Matrix):
-        raise TypeError("expected matrices")
-    if a.ring != b.ring:
-        raise ValueError("mixed rings")
-    if a.cols != b.rows:
-        raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    m, k, n = a.rows, a.cols, b.cols
+    m, k, n = _product_dims(a, b)
     ring = a.ring
     return Matrix._from_values(ring, m, n,
                                _classical(a._values, b._values, m, k, n, ring._modulus))
@@ -681,11 +670,7 @@ def mat_inverse(a: Matrix) -> Matrix:
     recursion.recursive_invert shares both steps.  Works over either field
     ring; raises SingularMatrix when no inverse exists.
     """
-    if not isinstance(a, Matrix):
-        raise TypeError("expected a Matrix")
-    if a.rows != a.cols:
-        raise DimensionError("only square matrices have inverses")
-    n = a.rows
+    n = _square_side(a)
     ring = a.ring
     cleared, scales = ring._clear(a._values, n)
     return _cleared_inverse(ring, n, *_bareiss(ring, cleared, n), scales)

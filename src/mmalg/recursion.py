@@ -15,11 +15,13 @@ s_x^d * ceil(x / s_x^d), and the product is cropped back to m x n once.
 A side of 1 is never split.  A product whose dimensions are the powers
 s_x^t of the base sides is not padded at all.  The base program is
 compiled once per RecursionConfig (bilinear_core._compile), and its linear
-forms run through bilinear_core._linear_combination, as apply_elementary's
-do.  Costs are tallied into one CostReport level by level: a level charges
-its batch's node count times one node's U, V and W combinations, counted
-per entry of an A, a B and a C block one level down, and a leaf
-m x k x n triple loop m*k*n multiplications and m*(k-1)*n additions.
+forms run through _linear_combination, exact list arithmetic with the +-1
+shortcuts.  apply_elementary runs a program once as one level of the same
+loop, with 1x1x1 leaves, on which level order is row-major.  Costs are
+tallied into one CostReport level by level: a level charges its batch's
+node count times one node's U, V and W combinations, counted per entry of
+an A, a B and a C block one level down, and a leaf m x k x n triple loop
+m*k*n multiplications and m*(k-1)*n additions.
 cost_model predicts the square case in closed form from the same per-level
 counts: at threshold 1 and K a power of a square base's side the two agree
 exactly.
@@ -38,10 +40,12 @@ Fraction times an int is exact.
 
 Delayed reduction (as in FFLAS-FFPACK; Dumas, Giorgi and Pernet, ACM TOMS
 2008): over GF(p) no block operation reduces mod p.  Block additions,
-subtractions and scalings are the ring's _unreduced arithmetic, exact list
-arithmetic on ints (QQ's is its _block) in which a Fraction coefficient
-scales by its image mod p and an int coefficient by itself, congruent and
-smaller; _restore reduces the product once.
+subtractions and scalings are exact list arithmetic on ints.  Before the
+level loop of a product that recurses, each Fraction coefficient of the
+program is replaced by its image mod p (the ring's _image); an int
+coefficient scales by itself, congruent and smaller.  A product that does
+not recurse evaluates no form, so a coefficient with no image mod p does
+not stop it.  _restore reduces the product once.
 
 Level order and batches.  recursive_multiply reorders both padded operands
 into level order (see _level_order): the entries of a leaf block
@@ -89,16 +93,16 @@ embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import chain
+from functools import lru_cache, partial
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Callable
 
-from .bilinear_core import BilinearAlgorithm, CostReport, _compile, _linear_combination, _Program
+from .bilinear_core import BilinearAlgorithm, CostReport, _compile, _Program
 from .errors import BadArgument, DimensionError, SingularMatrix
-from .exact_algebra import (Matrix, _bareiss, _classical, _cleared_inverse, _Ops,
-                            _packed_classical, _padded, mat_inverse)
+from .exact_algebra import (Matrix, _bareiss, _classical, _cleared_inverse, _packed_classical,
+                            _padded, _product_dims, _square_side, mat_inverse)
 
 # A level runs its R products as one batch while that batch holds at most
 # this many operand entries, and each product as a batch of its own above
@@ -142,7 +146,8 @@ def _plan(sides: tuple, dims: tuple, threshold: int) -> tuple:
         d += 1
 
 
-def _level_order(rows: int, cols: int, rside: int, cside: int, depth: int) -> list:
+@lru_cache(maxsize=64)
+def _level_order(rows: int, cols: int, rside: int, cside: int, depth: int) -> tuple:
     """The row-major positions of a rows x cols matrix, listed in level order.
 
     Split depth times into an rside x cside grid of blocks, a matrix in
@@ -152,13 +157,14 @@ def _level_order(rows: int, cols: int, rside: int, cside: int, depth: int) -> li
     of rside**depth and cols of cside**depth.  Block q of the first split is
     then the strided slice [q::rside * cside], itself in level order, and so
     is block q of every node of a batch of such matrices stored end to end.
+    Orders are cached: block inversion repeats a few shapes many times.
     """
     if depth == 0:
-        return list(range(rows * cols))
+        return tuple(range(rows * cols))
     br, bc = rows // rside, cols // cside
     inner = [(i // bc) * cols + i % bc for i in _level_order(br, bc, rside, cside, depth - 1)]
-    return [bi * br * cols + bj * bc + i
-            for i in inner for bi in range(rside) for bj in range(cside)]
+    return tuple(bi * br * cols + bj * bc + i
+                 for i in inner for bi in range(rside) for bj in range(cside))
 
 
 def _levels(prog: _Program, sides: tuple, leaf: tuple, depth: int) -> list:
@@ -197,24 +203,50 @@ def _leaves(a: list, b: list, nodes: int, m: int, k: int, n: int) -> list:
     return out
 
 
-def _multiply_levels(a: list, b: list, levels: list, prog: _Program, sides: tuple,
-                     ops: _Ops, kernel: Callable, cost: CostReport) -> list:
-    """The unreduced product of two raw operands of levels[-1]'s dims in
-    level order (see _level_order), in level order.
+def _linear_combination(terms, blocks: list) -> list:
+    """The sum of c * blocks[i] over terms, exact list arithmetic with the
+    +-1 shortcuts; an empty combination is a zero block."""
+    acc = None
+    for i, c in terms:
+        x = blocks[i]
+        if acc is None:
+            acc = x if c == 1 else list(map(neg, x)) if c == -1 else list(map(mul, repeat(c), x))
+        elif c == 1:
+            acc = list(map(add, acc, x))
+        elif c == -1:
+            acc = list(map(sub, acc, x))
+        else:
+            acc = list(map(add, acc, map(mul, repeat(c), x)))
+    return [0] * len(blocks[0]) if acc is None else acc
+
+
+def _multiply_levels(a: list, b: list, levels: list, prog: _Program, sides: tuple, ring,
+                     cost: CostReport) -> list:
+    """The unreduced product of two operands of raw ints (over QQ, cleared
+    ones) of levels[-1]'s dims in level order (see _level_order), in level
+    order.
 
     run(a, b, nodes, depth) multiplies a batch of nodes sibling pairs with
     depth levels below them, stored end to end.  Its next batch, the
     operands of its R products, runs in one call while it holds at most
     _BATCH_ENTRIES entries; above that, each product runs as a batch of its
-    own.  The linear forms run on ops, and kernel(x, y, m, k, n) multiplies
-    one m x k by k x n leaf.
+    own.  Over GF(p), when the product recurses, each Fraction coefficient
+    of prog is first replaced by its image mod p, and a leaf above
+    _LEAF_BATCH runs _packed_classical; over QQ it runs _classical.
     """
     m0, k0, n0 = sides
     sa, sb, sc = m0 * k0, k0 * n0, m0 * n0
     rank = len(prog.u)
-
-    def combine(terms, values):
-        return _linear_combination(terms, values, ops)
+    p = ring._modulus
+    if p is None:
+        kernel = partial(_classical, p=None)
+    else:
+        kernel = partial(_packed_classical, p=p)
+        if len(levels) > 1:
+            image = ring._image
+            u, v, w = (tuple(tuple((i, c if isinstance(c, int) else image(c)) for i, c in terms)
+                             for terms in form) for form in (prog.u, prog.v, prog.w))
+            prog = prog._replace(u=u, v=v, w=w)
 
     def run(a: list, b: list, nodes: int, depth: int) -> list:
         (m, k, n), additions, scalar_mults = levels[depth]
@@ -234,17 +266,18 @@ def _multiply_levels(a: list, b: list, levels: list, prog: _Program, sides: tupl
         b_blocks = [b[q::sb] for q in range(sb)]
         mb, kb, nb = levels[depth - 1][0]
         if rank * nodes * (mb * kb + kb * nb) <= _BATCH_ENTRIES:
-            c = run(list(chain.from_iterable(combine(us, a_blocks) for us in prog.u)),
-                    list(chain.from_iterable(combine(vs, b_blocks) for vs in prog.v)),
+            c = run(list(chain.from_iterable(_linear_combination(us, a_blocks) for us in prog.u)),
+                    list(chain.from_iterable(_linear_combination(vs, b_blocks) for vs in prog.v)),
                     rank * nodes, depth - 1)
             size = nodes * mb * nb
             products = [c[i:i + size] for i in range(0, len(c), size)]
         else:
-            products = [run(combine(us, a_blocks), combine(vs, b_blocks), nodes, depth - 1)
+            products = [run(_linear_combination(us, a_blocks), _linear_combination(vs, b_blocks),
+                            nodes, depth - 1)
                         for us, vs in zip(prog.u, prog.v)]
         out = [None] * (nodes * m * n)
         for r, ws in enumerate(prog.w):
-            out[r::sc] = combine(ws, products)
+            out[r::sc] = _linear_combination(ws, products)
         return out
 
     return run(a, b, 1, len(levels) - 1)
@@ -264,16 +297,12 @@ def _multiply(cfg: RecursionConfig, ring, a, b, m: int, k: int, n: int,
     prog = cfg._prog
     levels = _levels(prog, sides, leaf, depth)
     pm, pk, pn = levels[depth][0]
-    # One level order per distinct operand shape: a square product has one.
-    a_key, b_key, c_key = (pm, pk, m0, k0), (pk, pn, k0, n0), (pm, pn, m0, n0)
-    orders = {key: _level_order(*key, depth) for key in {a_key, b_key, c_key}}
-    p = ring._modulus
-    kernel = partial(_classical, p=None) if p is None else partial(_packed_classical, p=p)
     ae, be = _padded(a, m, k, pm, pk), _padded(b, k, n, pk, pn)
-    out = _multiply_levels([ae[i] for i in orders[a_key]], [be[i] for i in orders[b_key]],
-                           levels, prog, sides, ring._unreduced, kernel, cost)
+    out = _multiply_levels([ae[i] for i in _level_order(pm, pk, m0, k0, depth)],
+                           [be[i] for i in _level_order(pk, pn, k0, n0, depth)],
+                           levels, prog, sides, ring, cost)
     c = [None] * len(out)  # the product, row-major
-    for i, v in zip(orders[c_key], out):
+    for i, v in zip(_level_order(pm, pn, m0, n0, depth), out):
         c[i] = v
     return [v for r in range(0, m * pn, pn) for v in c[r:r + n]]
 
@@ -293,13 +322,7 @@ def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     by its row and column scales once (_restore).  Over GF(p) it reduces
     mod p once, at the end (_restore).  The recursion itself is _multiply.
     """
-    if not isinstance(a, Matrix) or not isinstance(b, Matrix):
-        raise TypeError("expected matrices")
-    if a.ring != b.ring:
-        raise ValueError("mixed rings")
-    if a.cols != b.rows:
-        raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    m, k, n = a.rows, a.cols, b.cols
+    m, k, n = _product_dims(a, b)
     report = CostReport(context=(
         f"recursive multiply {m}x{k} by {k}x{n}, "
         f"base {cfg.base_alg.dims} rank {cfg.base_alg.rank}, threshold {cfg.threshold}"
@@ -308,6 +331,29 @@ def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     ae, row_scales = ring._clear(a._values, k)
     be, col_scales = ring._clear(b._values, n, by_columns=True)
     c = _multiply(cfg, ring, ae, be, m, k, n, report)
+    return Matrix._from_values(ring, m, n, ring._restore(c, row_scales, col_scales)), report
+
+
+def apply_elementary(alg: BilinearAlgorithm, a: Matrix, b: Matrix):
+    """Run the program once on concrete matrices; returns (product, CostReport).
+
+    It runs as one level of the recursion (_multiply_levels) with 1x1x1
+    leaves, on values cleared by the ring's _clear as in recursive_multiply,
+    so its counts are one level's: one bilinear multiplication per product,
+    a scalar multiplication for each coefficient outside {1, -1}, and an
+    addition for each term beyond the first in any linear combination.
+    """
+    m, k, n = sides = tuple(alg.dims)
+    if _product_dims(a, b) != sides:
+        raise DimensionError(
+            f"{alg.dims} program cannot run on {a.rows}x{a.cols} * {b.rows}x{b.cols}"
+        )
+    prog = _compile(alg)
+    report = CostReport(context=f"elementary program {alg.dims} rank {alg.rank}")
+    ring = a.ring
+    ae, row_scales = ring._clear(a._values, k)
+    be, col_scales = ring._clear(b._values, n, by_columns=True)
+    c = _multiply_levels(ae, be, _levels(prog, sides, (1, 1, 1), 1), prog, sides, ring, report)
     return Matrix._from_values(ring, m, n, ring._restore(c, row_scales, col_scales)), report
 
 
@@ -405,11 +451,7 @@ def recursive_invert(cfg: RecursionConfig, a: Matrix):
     ran (block additions and the leaf inversions are not counted).  Raises
     SingularMatrix when no inverse exists.
     """
-    if not isinstance(a, Matrix):
-        raise TypeError("expected a Matrix")
-    if a.rows != a.cols:
-        raise DimensionError("only square matrices have inverses")
-    side = a.rows
+    side = _square_side(a)
     ring = a.ring
     report = CostReport()
     subcalls = 0
@@ -448,15 +490,7 @@ def multiply_via_inversion(
     (the middle blocks of the inverse are -A and -B).  T is unit-triangular,
     so every leading block is invertible and pivot-free elimination succeeds.
     """
-    if not isinstance(a, Matrix) or not isinstance(b, Matrix):
-        raise TypeError("expected matrices")
-    if a.ring != b.ring:
-        raise ValueError("mixed rings")
-    if a.cols != b.rows:
-        raise DimensionError(
-            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
-        )
-    m, k, n = a.rows, a.cols, b.cols
+    m, k, n = _product_dims(a, b)
     ring = a.ring
     eye, zero = Matrix.identity, Matrix.zeros
     t_inv = invert(Matrix.from_blocks([

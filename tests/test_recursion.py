@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mmalg import (
     BadArgument,
+    BilinearAlgorithm,
     DimensionError,
     Matrix,
     ModularScalar,
@@ -19,6 +20,7 @@ from mmalg import (
     QQ,
     RecursionConfig,
     SingularMatrix,
+    apply_elementary,
     apply_equivalence,
     classical,
     cost_model,
@@ -228,6 +230,63 @@ def test_fraction_coefficients_over_prime_fields():
                     assert got == mat_classical_multiply(a, b), (seed, p, side)
                     # Raw values stay ints: no Fraction ran through the blocks.
                     assert all(type(x.value) is int for x in got.entries), (seed, p, side)
+
+
+def _scaled_strassen(factor):
+    """Strassen with product 0's U times factor and its W over factor."""
+    alg = strassen_222()
+    u, w = list(alg.u), list(alg.w)
+    u[0] = {key: c * factor for key, c in u[0].items()}
+    w[0] = {key: Fraction(c, factor) for key, c in w[0].items()}
+    return BilinearAlgorithm(alg.dims, alg.rank, u, alg.v, w)
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(3), PrimeField(7), FIELD])
+def test_apply_elementary_is_one_level_of_the_recursion(ring):
+    # apply_elementary runs a program once as one recursion level, so at the
+    # base's dims its counts are recursive_multiply's.  Over GF(3) the
+    # variant's coefficient 1/4 has image 1, which takes the +-1 shortcut
+    # while it is still counted as a scalar multiplication.
+    rng = random.Random(70)
+    for alg in (strassen_222(), classical(2, 3, 4), pan_aggregation(2), _scaled_strassen(4)):
+        m, k, n = alg.dims
+        cfg = RecursionConfig(alg, 1)
+        for _ in range(5):
+            a, b = random_matrix(ring, m, k, rng), random_matrix(ring, k, n, rng)
+            got, report = apply_elementary(alg, a, b)
+            assert got == mat_classical_multiply(a, b), (alg, ring)
+            # Raw values keep the ring's type: no Fraction left over GF(p).
+            raw = [x if ring == QQ else x.value for x in got.entries]
+            assert all(type(x) is (Fraction if ring == QQ else int) for x in raw), (alg, ring)
+            _, want = recursive_multiply(cfg, a, b)
+            assert (report.bilinear_mults, report.scalar_mults, report.additions) == (
+                want.bilinear_mults, want.scalar_mults, want.additions), (alg, ring)
+            assert report.bilinear_mults == alg.rank
+
+
+def test_coefficient_without_an_image_stops_only_a_recursing_product():
+    # Over GF(3) the coefficient 1/3 has no image.  A product that does not
+    # recurse evaluates no linear form, so it succeeds; one that recurses,
+    # and apply_elementary, refuse the program.
+    alg = _scaled_strassen(3)
+    field = PrimeField(3)
+    cfg = RecursionConfig(alg, 1)
+    rng = random.Random(71)
+    a, b = random_matrix(field, 1, 4, rng), random_matrix(field, 4, 3, rng)
+    got, report = recursive_multiply(cfg, a, b)
+    assert got == mat_classical_multiply(a, b)
+    assert report.bilinear_mults == 12
+    a, b = random_matrix(field, 2, 2, rng), random_matrix(field, 2, 2, rng)
+    with pytest.raises(BadArgument, match="no image mod 3"):
+        recursive_multiply(cfg, a, b)
+    with pytest.raises(BadArgument, match="no image mod 3"):
+        apply_elementary(alg, a, b)
+    # Over a field where 1/3 has an image, the program runs at any depth.
+    field = PrimeField(7)
+    a, b = random_matrix(field, 4, 4, rng), random_matrix(field, 4, 4, rng)
+    assert recursive_multiply(cfg, a, b)[0] == mat_classical_multiply(a, b)
+    a, b = random_matrix(field, 2, 2, rng), random_matrix(field, 2, 2, rng)
+    assert apply_elementary(alg, a, b)[0] == mat_classical_multiply(a, b)
 
 
 def test_deep_product_memory_stays_bounded():
