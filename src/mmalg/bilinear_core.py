@@ -27,12 +27,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import add, mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BadArgument, DimensionError, ExponentUndefined, FormatError
 from .exact_algebra import (
-    PrimeField, _exact, _packed, _read_header, _read_text, _records, _shown, _unpacked,
+    PrimeField, _classical, _exact, _packed, _read_header, _read_text, _records, _shown, _unpacked,
     _unwritable, _write_text,
 )
 
@@ -91,6 +92,24 @@ def _clean_tensor(slices, rows: int, cols: int, name: str):
                 d[(r, c)] = val
         out.append(d)
     return tuple(out)
+
+
+# The most nonzero coefficients any one tensor of a built program may hold:
+# the generators, tensor_product and squareify know their counts (or a bound
+# on them) before building, and refuse a program past this limit (hundreds
+# of MB as text).
+_MAX_NONZEROS = 2_000_000
+
+
+def _check_size(counts) -> None:
+    """BadArgument unless each of the program's (u, v, w) nonzero counts is
+    within _MAX_NONZEROS."""
+    for name, count in zip("uvw", counts):
+        if count > _MAX_NONZEROS:
+            raise BadArgument(
+                f"result would hold {count} nonzero {name} coefficients, "
+                f"over the limit of {_MAX_NONZEROS}"
+            )
 
 
 class BilinearAlgorithm:
@@ -216,19 +235,6 @@ def verify_brent(alg: BilinearAlgorithm) -> VerificationReport:
 _TRIAL_BATCH = 64
 
 
-def _trace_abd(vals: list, m: int, k: int, n: int) -> int:
-    """trace(A B D) of one trial's draws: A (m x k), B (k x n), D (n x m),
-    row-major one after another."""
-    mk, kn = m * k, k * n
-    b_cols = [vals[mk + h:mk + kn:n] for h in range(n)]
-    total = 0
-    for i in range(m):
-        a_row = vals[i * k:(i + 1) * k]
-        ab_row = [sum(map(mul, a_row, col)) for col in b_cols]
-        total += sum(map(mul, ab_row, vals[mk + kn + i::m]))
-    return total
-
-
 def verify_trilinear_random(
     alg: BilinearAlgorithm,
     trials: int = 20,
@@ -252,6 +258,8 @@ def verify_trilinear_random(
     trial-by-trial loop (per trial: A row-major, then B, then D, each by
     rng.randrange(p)), so a seed gives the same samples and the same
     verdict; the check stops after the first batch with a failing trial.
+    The right-hand side runs per trial on plain ints: A B by the classical
+    kernel (exact_algebra._classical), dotted with D's columns.
     """
     if not isinstance(trials, int) or trials < 1:
         raise BadArgument(f"trials must be a positive integer, got {trials!r}")
@@ -287,7 +295,10 @@ def verify_trilinear_random(
             ld = _unpacked(sum(c * packed[x] for x, c in ew), slots)
             lhs = list(map(add, lhs, map(mul, map(mul, la, lb), ld)))
         for left, vals in zip(lhs, draws):
-            if (left - _trace_abd(vals, m, k, n)) % prime:
+            # trace(A B D): A B, row-major, dotted with D's columns in turn.
+            ab = _classical(vals[:mk], vals[mk:mk + kn], m, k, n, None)
+            d = vals[mk + kn:]
+            if (left - sum(map(mul, ab, chain.from_iterable(d[i::m] for i in range(m))))) % prime:
                 return False
     return True
 

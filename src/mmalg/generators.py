@@ -8,13 +8,18 @@ n = 8 onward and drives the multiplication exponent below 2.85 at n = 34.
 
 from __future__ import annotations
 
-from .bilinear_core import BilinearAlgorithm, DimensionTriple
+from .bilinear_core import BilinearAlgorithm, DimensionTriple, _check_size
 from .errors import BadArgument
 
 
 def classical(m: int, k: int, n: int) -> BilinearAlgorithm:
-    """One bilinear product a_ij * b_jh per coefficient of the result: rank mkn."""
+    """One bilinear product a_ij * b_jh per coefficient of the result: rank mkn.
+
+    Each tensor holds mkn nonzeros; past bilinear_core._MAX_NONZEROS the
+    program is refused with BadArgument before it is built.
+    """
     dims = DimensionTriple(m, k, n)
+    _check_size([dims.volume] * 3)
     u, v, w = [], [], []
     for i in range(m):
         for j in range(k):
@@ -75,9 +80,16 @@ def pan_aggregation(n: int) -> BilinearAlgorithm:
     Coefficients accumulate as a multiset: when shifting makes two formal
     terms land on the same matrix entry (wraparound makes this unavoidable
     for every n), their coefficients add, so entries of magnitude 2 occur.
+
+    Each tensor holds at most 2n^3 + 2n^2 nonzeros (at most two per
+    aggregate product, at most n per correction product of the family that
+    aggregates it, one per other correction product); past
+    bilinear_core._MAX_NONZEROS the program is refused with BadArgument
+    before it is built.
     """
     if not isinstance(n, int) or n < 2 or n % 2:
         raise BadArgument(f"aggregation scheme requires even n >= 2, got {n!r}")
+    _check_size([2 * n**3 + 2 * n**2] * 3)
 
     u, v, w = [], [], []
 

@@ -55,13 +55,14 @@ which is innermost.  Block q of a node of A is then the strided slice
 nodes stored end to end, node index outermost, holds block q of every one
 of them.  _multiply_levels runs one level of one batch per call: each U
 and V form is one list operation over those slices for the whole batch,
-the operands of the R products are concatenated into the next batch, and
-each W form writes output block r into the slice [r::m0*n0].  A whole
-level at once (breadth-first) would hold R^d blocks at depth d, so a level
-whose next batch would hold more than _BATCH_ENTRIES operand entries runs
-each product as a batch of its own (depth-first) instead: breadth-first
-near the leaves, depth-first near the root (Benson and Ballard,
-arXiv:1409.2908).  A batch of small leaves, at most _LEAF_BATCH
+the operands of a group of its R products are concatenated into the next
+batch, and each W form writes output block r into the slice [r::m0*n0].
+A whole level at once would hold R^d blocks at depth d, so one rule bounds
+memory (as in the hybrid scheme of Benson and Ballard, arXiv:1409.2908): a
+level runs its R products in consecutive groups, each as large as keeps
+its next batch within _BATCH_ENTRIES operand entries, and at least one
+product.  Near the leaves a group is the whole level; near the root it may
+be a single product.  A batch of small leaves, at most _LEAF_BATCH
 multiplications per node, runs the triple loop with each step one map over
 the batch (a 1x1x1 leaf is one map); a larger leaf runs a kernel per node:
 over GF(p) the packed kernel exact_algebra._packed_classical, which
@@ -82,9 +83,10 @@ recursion serves both rings.  Each block product is one call of _multiply
 on the ints, and the inverse takes one raw value per entry at the end
 (exact_algebra._cleared_inverse, which mat_inverse shares).  The
 elimination does not pivot between blocks, so a singular leading block or
-complement of an invertible matrix stops it; recursive_invert then
-returns mat_inverse of the whole matrix, which pivots by rows.  Matrices
-that are unit-triangular products never take that fallback.
+complement of an invertible matrix stops it; recursive_invert then runs
+_bareiss, which pivots by rows, on the whole cleared matrix, and both
+outcomes end in the same _cleared_inverse.  Matrices that are
+unit-triangular products never take that fallback.
 multiply_via_inversion closes the loop in the other direction by reading a
 product off one corner block of the inverse of a 3x3 block unit-triangular
 embedding.
@@ -102,11 +104,12 @@ from typing import Callable
 from .bilinear_core import BilinearAlgorithm, CostReport, _compile, _Program
 from .errors import BadArgument, DimensionError, SingularMatrix
 from .exact_algebra import (Matrix, _bareiss, _classical, _cleared_inverse, _packed_classical,
-                            _padded, _product_dims, _square_side, mat_inverse)
+                            _padded, _product_dims, _square_side)
 
-# A level runs its R products as one batch while that batch holds at most
-# this many operand entries, and each product as a batch of its own above
-# it, so memory stays near that of a depth-first recursion.
+# A level runs its R products in groups of as many as keep the next batch
+# within this many operand entries (at least one product per group), so
+# memory stays near that of a depth-first recursion: 0 runs every product
+# on its own, a cap above any level's size runs each level whole.
 _BATCH_ENTRIES = 4096
 # A batch of leaves with at most this many multiplications per node runs the
 # triple loop as maps over the batch; larger leaves run a kernel per node.
@@ -227,12 +230,14 @@ def _multiply_levels(a: list, b: list, levels: list, prog: _Program, sides: tupl
     order.
 
     run(a, b, nodes, depth) multiplies a batch of nodes sibling pairs with
-    depth levels below them, stored end to end.  Its next batch, the
-    operands of its R products, runs in one call while it holds at most
-    _BATCH_ENTRIES entries; above that, each product runs as a batch of its
-    own.  Over GF(p), when the product recurses, each Fraction coefficient
-    of prog is first replaced by its image mod p, and a leaf above
-    _LEAF_BATCH runs _packed_classical; over QQ it runs _classical.
+    depth levels below them, stored end to end.  It runs its R products in
+    consecutive groups of step, the most whose operands (nodes * step block
+    pairs) fit in _BATCH_ENTRIES entries, at least 1: each group's U and V
+    forms are concatenated into one batch, one call runs it, and its result
+    is split back into one slice per product for the W forms.  Over GF(p),
+    when the product recurses, each Fraction coefficient of prog is first
+    replaced by its image mod p, and a leaf above _LEAF_BATCH runs
+    _packed_classical; over QQ it runs _classical.
     """
     m0, k0, n0 = sides
     sa, sb, sc = m0 * k0, k0 * n0, m0 * n0
@@ -265,16 +270,15 @@ def _multiply_levels(a: list, b: list, levels: list, prog: _Program, sides: tupl
         a_blocks = [a[q::sa] for q in range(sa)]
         b_blocks = [b[q::sb] for q in range(sb)]
         mb, kb, nb = levels[depth - 1][0]
-        if rank * nodes * (mb * kb + kb * nb) <= _BATCH_ENTRIES:
-            c = run(list(chain.from_iterable(_linear_combination(us, a_blocks) for us in prog.u)),
-                    list(chain.from_iterable(_linear_combination(vs, b_blocks) for vs in prog.v)),
-                    rank * nodes, depth - 1)
-            size = nodes * mb * nb
-            products = [c[i:i + size] for i in range(0, len(c), size)]
-        else:
-            products = [run(_linear_combination(us, a_blocks), _linear_combination(vs, b_blocks),
-                            nodes, depth - 1)
-                        for us, vs in zip(prog.u, prog.v)]
+        step = max(1, _BATCH_ENTRIES // (nodes * (mb * kb + kb * nb)))
+        size = nodes * mb * nb
+        products = []
+        for g in range(0, rank, step):
+            us, vs = prog.u[g:g + step], prog.v[g:g + step]
+            c = run(list(chain.from_iterable(_linear_combination(t, a_blocks) for t in us)),
+                    list(chain.from_iterable(_linear_combination(t, b_blocks) for t in vs)),
+                    len(us) * nodes, depth - 1)
+            products += (c[i:i + size] for i in range(0, len(c), size))
         out = [None] * (nodes * m * n)
         for r, ws in enumerate(prog.w):
             out[r::sc] = _linear_combination(ws, products)
@@ -445,11 +449,12 @@ def recursive_invert(cfg: RecursionConfig, a: Matrix):
     _multiply directly.  It splits while the side is above cfg.threshold
     and inverts each leaf with mat_inverse's elimination (_bareiss); the
     inverse takes one value per entry at the end (_cleared_inverse).  When
-    a leading block or a complement is singular, the matrix is inverted by
-    mat_inverse instead, which pivots by rows, and the report's context
-    says so.  The CostReport aggregates the multiplication subcalls that
-    ran (block additions and the leaf inversions are not counted).  Raises
-    SingularMatrix when no inverse exists.
+    a leading block or a complement is singular, the cleared rows are
+    inverted whole by _bareiss instead, which pivots by rows, and the
+    report's context says so.  Both outcomes leave through one
+    _cleared_inverse.  The CostReport aggregates the multiplication
+    subcalls that ran (block additions and the leaf inversions are not
+    counted).  Raises SingularMatrix when no inverse exists.
     """
     side = _square_side(a)
     ring = a.ring
@@ -465,10 +470,9 @@ def recursive_invert(cfg: RecursionConfig, a: Matrix):
     cleared, scales = ring._clear(a._values, side)
     try:
         x, e = _invert_rec(cleared, 1, side, cfg.threshold, ring, mul)
-        inverse = _cleared_inverse(ring, side, x, e, scales)
     except SingularMatrix:
         try:
-            inverse = mat_inverse(a)
+            x, e = _bareiss(ring, cleared, side)
         except SingularMatrix:
             raise SingularMatrix(f"{a.rows}x{a.cols} matrix is singular") from None
         finish = ", finished by elimination with row pivoting"
@@ -477,7 +481,7 @@ def recursive_invert(cfg: RecursionConfig, a: Matrix):
         f"subcalls, base {cfg.base_alg.dims} rank {cfg.base_alg.rank}, "
         f"threshold {cfg.threshold}{finish}"
     )
-    return inverse, report
+    return _cleared_inverse(ring, side, x, e, scales), report
 
 
 def multiply_via_inversion(

@@ -22,11 +22,7 @@ from fractions import Fraction
 from math import prod
 from operator import mul
 
-from .bilinear_core import (
-    BilinearAlgorithm,
-    DimensionTriple,
-    verify_brent,
-)
+from .bilinear_core import BilinearAlgorithm, DimensionTriple, _check_size, verify_brent
 from .errors import BadArgument, BadTransform, FormatError, InvalidAlgorithm
 from .exact_algebra import (
     Matrix,
@@ -106,21 +102,13 @@ def dual(alg: BilinearAlgorithm, perm) -> BilinearAlgorithm:
     return _dual(alg, perm)
 
 
-# The most nonzero coefficients any one tensor of a tensor_product or
-# squareify result may hold.  Those counts are known before anything is
-# built, and a result past this limit (hundreds of MB as text) is refused.
-_MAX_NONZEROS = 2_000_000
-
-
-def _check_size(counts) -> None:
-    """BadArgument unless each of the result's (u, v, w) nonzero counts is
-    within _MAX_NONZEROS."""
-    for name, count in zip("uvw", counts):
-        if count > _MAX_NONZEROS:
-            raise BadArgument(
-                f"result would hold {count} nonzero {name} coefficients, "
-                f"over the limit of {_MAX_NONZEROS}"
-            )
+def _kron(x, y, rows: int, cols: int) -> list:
+    """The Kronecker products of each slice of tensor x with each slice of
+    tensor y, x's outer, y's slices rows x cols: c1 at (i1, j1) and c2 at
+    (i2, j2) give c1 * c2 at (i1 * rows + i2, j1 * cols + j2)."""
+    return [{(i1 * rows + i2, j1 * cols + j2): c1 * c2
+             for (i1, j1), c1 in d1.items() for (i2, j2), c2 in d2.items()}
+            for d1 in x for d2 in y]
 
 
 def _tensor(a: BilinearAlgorithm, b: BilinearAlgorithm) -> BilinearAlgorithm:
@@ -128,27 +116,8 @@ def _tensor(a: BilinearAlgorithm, b: BilinearAlgorithm) -> BilinearAlgorithm:
     m1, k1, n1 = a.dims
     m2, k2, n2 = b.dims
     dims = DimensionTriple(m1 * m2, k1 * k2, n1 * n2)
-    u, v, w = [], [], []
-    for s1 in range(a.rank):
-        u1, v1, w1 = a.u[s1], a.v[s1], a.w[s1]
-        for s2 in range(b.rank):
-            u2, v2, w2 = b.u[s2], b.v[s2], b.w[s2]
-            u.append({
-                (i1 * m2 + i2, j1 * k2 + j2): c1 * c2
-                for (i1, j1), c1 in u1.items()
-                for (i2, j2), c2 in u2.items()
-            })
-            v.append({
-                (g1 * k2 + g2, h1 * n2 + h2): c1 * c2
-                for (g1, h1), c1 in v1.items()
-                for (g2, h2), c2 in v2.items()
-            })
-            w.append({
-                (l1 * m2 + l2, q1 * n2 + q2): c1 * c2
-                for (l1, q1), c1 in w1.items()
-                for (l2, q2), c2 in w2.items()
-            })
-    return BilinearAlgorithm(dims, a.rank * b.rank, u, v, w)
+    return BilinearAlgorithm(dims, a.rank * b.rank, _kron(a.u, b.u, m2, k2),
+                             _kron(a.v, b.v, k2, n2), _kron(a.w, b.w, m2, n2))
 
 
 def tensor_product(a: BilinearAlgorithm, b: BilinearAlgorithm) -> BilinearAlgorithm:

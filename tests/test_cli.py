@@ -77,6 +77,15 @@ def test_gen_argument_errors(capsys):
     assert rc == 2
 
 
+def test_gen_refuses_programs_past_the_size_limit(capsys):
+    for argv in (("classical", "--m", "200", "--k", "200", "--n", "200"), ("pan", "--n", "100")):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "gen", *argv)
+        assert rc == 2, argv
+        assert out == "" and err.startswith("error:") and "over the limit" in err, argv
+        assert time.perf_counter() - start < 1, argv
+
+
 def test_verify_modes(strassen_file, capsys):
     rc, out, _ = run(capsys, "verify", strassen_file, "--mode", "brent")
     assert rc == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mmalg import bilinear_core
 from mmalg import (
     BadArgument,
     DimensionTriple,
@@ -31,6 +32,27 @@ def test_classical_shapes_and_validity():
         assert verify_brent(alg).valid, (m, k, n)
     with pytest.raises(BadArgument):
         classical(0, 1, 1)
+
+
+def test_generators_refuse_programs_past_the_size_limit(monkeypatch):
+    # Refused before anything is built: 8,000,000 products, and pan(100)'s
+    # bound of 2,020,000 nonzeros per tensor.
+    with pytest.raises(BadArgument, match="over the limit of 2000000"):
+        classical(200, 200, 200)
+    with pytest.raises(BadArgument, match="over the limit of 2000000"):
+        pan_aggregation(100)
+    # The limit itself is allowed: m*k*n for classical, 2n^3 + 2n^2 for pan.
+    monkeypatch.setattr(bilinear_core, "_MAX_NONZEROS", 24)
+    assert classical(2, 3, 4).nonzero_counts() == (24, 24, 24)
+    assert max(pan_aggregation(2).nonzero_counts()) <= 24
+    for build, arg in ((classical, (5, 5, 1)), (pan_aggregation, (4,))):
+        with pytest.raises(BadArgument, match="over the limit of 24"):
+            build(*arg)
+
+
+def test_pan_nonzeros_stay_within_the_checked_bound():
+    for n in range(2, 21, 2):
+        assert max(pan_aggregation(n).nonzero_counts()) <= 2 * n**3 + 2 * n**2, n
 
 
 def test_classical_coefficients_are_unit():

@@ -170,8 +170,9 @@ def test_every_shape_is_exact_and_counted(base, threshold, ring, m, k, n, seed):
 
 def test_batches_above_the_entry_cap_are_exact_and_counted():
     # Sides beyond the property test's 17: the next batch of each root
-    # holds more than _BATCH_ENTRIES operand entries, so the root runs each
-    # product as a batch of its own, and levels nearer the leaves batch.
+    # would hold more than _BATCH_ENTRIES operand entries, so the root runs
+    # its products in groups that fit, and levels nearer the leaves batch
+    # more of them at once.
     rng = random.Random(67)
     cases = ((strassen_222(), PrimeField(97), 64, 64, 64),
              (strassen_222(), FIELD, 64, 64, 64),
@@ -190,11 +191,13 @@ def test_batches_above_the_entry_cap_are_exact_and_counted():
 
 
 @pytest.mark.parametrize("batch_entries, leaf_batch", [(0, 0), (0, 10**9), (10**9, 0),
-                                                       (10**9, 10**9)])
+                                                       (10**9, 10**9), (100, 16)])
 def test_every_traversal_gives_the_same_product_and_counts(monkeypatch, batch_entries,
                                                            leaf_batch):
-    # All depth-first or all breadth-first, every leaf through the kernel or
-    # every leaf batch through the mapped triple loop: the same result.
+    # All depth-first, all breadth-first or groups in between (at a cap of
+    # 100, the 8x8 blocks of a 16-cube Strassen product run their 7 products
+    # in groups of 3, 3 and 1), every leaf through the kernel or every leaf
+    # batch through the mapped triple loop: the same result.
     monkeypatch.setattr(recursion, "_BATCH_ENTRIES", batch_entries)
     monkeypatch.setattr(recursion, "_LEAF_BATCH", leaf_batch)
     rng = random.Random(70)
