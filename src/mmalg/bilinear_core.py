@@ -179,12 +179,11 @@ class BilinearAlgorithm:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    valid: bool
     violations: tuple
 
-    def __post_init__(self):
-        if self.valid != (len(self.violations) == 0):
-            raise BadArgument("valid flag inconsistent with violation list")
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
 
 @dataclass
@@ -227,7 +226,7 @@ def verify_brent(alg: BilinearAlgorithm) -> VerificationReport:
                 if (l, q, l, j, j, q) not in sums:
                     violations.append(((l, q), (l, j), (j, q), 1, 0))
     violations.sort()
-    return VerificationReport(not violations, tuple(violations))
+    return VerificationReport(tuple(violations))
 
 
 # Trials checked together: every packed int holds one slot per trial of a

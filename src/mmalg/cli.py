@@ -47,6 +47,7 @@ from .exact_algebra import (
 from .generators import classical, pan_aggregation, strassen_222
 from .recursion import RecursionConfig, _plan, recursive_invert, recursive_multiply
 from .transforms import (
+    DualityPermutation,
     apply_equivalence,
     dual,
     dump_transform,
@@ -209,14 +210,14 @@ def cmd_equiv(args) -> int:
     if args.transform and args.seed is not None:
         raise BadArgument("give either --seed or --transform, not both")
     if args.transform:
-        transform, _dims = load_transform(args.transform)
+        transform = load_transform(args.transform)
     elif args.seed is not None:
         transform = random_equivalence(alg.dims, alg.rank, args.seed)
     else:
         raise BadArgument("need --seed N or --transform FILE")
     result = apply_equivalence(alg, transform)
     if args.transform_out and not args.transform:
-        dump_transform(transform, alg.dims, args.transform_out)
+        dump_transform(transform, args.transform_out)
         print(f"wrote transform {args.transform_out}")
     return _write_transformed(result, args.out)
 
@@ -339,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual", help="one of the six duals")
     p.add_argument("path")
     p.add_argument("--perm", required=True,
-                   choices=("mkn", "knm", "nmk", "mnk", "nkm", "kmn"))
+                   choices=[perm.value for perm in DualityPermutation])
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_dual)
 

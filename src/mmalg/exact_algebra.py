@@ -279,7 +279,6 @@ class PrimeField:
         self.one = ModularScalar(1, p)
         # Raw values are ints in [0, p); see the module docstring.
         self._modulus = p
-        self._images: dict = {}
 
     def coerce(self, x) -> ModularScalar:
         return self._element(self._value(x))
@@ -314,17 +313,10 @@ class PrimeField:
         return tuple(map(self._element, values))
 
     def _image(self, c) -> int:
-        # Images of Fraction coefficients are cached: a program has few, and
-        # each level of a recursive product scales blocks by them.
-        if isinstance(c, int):
-            return c % self.p
-        x = self._images.get(c)
-        if x is None:
-            try:
-                x = self._images[c] = self._value(c)
-            except ZeroDivisionError:
-                raise BadArgument(f"coefficient {c} has no image mod {self.p}") from None
-        return x
+        try:
+            return self._value(c)
+        except ZeroDivisionError:
+            raise BadArgument(f"coefficient {c} has no image mod {self.p}") from None
 
     def _clear(self, values: Sequence, cols: int, by_columns: bool = False) -> tuple:
         return values, [1] * (cols if by_columns else len(values) // cols)

@@ -62,31 +62,29 @@ memory (as in the hybrid scheme of Benson and Ballard, arXiv:1409.2908): a
 level runs its R products in consecutive groups, each as large as keeps
 its next batch within _BATCH_ENTRIES operand entries, and at least one
 product.  Near the leaves a group is the whole level; near the root it may
-be a single product.  A batch of small leaves, at most _LEAF_BATCH
-multiplications per node, runs the triple loop with each step one map over
-the batch (a 1x1x1 leaf is one map); a larger leaf runs a kernel per node:
-over GF(p) the packed kernel exact_algebra._packed_classical, which
-reduces its inputs first, over QQ exact_algebra._classical.  The result is
-reordered and cropped once.
+be a single product.  A batch of nodes m x k x n leaves with
+m*k*n <= _LEAF_BATCH * nodes runs the triple loop with each step one map
+over the batch (a 1x1x1 leaf is one map); any other batch runs a kernel
+per node: over GF(p) the packed kernel exact_algebra._packed_classical,
+which reduces its inputs first, over QQ exact_algebra._classical.  The
+result is reordered and cropped once.
 
 recursive_invert reduces inversion to multiplication by 2x2 block
 elimination (Strassen, "Gaussian elimination is not optimal", Numer. Math.
 1969): invert the leading block, form the complement S - R P^-1 Q, invert
-that, and assemble.  It follows the leaf rule of recursive_multiply: it
-splits while the side is above the threshold and inverts a leaf by
-mat_inverse's fraction-free elimination (exact_algebra._bareiss).  It
-clears the rows of the matrix once, as mat_inverse does, and then holds
-every block as a row-major list of ints and one denominator, which the
-ring's _normal keeps in normal form (over QQ a positive denominator prime
-to the ints, over GF(p) the denominator 1 and ints in [0, p)), so one
-recursion serves both rings.  Each block product is one call of _multiply
-on the ints, and the inverse takes one raw value per entry at the end
-(exact_algebra._cleared_inverse, which mat_inverse shares).  The
-elimination does not pivot between blocks, so a singular leading block or
-complement of an invertible matrix stops it; recursive_invert then runs
-_bareiss, which pivots by rows, on the whole cleared matrix, and both
-outcomes end in the same _cleared_inverse.  Matrices that are
-unit-triangular products never take that fallback.
+that, and assemble.  One rule decides every block: it is a leaf, inverted
+by mat_inverse's fraction-free elimination (exact_algebra._bareiss), which
+pivots by rows, when its side is at or below the threshold or its own
+leading block is singular; otherwise it is split.  A singular complement
+means the block itself is singular, so by induction a block is refused
+exactly when it is singular, and only a singular matrix is.  It clears
+the rows of the matrix once, as mat_inverse does, and then holds every
+block as a row-major list of ints and one denominator, which the ring's
+_normal keeps in normal form (over QQ a positive denominator prime to the
+ints, over GF(p) the denominator 1 and ints in [0, p)), so one recursion
+serves both rings.  Each block product is one call of _multiply on the
+ints, and the inverse takes one raw value per entry at the end
+(exact_algebra._cleared_inverse, which mat_inverse shares).
 multiply_via_inversion closes the loop in the other direction by reading a
 product off one corner block of the inverse of a 3x3 block unit-triangular
 embedding.
@@ -111,8 +109,8 @@ from .exact_algebra import (Matrix, _bareiss, _classical, _cleared_inverse, _pac
 # memory stays near that of a depth-first recursion: 0 runs every product
 # on its own, a cap above any level's size runs each level whole.
 _BATCH_ENTRIES = 4096
-# A batch of leaves with at most this many multiplications per node runs the
-# triple loop as maps over the batch; larger leaves run a kernel per node.
+# A batch of nodes m x k x n leaves with m*k*n <= _LEAF_BATCH * nodes runs
+# the triple loop as maps over the batch; any other runs a kernel per node.
 _LEAF_BATCH = 16
 
 
@@ -120,8 +118,9 @@ _LEAF_BATCH = 16
 class RecursionConfig:
     """A base program of any shape larger than 1x1x1, plus the threshold:
     recursive_multiply stops at a block dimension at or below it and runs
-    the triple loop, recursive_invert at a side at or below it and runs
-    mat_inverse's elimination."""
+    the triple loop, recursive_invert at a side at or below it (or at a
+    block whose leading block is singular) and runs mat_inverse's
+    elimination."""
 
     base_alg: BilinearAlgorithm
     threshold: int = 1
@@ -236,8 +235,10 @@ def _multiply_levels(a: list, b: list, levels: list, prog: _Program, sides: tupl
     forms are concatenated into one batch, one call runs it, and its result
     is split back into one slice per product for the W forms.  Over GF(p),
     when the product recurses, each Fraction coefficient of prog is first
-    replaced by its image mod p, and a leaf above _LEAF_BATCH runs
-    _packed_classical; over QQ it runs _classical.
+    replaced by its image mod p.  A batch of leaves runs _leaves when a
+    leaf's multiplications are at most _LEAF_BATCH per node of the batch,
+    and otherwise a kernel per node: _packed_classical over GF(p),
+    _classical over QQ.
     """
     m0, k0, n0 = sides
     sa, sb, sc = m0 * k0, k0 * n0, m0 * n0
@@ -410,15 +411,22 @@ def _invert_rec(a, d: int, n: int, threshold: int, ring, mul: Callable) -> tuple
     A block is a row-major list of ints and one denominator, normalised by
     the ring's _normal: over QQ, e > 0 and gcd(e, *x) = 1; over GF(p),
     e = 1 and x in [0, p).  mul(x, y, m, k, n) is the unreduced int product
-    of an m x k by a k x n block.  Raises SingularMatrix when a leading
-    block or a complement is singular.
+    of an m x k by a k x n block.  The block is a leaf, inverted by
+    _bareiss, when n is at or below threshold or its leading block is
+    singular; otherwise it is split.  Raises SingularMatrix exactly when
+    the block is singular.
     """
     if n <= threshold:
         x, e = _bareiss(ring, a, n)
         return ring._normal(x if d == 1 else [v * d for v in x], e)
     h, t = n // 2, n - n // 2
     lead, q, r, s = _quarters(a, n, h)
-    li, dl = _invert_rec(lead, d, h, threshold, ring, mul)
+    try:
+        li, dl = _invert_rec(lead, d, h, threshold, ring, mul)
+    except SingularMatrix:
+        # No pivot between blocks: _bareiss pivots by rows, and refuses
+        # only a singular block.
+        return _invert_rec(a, d, n, n, ring, mul)
     lq, dlq = ring._normal(mul(li, q, h, h, t), dl * d)
     rl, drl = ring._normal(mul(r, li, t, h, h), d * dl)
     comp, dc = _difference(ring, s, d, mul(r, lq, t, h, t), d * dlq)
@@ -446,13 +454,11 @@ def recursive_invert(cfg: RecursionConfig, a: Matrix):
     Rows are cleared of denominators once, as mat_inverse clears them (the
     ring's _clear), and block elimination (_invert_rec) runs on blocks of
     ints with one denominator each, calling the multiplication core
-    _multiply directly.  It splits while the side is above cfg.threshold
-    and inverts each leaf with mat_inverse's elimination (_bareiss); the
-    inverse takes one value per entry at the end (_cleared_inverse).  When
-    a leading block or a complement is singular, the cleared rows are
-    inverted whole by _bareiss instead, which pivots by rows, and the
-    report's context says so.  Both outcomes leave through one
-    _cleared_inverse.  The CostReport aggregates the multiplication
+    _multiply directly.  It splits a block while its side is above
+    cfg.threshold and its leading block is invertible, and inverts every
+    other block with mat_inverse's elimination (_bareiss), which pivots by
+    rows; the inverse takes one value per entry at the end
+    (_cleared_inverse).  The CostReport aggregates the multiplication
     subcalls that ran (block additions and the leaf inversions are not
     counted).  Raises SingularMatrix when no inverse exists.
     """
@@ -466,20 +472,15 @@ def recursive_invert(cfg: RecursionConfig, a: Matrix):
         subcalls += 1
         return _multiply(cfg, ring, x, y, m, k, n, report)
 
-    finish = ""
     cleared, scales = ring._clear(a._values, side)
     try:
         x, e = _invert_rec(cleared, 1, side, cfg.threshold, ring, mul)
     except SingularMatrix:
-        try:
-            x, e = _bareiss(ring, cleared, side)
-        except SingularMatrix:
-            raise SingularMatrix(f"{a.rows}x{a.cols} matrix is singular") from None
-        finish = ", finished by elimination with row pivoting"
+        raise SingularMatrix(f"{a.rows}x{a.cols} matrix is singular") from None
     report.context = (
         f"recursive invert side {side}, {subcalls} multiplication "
         f"subcalls, base {cfg.base_alg.dims} rank {cfg.base_alg.rank}, "
-        f"threshold {cfg.threshold}{finish}"
+        f"threshold {cfg.threshold}"
     )
     return _cleared_inverse(ring, side, x, e, scales), report
 

@@ -302,12 +302,11 @@ _MAGIC = "mmtrans-v1"
 _LABELS = ("sigma", "gamma", "nabla", "lambda", "mu", "beta")
 
 
-def format_transform(transform: EquivalenceTransform, dims: DimensionTriple) -> str:
+def format_transform(transform: EquivalenceTransform) -> str:
     mats = (transform.sigma, transform.gamma, transform.nabla,
             transform.lam, transform.mu, transform.beta)
-    m, k, n = dims
-    rank = len(transform.perm)
-    lines = [f"{_MAGIC} {m} {k} {n} {rank}"]
+    lines = [f"{_MAGIC} {transform.sigma.rows} {transform.nabla.rows} {transform.mu.rows} "
+             f"{len(transform.perm)}"]
     for label, mat in zip(_LABELS, mats):
         lines.append(label)
         lines.extend(_row_lines(mat, f"{label} entry"))
@@ -323,7 +322,7 @@ def _expect_label(records, label: str) -> None:
         raise FormatError(lineno, f"expected block '{label}', found {found}")
 
 
-def parse_transform(text: str) -> tuple[EquivalenceTransform, DimensionTriple]:
+def parse_transform(text: str) -> EquivalenceTransform:
     records = _records(text)
     m, k, n, rank = _read_header(records, _MAGIC, ("m", "k", "n", "R"), "transform")
     sizes = {"sigma": m, "gamma": m, "nabla": k, "lambda": k, "mu": n, "beta": n}
@@ -344,16 +343,15 @@ def parse_transform(text: str) -> tuple[EquivalenceTransform, DimensionTriple]:
     lineno, tokens = next(records)
     if tokens:
         raise FormatError(lineno, "trailing content after perm")
-    transform = EquivalenceTransform(
+    return EquivalenceTransform(
         mats["sigma"], mats["gamma"], mats["nabla"],
         mats["lambda"], mats["mu"], mats["beta"], perm,
     )
-    return transform, DimensionTriple(m, k, n)
 
 
-def load_transform(path) -> tuple[EquivalenceTransform, DimensionTriple]:
+def load_transform(path) -> EquivalenceTransform:
     return parse_transform(_read_text(path))
 
 
-def dump_transform(transform: EquivalenceTransform, dims: DimensionTriple, path) -> None:
-    _write_text(path, format_transform(transform, dims))
+def dump_transform(transform: EquivalenceTransform, path) -> None:
+    _write_text(path, format_transform(transform))

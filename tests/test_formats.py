@@ -73,7 +73,7 @@ def programs(draw):
 def transforms(draw):
     dims = DimensionTriple(*(draw(st.integers(1, 3)) for _ in range(3)))
     rank = draw(st.integers(1, 6))
-    return random_equivalence(dims, rank, draw(st.integers(0, 2**32))), dims
+    return random_equivalence(dims, rank, draw(st.integers(0, 2**32)))
 
 
 @given(matrices(QQ))
@@ -98,11 +98,10 @@ def test_program_round_trip(alg):
 
 
 @given(transforms())
-def test_transform_round_trip(transform_and_dims):
-    transform, dims = transform_and_dims
-    text = format_transform(transform, dims)
-    assert parse_transform(text) == (transform, dims)
-    assert format_transform(*parse_transform(text)) == text
+def test_transform_round_trip(transform):
+    text = format_transform(transform)
+    assert parse_transform(text) == transform
+    assert format_transform(parse_transform(text)) == text
 
 
 # Replacement tokens: numbers, bad fractions (1/97 has no image in GF(97)),
@@ -128,7 +127,7 @@ _CASES = {
     "matrix-qq": (matrices(QQ).map(format_matrix), parse_matrix),
     "matrix-gf97": (matrices(GF97).map(format_matrix), lambda t: parse_matrix(t, GF97)),
     "program": (programs().map(format_algorithm), parse_algorithm),
-    "transform": (transforms().map(lambda td: format_transform(*td)), parse_transform),
+    "transform": (transforms().map(format_transform), parse_transform),
 }
 
 
@@ -174,8 +173,7 @@ def test_writers_refuse_entries_past_the_digit_limit(tmp_path):
     cases = (
         (lambda path: dump_matrix(Matrix.from_rows(QQ, [[1, big]]), path), "entry (0,1)"),
         (lambda path: dump_algorithm(alg, path), "v[0] entry (0,0)"),
-        (lambda path: dump_transform(transform, DimensionTriple(1, 1, 1), path),
-         "nabla entry (0,0)"),
+        (lambda path: dump_transform(transform, path), "nabla entry (0,0)"),
     )
     for i, (dump, name) in enumerate(cases):
         path = tmp_path / f"out{i}"

@@ -234,17 +234,18 @@ def test_random_equivalence_determinism_and_invariants():
 def test_transform_file_round_trip():
     alg = classical(2, 3, 4)
     transform = random_equivalence(alg.dims, alg.rank, 77)
-    text = format_transform(transform, alg.dims)
-    again, dims = parse_transform(text)
+    text = format_transform(transform)
+    # The header is read off the transform itself.
+    assert text.splitlines()[0] == "mmtrans-v1 2 3 4 24"
+    again = parse_transform(text)
     assert again == transform
-    assert dims == alg.dims
-    assert format_transform(again, dims) == text
+    assert format_transform(again) == text
 
 
 def test_transform_file_errors():
     alg = strassen_222()
     transform = random_equivalence(alg.dims, alg.rank, 3)
-    lines = format_transform(transform, alg.dims).splitlines()
+    lines = format_transform(transform).splitlines()
 
     with pytest.raises(FormatError) as err:
         parse_transform("")
