@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from operator import add, mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -269,8 +269,13 @@ def verify_trilinear_random(
             f"prime {prime} too small for a {alg.dims} rank-{alg.rank} program"
         )
     # Each distinct coefficient is mapped once, in the order the forms meet it.
-    image = {c: field._image(c) for c in dict.fromkeys(
-        c for tensor in (alg.u, alg.v, alg.w) for d in tensor for c in d.values())}
+    image = dict.fromkeys(
+        c for tensor in (alg.u, alg.v, alg.w) for d in tensor for c in d.values())
+    try:
+        for c in image:
+            image[c] = field._value(c)
+    except ZeroDivisionError:
+        raise BadArgument(f"coefficient {c} has no image mod {prime}") from None
     # Forms index one trial's draws: A at i*k + j, B after it, then D, whose
     # entry (q, l) the third form reads for w_lq.
     mk, kn = m * k, k * n
@@ -303,50 +308,54 @@ def verify_trilinear_random(
 
 
 class _Program(NamedTuple):
-    """A BilinearAlgorithm compiled for evaluation.
+    """A BilinearAlgorithm compiled for evaluation, cleared of denominators.
 
     u[s] and v[s] list (index, coefficient) over the row-major entries of A
     and B; w[l*n + q] lists (product index, coefficient) for output entry
-    (l, q).  additions and scalar_mults are the operations of one
-    evaluation: a term beyond the first in any combination costs an
-    addition, a coefficient outside {1, -1} a scalar multiplication.  Both
-    are decided on the rational coefficients, whatever ring runs the program.
-    form_additions and form_scalar_mults split them into the (U, V, W)
-    combinations, which act on blocks of three different shapes when the
-    recursion runs the program on a rectangular product.
+    (l, q).  Every coefficient is an int: product s's U form is scaled by
+    du_s and its V form by dv_s, the lcms of their denominators, and its W
+    terms by denominator / (du_s * dv_s), where denominator is the lcm over
+    s of du_s * dv_s * dw_s.  One evaluation then gives denominator times
+    the product.  form_additions and form_scalar_mults are the operations
+    of one evaluation in the (U, V, W) combinations, which act on blocks of
+    three different shapes when the recursion runs the program on a
+    rectangular product: a term beyond the first in any combination costs
+    an addition, a coefficient outside {1, -1} a scalar multiplication.
+    Both are decided on the rational coefficients, whatever ring runs the
+    program.
     """
 
     u: tuple
     v: tuple
     w: tuple
+    denominator: int
     form_additions: tuple
     form_scalar_mults: tuple
-
-    @property
-    def additions(self) -> int:
-        return sum(self.form_additions)
-
-    @property
-    def scalar_mults(self) -> int:
-        return sum(self.form_scalar_mults)
 
 
 def _compile(alg: BilinearAlgorithm) -> _Program:
     m, k, n = alg.dims
-    u = tuple(tuple((i * k + j, c) for (i, j), c in d.items()) for d in alg.u)
-    v = tuple(tuple((g * n + h, c) for (g, h), c in d.items()) for d in alg.v)
+    du, dv, dw = ([math.lcm(*(c.denominator for c in d.values())) for d in t]
+                  for t in (alg.u, alg.v, alg.w))
+    denominator = math.lcm(*map(mul, map(mul, du, dv), dw))
+
+    def cleared(d: Mapping, scale: int, cols: int) -> tuple:
+        """(row-major index, scale * coefficient as an int) for each entry of d."""
+        return tuple((r * cols + c, x.numerator * (scale // x.denominator))
+                     for (r, c), x in d.items())
+
+    u = tuple(map(cleared, alg.u, du, repeat(k)))
+    v = tuple(map(cleared, alg.v, dv, repeat(n)))
     by_output = [[] for _ in range(m * n)]
     for s, d in enumerate(alg.w):
-        for (l, q), c in d.items():
-            by_output[l * n + q].append((s, c))
+        for i, c in cleared(d, denominator // (du[s] * dv[s]), n):
+            by_output[i].append((s, c))
     w = tuple(map(tuple, by_output))
-    forms = (u, v, w)
     return _Program(
-        u, v, w,
-        form_additions=tuple(sum(max(0, len(terms) - 1) for terms in f) for f in forms),
-        form_scalar_mults=tuple(
-            sum(c != 1 and c != -1 for terms in f for _, c in terms) for f in forms
-        ),
+        u, v, w, denominator,
+        form_additions=tuple(sum(max(0, len(terms) - 1) for terms in f) for f in (u, v, w)),
+        form_scalar_mults=tuple(sum(c != 1 and c != -1 for d in t for c in d.values())
+                                for t in (alg.u, alg.v, alg.w)),
     )
 
 

@@ -25,13 +25,13 @@ every other module uses:
   divides cleared values exactly: ``//`` over QQ, times d^-1 mod p over
   GF(p), and ``_normal(ints, d)`` puts a block ints / d of cleared values
   in normal form: over QQ with d > 0 and gcd(d, *ints) divided out, over
-  GF(p) times d^-1 mod p, so that d = 1;
-- ``PrimeField._image(c)``: the raw value of a program coefficient c, or
-  BadArgument when c has none (over QQ a coefficient is its own image).
+  GF(p) times d^-1 mod p, so that d = 1.
 
 Matrix sums, negation and scaling compute on the raw values and take each
 result through ``_value``; program evaluation (recursion) is exact list
-arithmetic on ints and reduces once, through ``_restore``.
+arithmetic on ints, with a program's coefficients cleared to ints over one
+denominator (bilinear_core._compile), and reduces once, through
+``_restore``.
 
 So QQ products (recursion.recursive_multiply), block inversion
 (recursion.recursive_invert) and mat_inverse's fraction-free elimination
@@ -311,12 +311,6 @@ class PrimeField:
 
     def _elements(self, values: tuple) -> tuple:
         return tuple(map(self._element, values))
-
-    def _image(self, c) -> int:
-        try:
-            return self._value(c)
-        except ZeroDivisionError:
-            raise BadArgument(f"coefficient {c} has no image mod {self.p}") from None
 
     def _clear(self, values: Sequence, cols: int, by_columns: bool = False) -> tuple:
         return values, [1] * (cols if by_columns else len(values) // cols)

@@ -47,11 +47,8 @@ def strassen_222() -> BilinearAlgorithm:
 
 
 def _bump(d: dict, key: tuple, delta: int) -> None:
-    val = d.get(key, 0) + delta
-    if val:
-        d[key] = val
-    else:
-        d.pop(key, None)
+    # Every delta into one dict has the same sign, so no entry sums to 0.
+    d[key] = d.get(key, 0) + delta
 
 
 def pan_aggregation(n: int) -> BilinearAlgorithm:

@@ -28,24 +28,29 @@ exactly.
 
 The recursion runs on raw values, not on Matrix objects: _multiply is its
 core, which takes row-major int lists and dims, tallies into a CostReport
-and returns the unreduced product, and recursive_multiply is a thin Matrix
-wrapper around it.  Over GF(p) the ints are the raw values; over QQ they
-are the ints left by clearing denominators once per product.  The ring's
+and returns the product as ints over one denominator, and
+recursive_multiply is a thin Matrix wrapper around it.  Over GF(p) the
+ints are the raw values; over QQ they are the ints left by clearing
+denominators once per product.  The ring's
 _clear scales row i of A by the lcm r_i of its denominators and column j
 of B by the lcm c_j of its own (the identity over GF(p)), and _restore
 turns entry (i, j) of the int product back into a raw value: a Fraction
-over r_i * c_j over QQ, the int reduced mod p over GF(p).  A base program
-with a Fraction coefficient runs on the same path over QQ, since a
-Fraction times an int is exact.
+over r_i * c_j over QQ, the int reduced mod p over GF(p).  The program
+runs cleared too: bilinear_core._compile scales its coefficients to ints
+over one denominator D, so each level computes D times its products.
+_multiply_levels divides the D^d of a product of d levels out once,
+through the ring's _normal, a step skipped when D^d = 1, as for every
+shipped program; recursive_multiply folds the denominator left over QQ
+into the row scales it gives _restore.  So no Fraction enters the
+evaluation, in either ring.
 
 Delayed reduction (as in FFLAS-FFPACK; Dumas, Giorgi and Pernet, ACM TOMS
 2008): over GF(p) no block operation reduces mod p.  Block additions,
-subtractions and scalings are exact list arithmetic on ints.  Before the
-level loop of a product that recurses, each Fraction coefficient of the
-program is replaced by its image mod p (the ring's _image); an int
-coefficient scales by itself, congruent and smaller.  A product that does
-not recurse evaluates no form, so a coefficient with no image mod p does
-not stop it.  _restore reduces the product once.
+subtractions and scalings are exact list arithmetic on ints.  A product
+that recurses needs p not to divide D, that is an image mod p for every
+coefficient, and raises BadArgument otherwise; a product that does not
+recurse evaluates no form, so a coefficient with no image mod p does not
+stop it.  _restore reduces the product once.
 
 Level order and batches.  recursive_multiply reorders both padded operands
 into level order (see _level_order): the entries of a leaf block
@@ -223,36 +228,36 @@ def _linear_combination(terms, blocks: list) -> list:
 
 
 def _multiply_levels(a: list, b: list, levels: list, prog: _Program, sides: tuple, ring,
-                     cost: CostReport) -> list:
-    """The unreduced product of two operands of raw ints (over QQ, cleared
-    ones) of levels[-1]'s dims in level order (see _level_order), in level
-    order.
+                     cost: CostReport) -> tuple:
+    """(c, e) with c / e the product of two operands of raw ints (over QQ,
+    cleared ones) of levels[-1]'s dims in level order (see _level_order), c
+    in level order.
 
     run(a, b, nodes, depth) multiplies a batch of nodes sibling pairs with
     depth levels below them, stored end to end.  It runs its R products in
     consecutive groups of step, the most whose operands (nodes * step block
     pairs) fit in _BATCH_ENTRIES entries, at least 1: each group's U and V
     forms are concatenated into one batch, one call runs it, and its result
-    is split back into one slice per product for the W forms.  Over GF(p),
-    when the product recurses, each Fraction coefficient of prog is first
-    replaced by its image mod p.  A batch of leaves runs _leaves when a
-    leaf's multiplications are at most _LEAF_BATCH per node of the batch,
-    and otherwise a kernel per node: _packed_classical over GF(p),
-    _classical over QQ.
+    is split back into one slice per product for the W forms.  A batch of
+    leaves runs _leaves when a leaf's multiplications are at most
+    _LEAF_BATCH per node of the batch, and otherwise a kernel per node:
+    _packed_classical over GF(p), _classical over QQ.
+
+    prog's int coefficients make each level multiply the product by
+    prog.denominator D, so run gives D^d times the product, d the number of
+    levels.  When D^d > 1 the ring's _normal divides it out once (over
+    GF(p) e is then 1); over GF(p) a product that recurses raises
+    BadArgument when p divides D, that is when some coefficient has no
+    image mod p.
     """
     m0, k0, n0 = sides
     sa, sb, sc = m0 * k0, k0 * n0, m0 * n0
     rank = len(prog.u)
     p = ring._modulus
-    if p is None:
-        kernel = partial(_classical, p=None)
-    else:
-        kernel = partial(_packed_classical, p=p)
-        if len(levels) > 1:
-            image = ring._image
-            u, v, w = (tuple(tuple((i, c if isinstance(c, int) else image(c)) for i, c in terms)
-                             for terms in form) for form in (prog.u, prog.v, prog.w))
-            prog = prog._replace(u=u, v=v, w=w)
+    kernel = partial(_classical, p=None) if p is None else partial(_packed_classical, p=p)
+    e = prog.denominator ** (len(levels) - 1)
+    if p is not None and e % p == 0:
+        raise BadArgument(f"a coefficient of the program has no image mod {p}")
 
     def run(a: list, b: list, nodes: int, depth: int) -> list:
         (m, k, n), additions, scalar_mults = levels[depth]
@@ -285,13 +290,15 @@ def _multiply_levels(a: list, b: list, levels: list, prog: _Program, sides: tupl
             out[r::sc] = _linear_combination(ws, products)
         return out
 
-    return run(a, b, 1, len(levels) - 1)
+    c = run(a, b, 1, len(levels) - 1)
+    return (c, 1) if e == 1 else ring._normal(c, e)
 
 
 def _multiply(cfg: RecursionConfig, ring, a, b, m: int, k: int, n: int,
-              cost: CostReport) -> list:
-    """The unreduced m x n product of row-major m x k and k x n raw ints
-    (over QQ, cleared ones), row-major, with its counts tallied into cost.
+              cost: CostReport) -> tuple:
+    """(c, e) with c / e the m x n product of row-major m x k and k x n raw
+    ints (over QQ, cleared ones), c row-major and unreduced mod p, with its
+    counts tallied into cost (see _multiply_levels).
 
     Each dimension x is embedded with zeros into s_x^d * ceil(x / s_x^d),
     d the depth of _plan, both operands are put in level order, and the
@@ -303,13 +310,13 @@ def _multiply(cfg: RecursionConfig, ring, a, b, m: int, k: int, n: int,
     levels = _levels(prog, sides, leaf, depth)
     pm, pk, pn = levels[depth][0]
     ae, be = _padded(a, m, k, pm, pk), _padded(b, k, n, pk, pn)
-    out = _multiply_levels([ae[i] for i in _level_order(pm, pk, m0, k0, depth)],
-                           [be[i] for i in _level_order(pk, pn, k0, n0, depth)],
-                           levels, prog, sides, ring, cost)
+    out, e = _multiply_levels([ae[i] for i in _level_order(pm, pk, m0, k0, depth)],
+                              [be[i] for i in _level_order(pk, pn, k0, n0, depth)],
+                              levels, prog, sides, ring, cost)
     c = [None] * len(out)  # the product, row-major
     for i, v in zip(_level_order(pm, pn, m0, n0, depth), out):
         c[i] = v
-    return [v for r in range(0, m * pn, pn) for v in c[r:r + n]]
+    return [v for r in range(0, m * pn, pn) for v in c[r:r + n]], e
 
 
 def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
@@ -324,8 +331,10 @@ def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     counts are those of the nodes the padded product visits.  Over QQ the
     recursion runs on ints: rows of A and columns of B are cleared of
     denominators once (the ring's _clear) and each output entry is divided
-    by its row and column scales once (_restore).  Over GF(p) it reduces
-    mod p once, at the end (_restore).  The recursion itself is _multiply.
+    by its row and column scales, and by the power of the program's
+    denominator that _multiply leaves, once (_restore).  Over GF(p) it
+    reduces mod p once, at the end (_restore).  The recursion itself is
+    _multiply.
     """
     m, k, n = _product_dims(a, b)
     report = CostReport(context=(
@@ -335,8 +344,9 @@ def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     ring = a.ring
     ae, row_scales = ring._clear(a._values, k)
     be, col_scales = ring._clear(b._values, n, by_columns=True)
-    c = _multiply(cfg, ring, ae, be, m, k, n, report)
-    return Matrix._from_values(ring, m, n, ring._restore(c, row_scales, col_scales)), report
+    c, e = _multiply(cfg, ring, ae, be, m, k, n, report)
+    return Matrix._from_values(ring, m, n, ring._restore(c, [r * e for r in row_scales],
+                                                         col_scales)), report
 
 
 def apply_elementary(alg: BilinearAlgorithm, a: Matrix, b: Matrix):
@@ -358,8 +368,10 @@ def apply_elementary(alg: BilinearAlgorithm, a: Matrix, b: Matrix):
     ring = a.ring
     ae, row_scales = ring._clear(a._values, k)
     be, col_scales = ring._clear(b._values, n, by_columns=True)
-    c = _multiply_levels(ae, be, _levels(prog, sides, (1, 1, 1), 1), prog, sides, ring, report)
-    return Matrix._from_values(ring, m, n, ring._restore(c, row_scales, col_scales)), report
+    c, e = _multiply_levels(ae, be, _levels(prog, sides, (1, 1, 1), 1), prog, sides, ring,
+                            report)
+    return Matrix._from_values(ring, m, n, ring._restore(c, [r * e for r in row_scales],
+                                                         col_scales)), report
 
 
 def cost_model(alg: BilinearAlgorithm, k: int) -> CostReport:
@@ -383,8 +395,8 @@ def cost_model(alg: BilinearAlgorithm, k: int) -> CostReport:
     geom = sum(alg.rank**d * s0 ** (2 * (t - 1 - d)) for d in range(t))
     return CostReport(
         bilinear_mults=alg.rank**t,
-        scalar_mults=prog.scalar_mults * geom,
-        additions=prog.additions * geom,
+        scalar_mults=sum(prog.form_scalar_mults) * geom,
+        additions=sum(prog.form_additions) * geom,
         context=f"cost model: base {alg.dims} rank {alg.rank}, K={k}",
     )
 
@@ -410,11 +422,11 @@ def _invert_rec(a, d: int, n: int, threshold: int, ring, mul: Callable) -> tuple
 
     A block is a row-major list of ints and one denominator, normalised by
     the ring's _normal: over QQ, e > 0 and gcd(e, *x) = 1; over GF(p),
-    e = 1 and x in [0, p).  mul(x, y, m, k, n) is the unreduced int product
-    of an m x k by a k x n block.  The block is a leaf, inverted by
-    _bareiss, when n is at or below threshold or its leading block is
-    singular; otherwise it is split.  Raises SingularMatrix exactly when
-    the block is singular.
+    e = 1 and x in [0, p).  mul(x, y, m, k, n, d) is (c, e) with c / e the
+    product of an m x k by a k x n block, divided by d.  The block is a
+    leaf, inverted by _bareiss, when n is at or below threshold or its
+    leading block is singular; otherwise it is split.  Raises
+    SingularMatrix exactly when the block is singular.
     """
     if n <= threshold:
         x, e = _bareiss(ring, a, n)
@@ -427,14 +439,14 @@ def _invert_rec(a, d: int, n: int, threshold: int, ring, mul: Callable) -> tuple
         # No pivot between blocks: _bareiss pivots by rows, and refuses
         # only a singular block.
         return _invert_rec(a, d, n, n, ring, mul)
-    lq, dlq = ring._normal(mul(li, q, h, h, t), dl * d)
-    rl, drl = ring._normal(mul(r, li, t, h, h), d * dl)
-    comp, dc = _difference(ring, s, d, mul(r, lq, t, h, t), d * dlq)
+    lq, dlq = ring._normal(*mul(li, q, h, h, t, dl * d))
+    rl, drl = ring._normal(*mul(r, li, t, h, h, d * dl))
+    comp, dc = _difference(ring, s, d, *mul(r, lq, t, h, t, d * dlq))
     ci, dci = _invert_rec(comp, dc, t, threshold, ring, mul)
     # A negative denominator negates: _normal makes it positive.
-    x21, d21 = ring._normal(mul(ci, rl, t, t, h), -dci * drl)
-    x12, d12 = ring._normal(mul(lq, ci, h, t, t), -dlq * dci)
-    x11, d11 = _difference(ring, li, dl, mul(lq, x21, h, t, h), dlq * d21)
+    x21, d21 = ring._normal(*mul(ci, rl, t, t, h, -dci * drl))
+    x12, d12 = ring._normal(*mul(lq, ci, h, t, t, -dlq * dci))
+    x11, d11 = _difference(ring, li, dl, *mul(lq, x21, h, t, h, dlq * d21))
     e = lcm(d11, d12, d21, dci)
     x11, x12, x21, ci = (x if dx == e else [v * (e // dx) for v in x]
                          for x, dx in ((x11, d11), (x12, d12), (x21, d21), (ci, dci)))
@@ -467,10 +479,11 @@ def recursive_invert(cfg: RecursionConfig, a: Matrix):
     report = CostReport()
     subcalls = 0
 
-    def mul(x: list, y: list, m: int, k: int, n: int) -> list:
+    def mul(x: list, y: list, m: int, k: int, n: int, d: int) -> tuple:
         nonlocal subcalls
         subcalls += 1
-        return _multiply(cfg, ring, x, y, m, k, n, report)
+        c, e = _multiply(cfg, ring, x, y, m, k, n, report)
+        return c, d * e
 
     cleared, scales = ring._clear(a._values, side)
     try:

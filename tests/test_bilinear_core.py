@@ -356,6 +356,9 @@ def test_algorithm_format_errors():
     with pytest.raises(FormatError) as err:
         parse_algorithm(truncated)
     assert "blocks" in str(err.value)
+    with pytest.raises(FormatError) as err:
+        parse_algorithm(good + "\nU\n0 0 1\nV\n0 0 1\nW\n0 0 1\n")
+    assert str(err.value) == "line 66: more than 7 products in file"
 
     with pytest.raises(FormatError) as err:
         parse_algorithm("mmalg-v1 1 1 1 1\nU\n0 0 1\nV\n0 0 1\nW\n0 5 1\n")

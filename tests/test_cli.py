@@ -18,7 +18,9 @@ from mmalg import (
     load_algorithm,
     load_matrix,
     mat_classical_multiply,
+    mat_inverse,
     pan_aggregation,
+    random_matrix,
     strassen_222,
 )
 from mmalg.bilinear_core import BilinearAlgorithm
@@ -118,6 +120,15 @@ def test_verify_rejects_invalid(tmp_path, capsys):
     rc, out, _ = run(capsys, "verify", path, "--mode", "random", "--seed", "1")
     assert rc == 1
     assert "INVALID" in out
+    # No output term at all: every one of the 27 equations whose right side
+    # is 1 fails; the first 10 are listed.
+    c = classical(3, 3, 3)
+    dump_algorithm(BilinearAlgorithm(c.dims, c.rank, c.u, c.v, [{}] * c.rank), path)
+    rc, out, _ = run(capsys, "verify", path)
+    lines = out.splitlines()
+    assert rc == 1 and lines[0] == "INVALID: 27 violated equations"
+    assert len(lines) == 12 and all(line.startswith("  output ") for line in lines[1:11])
+    assert lines[11] == "  ... and 17 more"
 
 
 def test_verify_malformed_and_missing(tmp_path, capsys):
@@ -206,6 +217,13 @@ def test_product_and_square(strassen_file, tmp_path, capsys):
     assert rc == 0
     assert "already square" in err
     assert load_algorithm(sq_path).rank == 7
+
+    bad = str(tmp_path / "bad.alg")
+    dump_algorithm(corrupt_one(strassen_222(), random.Random(7)), bad)
+    bad_out = str(tmp_path / "bad-square.alg")
+    rc, out, err = run(capsys, "square", bad, "--out", bad_out)
+    assert rc == 1 and out == "" and not os.path.exists(bad_out)
+    assert err.endswith("error: program fails verification\n")
 
 
 def test_square_and_product_refuse_oversized_results(tmp_path, capsys):
@@ -317,6 +335,24 @@ def test_invert_round_trip(strassen_file, tmp_path, capsys):
     assert mat_classical_multiply(a, inverse) == Matrix.identity(QQ, 5)
 
 
+def test_fraction_coefficient_base_program(strassen_file, tmp_path, capsys):
+    # An equiv output has Fraction coefficients; invert and multiply run it
+    # as a base program like any other.
+    base = str(tmp_path / "v.alg")
+    assert run(capsys, "equiv", strassen_file, "--seed", "7", "--out", base)[0] == 0
+    rng = random.Random(23)
+    a, b = random_matrix(QQ, 8, 8, rng), random_matrix(QQ, 8, 5, rng)
+    paths = {name: str(tmp_path / f"{name}.mat") for name in ("a", "b", "x", "c")}
+    dump_matrix(a, paths["a"])
+    dump_matrix(b, paths["b"])
+    rc, out, _ = run(capsys, "invert", base, paths["a"], "--out", paths["x"])
+    assert rc == 0 and f"wrote {paths['x']} (8x8)" in out
+    assert load_matrix(paths["x"]) == mat_inverse(a)
+    rc, out, _ = run(capsys, "multiply", base, paths["a"], paths["b"], "--out", paths["c"])
+    assert rc == 0 and f"wrote {paths['c']} (8x5)" in out
+    assert load_matrix(paths["c"]) == mat_classical_multiply(a, b)
+
+
 def test_invert_failure_exit_codes(strassen_file, tmp_path, capsys):
     sing = str(tmp_path / "sing.mat")
     dump_matrix(Matrix.from_rows(QQ, [[1, 2], [2, 4]]), sing)
@@ -395,7 +431,7 @@ def test_verify_coefficient_without_image_mod_p_is_a_usage_error(tmp_path, capsy
     path = str(tmp_path / "third.alg")
     dump_algorithm(third, path)
     rc, out, err = run(capsys, "verify", path, "--mode", "random", "--prime", "3")
-    assert rc == 2 and out == "" and err.startswith("error:")
+    assert rc == 2 and out == "" and err == "error: coefficient 1/3 has no image mod 3\n"
     rc, out, _ = run(capsys, "verify", path, "--mode", "random", "--prime", "5")
     assert rc == 0 and out.startswith("VALID")
 
@@ -412,7 +448,7 @@ def test_bench_coefficient_without_image_mod_p_is_a_usage_error(tmp_path, capsys
     rc, _, _ = run(capsys, "verify", scaled)
     assert rc == 0
     rc, _, err = run(capsys, "bench", scaled, "--sizes", "2")
-    assert rc == 2 and err.startswith("error:")
+    assert rc == 2 and err.startswith("error:") and f"no image mod {p61}" in err
 
 
 def test_bench_size_specs(strassen_file, capsys):

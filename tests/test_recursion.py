@@ -37,6 +37,7 @@ from mmalg import (
 )
 
 from mmalg import recursion
+from mmalg.bilinear_core import _compile
 from mmalg.recursion import _BATCH_ENTRIES, _plan
 
 from helpers import P61, naive_product, unit_lu_matrix
@@ -213,10 +214,11 @@ def test_every_traversal_gives_the_same_product_and_counts(monkeypatch, batch_en
 
 
 def test_fraction_coefficients_over_prime_fields():
-    # Equivalence transforms of Strassen have Fraction coefficients, whose
-    # images mod p are about as large as p.  Over GF(p) the recursion
-    # reduces only once, at the end, so at depths 4 and 5 the blocks grow
-    # far past p; the all-(p-1) inputs make every image product largest.
+    # Equivalence transforms of Strassen have Fraction coefficients, which
+    # the compiled program clears to ints over one denominator D.  Over
+    # GF(p) the recursion reduces only once, at the end, so at depths 4 and
+    # 5 the blocks grow far past p and carry D^d; the all-(p-1) inputs make
+    # every product largest.
     base = strassen_222()
     rng = random.Random(68)
     for seed in (1, 2):
@@ -247,9 +249,10 @@ def _scaled_strassen(factor):
 @pytest.mark.parametrize("ring", [QQ, PrimeField(3), PrimeField(7), FIELD])
 def test_apply_elementary_is_one_level_of_the_recursion(ring):
     # apply_elementary runs a program once as one recursion level, so at the
-    # base's dims its counts are recursive_multiply's.  Over GF(3) the
-    # variant's coefficient 1/4 has image 1, which takes the +-1 shortcut
-    # while it is still counted as a scalar multiplication.
+    # base's dims its counts are recursive_multiply's.  The variant's W
+    # coefficients +-1/4 clear to the ints +-1, which take the +-1 shortcut
+    # while they are still counted as scalar multiplications: counts are
+    # decided on the rational coefficients.
     rng = random.Random(70)
     for alg in (strassen_222(), classical(2, 3, 4), pan_aggregation(2), _scaled_strassen(4)):
         m, k, n = alg.dims
@@ -267,10 +270,31 @@ def test_apply_elementary_is_one_level_of_the_recursion(ring):
             assert report.bilinear_mults == alg.rank
 
 
+def test_compiled_coefficients_are_ints_over_one_denominator():
+    # Product s's U and V forms are scaled by the lcms du_s, dv_s of their
+    # denominators and its W form by D / (du_s dv_s), D the lcm over s of
+    # du_s dv_s dw_s, so every coefficient is an int and a run computes D
+    # times the product.
+    base = strassen_222()
+    cases = [(classical(2, 3, 4), 1), (base, 1), (pan_aggregation(4), 1),
+             (_scaled_strassen(3), 3)]
+    cases += [(apply_equivalence(base, random_equivalence(base.dims, base.rank, seed)), None)
+              for seed in (1, 7)]
+    for alg, denominator in cases:
+        prog = _compile(alg)
+        assert all(type(c) is int for form in (prog.u, prog.v, prog.w)
+                   for terms in form for _, c in terms), alg
+        if denominator is None:
+            assert prog.denominator > 1, alg
+        else:
+            assert prog.denominator == denominator, alg
+
+
 def test_coefficient_without_an_image_stops_only_a_recursing_product():
     # Over GF(3) the coefficient 1/3 has no image.  A product that does not
     # recurse evaluates no linear form, so it succeeds; one that recurses,
-    # and apply_elementary, refuse the program.
+    # apply_elementary and a block inversion whose products recurse refuse
+    # the program.
     alg = _scaled_strassen(3)
     field = PrimeField(3)
     cfg = RecursionConfig(alg, 1)
@@ -284,10 +308,14 @@ def test_coefficient_without_an_image_stops_only_a_recursing_product():
         recursive_multiply(cfg, a, b)
     with pytest.raises(BadArgument, match="no image mod 3"):
         apply_elementary(alg, a, b)
+    with pytest.raises(BadArgument, match="no image mod 3"):
+        recursive_invert(cfg, Matrix.identity(field, 4))
     # Over a field where 1/3 has an image, the program runs at any depth.
     field = PrimeField(7)
     a, b = random_matrix(field, 4, 4, rng), random_matrix(field, 4, 4, rng)
     assert recursive_multiply(cfg, a, b)[0] == mat_classical_multiply(a, b)
+    a = Matrix.from_rows(field, [[1, 2, 0, 3], [3, 1, 5, 0], [0, 6, 1, 2], [3, 0, 2, 1]])
+    assert recursive_invert(cfg, a)[0] == mat_inverse(a)
     a, b = random_matrix(field, 2, 2, rng), random_matrix(field, 2, 2, rng)
     assert apply_elementary(alg, a, b)[0] == mat_classical_multiply(a, b)
 
@@ -353,7 +381,8 @@ def test_products_match_an_independent_triple_loop():
 
 def test_fractional_coefficient_programs_over_rationals():
     # QQ products run on cleared integers; a base with Fraction coefficients
-    # takes the same path, since a Fraction times an int is exact.
+    # takes the same path, compiled to ints over one denominator, which the
+    # product divides out once.
     base = strassen_222()
     for seed in range(20):
         alg = apply_equivalence(base, random_equivalence(base.dims, base.rank, seed))
@@ -551,6 +580,22 @@ def test_singular_matrix_is_never_eliminated_whole(monkeypatch):
     with pytest.raises(SingularMatrix, match="16x16 matrix is singular"):
         recursive_invert(RecursionConfig(strassen_222(), 4), Matrix.from_rows(QQ, rows))
     assert set(sides) == {4, 8}
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(97), FIELD])
+def test_invert_over_fraction_coefficient_bases(ring):
+    # Equivalence transforms of Strassen have Fraction coefficients; block
+    # inversion runs their products on ints over one denominator like any
+    # other program's.
+    base = strassen_222()
+    rng = random.Random(73)
+    for seed in (1, 2, 7):
+        alg = apply_equivalence(base, random_equivalence(base.dims, base.rank, seed))
+        for threshold in (1, 2, 4):
+            cfg = RecursionConfig(alg, threshold)
+            for side in (5, 16, 33):
+                a = random_matrix(ring, side, side, rng)
+                assert recursive_invert(cfg, a)[0] == mat_inverse(a), (seed, threshold, side)
 
 
 def test_multiply_via_inversion():
