@@ -8,7 +8,10 @@ index pair, holding nonzero exact rationals in one canonical form: an int
 when the value is integral, else a Fraction with denominator > 1.  The
 constructor makes that choice once, so every later step (verification, the
 transforms, the writer, the evaluator) does int arithmetic on the integral
-coefficients that the shipped programs consist of.
+coefficients that the shipped programs consist of.  The generators, the
+transforms and the reader of canonical text build slices in that form
+themselves and hand them to BilinearAlgorithm._from_slices, which checks
+nothing; the public constructor checks and cleans every coefficient.
 
 Correctness is equivalent to the coefficient equations
 
@@ -23,12 +26,14 @@ l''_s(D) = sum_lq w^s_lq d_ql with D of shape n x m.
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BadArgument, DimensionError, ExponentUndefined, FormatError
@@ -101,6 +106,12 @@ def _clean_tensor(slices, rows: int, cols: int, name: str):
 _MAX_NONZEROS = 2_000_000
 
 
+def _canonical(d: Mapping) -> dict:
+    """The slice d without its zero entries and with each integral value as
+    an int (2 * 1/2 is the int 1)."""
+    return {key: c.numerator if c.denominator == 1 else c for key, c in d.items() if c}
+
+
 def _check_size(counts) -> None:
     """BadArgument unless each of the program's (u, v, w) nonzero counts is
     within _MAX_NONZEROS."""
@@ -144,6 +155,22 @@ class BilinearAlgorithm:
         self.u = _clean_tensor(u, m, k, "u")
         self.v = _clean_tensor(v, k, n, "v")
         self.w = _clean_tensor(w, m, n, "w")
+
+    @classmethod
+    def _from_slices(cls, dims: DimensionTriple, rank: int, u: Sequence[dict],
+                     v: Sequence[dict], w: Sequence[dict]) -> "BilinearAlgorithm":
+        """The program of rank slices per tensor already in canonical form,
+        taken as they are.
+
+        The caller guarantees what the public constructor checks: every key
+        lies inside its tensor's shape, and every value is a nonzero int or a
+        Fraction with denominator > 1.  The slices are not copied, so two
+        programs may share one (_dual reuses the slices it does not
+        transpose); nothing mutates a slice once a program holds it.
+        """
+        alg = cls.__new__(cls)
+        alg.dims, alg.rank, alg.u, alg.v, alg.w = dims, rank, tuple(u), tuple(v), tuple(w)
+        return alg
 
     def nonzero_counts(self) -> tuple[int, int, int]:
         return (
@@ -437,9 +464,23 @@ def sanity_rank_lower_bound(alg: BilinearAlgorithm) -> bool:
 # integer or p/q fraction, read by exact_algebra._exact).  The canonical
 # writer sorts entries within a block and separates products by a blank
 # line; the reader accepts entries in any order and arbitrary blank lines.
+#
+# parse_algorithm reads text in the writer's exact form (_CANONICAL: "\n"
+# line ends, one space between tokens, no '+', no leading zero and no zero
+# coefficient, at most one blank line after a product) in bulk, with no
+# Python step per line.  Any other text, and writer-form text that fails a check
+# (an index outside its block, a duplicate entry, a block count other than
+# 3R, a number past Python's int-string digit limit), goes unchanged to
+# the line reader _parse_lines, the one source of FormatErrors.
 # ---------------------------------------------------------------------------
 
 _MAGIC = "mmalg-v1"
+_POSITIVE = "[1-9][0-9]*"
+_ENTRY = rf"(?:0|{_POSITIVE}) (?:0|{_POSITIVE}) -?{_POSITIVE}(?:/{_POSITIVE})?\n"
+_CANONICAL = re.compile(
+    rf"{_MAGIC} ({_POSITIVE}) ({_POSITIVE}) ({_POSITIVE}) ({_POSITIVE})\n"
+    rf"((?:U\n(?:{_ENTRY})*+V\n(?:{_ENTRY})*+W\n(?:{_ENTRY})*+\n?)*+)")
+_FRACTION = re.compile(r"(-?[0-9]+/[0-9]+)")
 
 
 def format_algorithm(alg: BilinearAlgorithm) -> str:
@@ -463,7 +504,57 @@ def format_algorithm(alg: BilinearAlgorithm) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_canonical(text: str) -> Optional[BilinearAlgorithm]:
+    """The program that text in the writer's exact form holds, or None when
+    text is in another form or fails a check (see the text-format comment).
+
+    String replacements turn the blocks into one JSON list of numbers each
+    (a label line becomes "],[" and an entry line "i,j,value,"), with each
+    p/q quoted as a string, so json.loads reads every number; each block is
+    then one dict built by C-level calls.
+    """
+    match = _CANONICAL.fullmatch(text)
+    if match is None:
+        return None
+    body = match[5].replace("\n\n", "\n")
+    fractional = "/" in body
+    if fractional:
+        # split keeps each p/q (the group) between the texts around it
+        body = '"'.join(_FRACTION.split(body))
+    for label in "UVW":
+        body = body.replace(label + "\n", "],[")
+    body = ("[[" + body[3:].replace(" ", ",").replace("\n", ",") + "]]").replace(",]", "]")
+    try:
+        m, k, n, rank = map(int, match.group(1, 2, 3, 4))
+        blocks = json.loads(body)
+        if len(blocks) != 3 * rank:
+            return None
+        slices = [dict(zip(zip(it, it), it)) for it in map(iter, blocks)]
+        if 3 * sum(map(len, slices)) != sum(map(len, blocks)):
+            return None
+        if fractional:
+            slices = [_canonical({key: c if type(c) is int else _exact(c) for key, c in d.items()})
+                      for d in slices]
+    except ValueError:
+        return None
+    u, v, w = slices[0::3], slices[1::3], slices[2::3]
+    for tensor, rows, cols in ((u, m, k), (v, k, n), (w, m, n)):
+        keys = set().union(*tensor)
+        if keys and (max(keys)[0] >= rows or max(map(itemgetter(1), keys)) >= cols):
+            return None
+    return BilinearAlgorithm._from_slices(DimensionTriple(m, k, n), rank, u, v, w)
+
+
 def parse_algorithm(text: str) -> BilinearAlgorithm:
+    """The program of a text in the format above: read in bulk when the text
+    is in the writer's exact form, else line by line."""
+    alg = _read_canonical(text)
+    return _parse_lines(text) if alg is None else alg
+
+
+def _parse_lines(text: str) -> BilinearAlgorithm:
+    """The line reader: any text in the format, or a FormatError naming the
+    first line at fault."""
     records = _records(text)
     m, k, n, rank = _read_header(records, _MAGIC, ("m", "k", "n", "R"), "algorithm")
     shapes = {"U": (m, k), "V": (k, n), "W": (m, n)}

@@ -27,7 +27,7 @@ def classical(m: int, k: int, n: int) -> BilinearAlgorithm:
                 u.append({(i, j): 1})
                 v.append({(j, h): 1})
                 w.append({(i, h): 1})
-    return BilinearAlgorithm(dims, dims.volume, u, v, w)
+    return BilinearAlgorithm._from_slices(dims, dims.volume, u, v, w)
 
 
 def strassen_222() -> BilinearAlgorithm:
@@ -43,7 +43,7 @@ def strassen_222() -> BilinearAlgorithm:
         ({(0, 1): 1, (1, 1): -1}, {(1, 0): 1, (1, 1): 1}, {(0, 0): 1}),
     ]
     u, v, w = zip(*products)
-    return BilinearAlgorithm(DimensionTriple(2, 2, 2), 7, u, v, w)
+    return BilinearAlgorithm._from_slices(DimensionTriple(2, 2, 2), 7, u, v, w)
 
 
 def _bump(d: dict, key: tuple, delta: int) -> None:
@@ -152,4 +152,4 @@ def pan_aggregation(n: int) -> BilinearAlgorithm:
             product(ua, {(j, h): 1}, {(h1, j1): -1})
 
     rank = n**3 // 2 + 3 * n**2
-    return BilinearAlgorithm(DimensionTriple(n, n, n), rank, u, v, w)
+    return BilinearAlgorithm._from_slices(DimensionTriple(n, n, n), rank, u, v, w)

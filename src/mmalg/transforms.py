@@ -22,7 +22,9 @@ from fractions import Fraction
 from math import prod
 from operator import mul
 
-from .bilinear_core import BilinearAlgorithm, DimensionTriple, _check_size, verify_brent
+from .bilinear_core import (
+    BilinearAlgorithm, DimensionTriple, _canonical, _check_size, verify_brent,
+)
 from .errors import BadArgument, BadTransform, FormatError, InvalidAlgorithm
 from .exact_algebra import (
     Matrix,
@@ -78,7 +80,7 @@ def _dual(alg: BilinearAlgorithm, perm: DualityPermutation) -> BilinearAlgorithm
     factors = (alg.u, alg.v, alg.w)
     u, v, w = ([_t(d) if transposed else d for d in factors[src]]
                for src, transposed in _DUAL_ROLES[perm])
-    return BilinearAlgorithm(perm.target_dims(alg.dims), alg.rank, u, v, w)
+    return BilinearAlgorithm._from_slices(perm.target_dims(alg.dims), alg.rank, u, v, w)
 
 
 def dual(alg: BilinearAlgorithm, perm) -> BilinearAlgorithm:
@@ -105,10 +107,15 @@ def dual(alg: BilinearAlgorithm, perm) -> BilinearAlgorithm:
 def _kron(x, y, rows: int, cols: int) -> list:
     """The Kronecker products of each slice of tensor x with each slice of
     tensor y, x's outer, y's slices rows x cols: c1 at (i1, j1) and c2 at
-    (i2, j2) give c1 * c2 at (i1 * rows + i2, j1 * cols + j2)."""
-    return [{(i1 * rows + i2, j1 * cols + j2): c1 * c2
-             for (i1, j1), c1 in d1.items() for (i2, j2), c2 in d2.items()}
-            for d1 in x for d2 in y]
+    (i2, j2) give c1 * c2 at (i1 * rows + i2, j1 * cols + j2).  A product
+    with a Fraction may be integral (2 * 1/2), so when either tensor holds a
+    Fraction every slice is put back in canonical form."""
+    out = [{(i1 * rows + i2, j1 * cols + j2): c1 * c2
+            for (i1, j1), c1 in d1.items() for (i2, j2), c2 in d2.items()}
+           for d1 in x for d2 in y]
+    if any(type(c) is not int for t in (x, y) for d in t for c in d.values()):
+        return list(map(_canonical, out))
+    return out
 
 
 def _tensor(a: BilinearAlgorithm, b: BilinearAlgorithm) -> BilinearAlgorithm:
@@ -116,8 +123,9 @@ def _tensor(a: BilinearAlgorithm, b: BilinearAlgorithm) -> BilinearAlgorithm:
     m1, k1, n1 = a.dims
     m2, k2, n2 = b.dims
     dims = DimensionTriple(m1 * m2, k1 * k2, n1 * n2)
-    return BilinearAlgorithm(dims, a.rank * b.rank, _kron(a.u, b.u, m2, k2),
-                             _kron(a.v, b.v, k2, n2), _kron(a.w, b.w, m2, n2))
+    return BilinearAlgorithm._from_slices(
+        dims, a.rank * b.rank, _kron(a.u, b.u, m2, k2), _kron(a.v, b.v, k2, n2),
+        _kron(a.w, b.w, m2, n2))
 
 
 def tensor_product(a: BilinearAlgorithm, b: BilinearAlgorithm) -> BilinearAlgorithm:
@@ -199,14 +207,15 @@ def _nonzeros(vectors) -> list:
 
 
 def _outer_sum(d: dict, left: list, right: list) -> dict:
-    """sum over the entries c at (i, j) of d of c * left[i] (x) right[j]."""
+    """sum over the entries c at (i, j) of d of c * left[i] (x) right[j], as
+    a canonical slice."""
     acc: dict = {}
     for (i, j), c in d.items():
         for a, x in left[i]:
             cx = c * x
             for b, y in right[j]:
                 acc[a, b] = acc.get((a, b), 0) + cx * y
-    return acc
+    return _canonical(acc)
 
 
 def apply_equivalence(
@@ -243,7 +252,7 @@ def apply_equivalence(
         u.append(_outer_sum(alg.u[src], sigma_c, nabla_c))
         v.append(_outer_sum(alg.v[src], lam_r, mu_c))
         w.append(_outer_sum(alg.w[src], gamma_r, beta_r))
-    return BilinearAlgorithm(alg.dims, alg.rank, u, v, w)
+    return BilinearAlgorithm._from_slices(alg.dims, alg.rank, u, v, w)
 
 
 _DIAG_CHOICES = (

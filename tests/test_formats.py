@@ -5,6 +5,7 @@ writers reproduce the text they read.  A valid text with one line deleted,
 duplicated or cut short, or one token replaced, is either still accepted or
 rejected with an MmalgError, never any other exception.  Entry tokens follow
 one strict grammar, and writers refuse an entry Python cannot spell.
+Program text read in bulk reads exactly as the line reader reads it.
 """
 
 import re
@@ -35,7 +36,9 @@ from mmalg import (
     parse_matrix,
     parse_transform,
     random_equivalence,
+    strassen_222,
 )
+from mmalg.bilinear_core import _parse_lines, _read_canonical
 
 GF97 = PrimeField(97)
 
@@ -140,6 +143,63 @@ def test_mutated_text_parses_or_raises_mmalg_error(case, data):
             parse(text)
         except MmalgError:
             pass
+
+
+def _outcome(parse, text):
+    """The program parse reads from text, down to each value's type and each
+    slice's order, or the class, line and message of the MmalgError raised."""
+    try:
+        alg = parse(text)
+    except MmalgError as err:
+        return type(err), getattr(err, "line", None), str(err)
+    return alg, [[(key, type(c), c) for key, c in d.items()] for d in alg.u + alg.v + alg.w]
+
+
+@given(programs(), st.data())
+def test_bulk_reader_matches_the_line_reader(alg, data):
+    # Writer output is read in bulk; every text reads as the line reader reads it.
+    text = format_algorithm(alg)
+    assert _read_canonical(text) == alg
+    for case in (text, *_mutations(text, data)):
+        assert _outcome(parse_algorithm, case) == _outcome(_parse_lines, case)
+
+
+_STRASSEN = format_algorithm(strassen_222())
+_DIGITS = "7" * 5000
+_EDGE_CASES = {
+    "empty-blocks": "mmalg-v1 1 1 1 1\nU\nV\nW\n",
+    "some-empty-blocks": "mmalg-v1 2 1 2 2\nU\n1 0 1\nV\nW\n0 1 -1\n\nU\nV\n0 1 2\nW\n",
+    "fractions": "mmalg-v1 1 2 1 1\nU\n0 0 -3/4\n0 1 5/2\nV\n1 0 1/3\nW\n0 0 7\n",
+    "integral-fractions": "mmalg-v1 1 1 1 1\nU\n0 0 4/2\nV\n0 0 2/4\nW\n0 0 -3/1\n",
+    "unsorted": "mmalg-v1 2 2 1 1\nU\n1 1 1\n0 1 2\n1 0 3\nV\n1 0 1\n0 0 1\nW\n1 0 1\n",
+    "extra-blank-lines": "\n" + _STRASSEN.replace("\n\n", "\n\n\n") + "\n\n",
+    "no-blank-lines": _STRASSEN.replace("\n\n", "\n"),
+    "crlf": _STRASSEN.replace("\n", "\r\n"),
+    "no-final-newline": _STRASSEN[:-1],
+    "long-coefficient": f"mmalg-v1 1 1 1 1\nU\n0 0 {_DIGITS}\nV\nW\n",
+    "long-denominator": f"mmalg-v1 1 1 1 1\nU\n0 0 1/{_DIGITS}\nV\nW\n",
+    "long-rank": f"mmalg-v1 1 1 1 {_DIGITS}\nU\nV\nW\n",
+    "zeros-and-signs": "mmalg-v1 1 1 1 1\nU\n0 0 0\nV\n0 0 -0\nW\n0 0 +1\n",
+    "leading-zero-index": "mmalg-v1 1 1 1 1\nU\n00 0 1\nV\nW\n",
+    "zero-denominator": "mmalg-v1 1 1 1 1\nU\n0 0 1/0\nV\nW\n",
+    "duplicate": "mmalg-v1 2 1 1 1\nU\n1 0 1\n1 0 2\nV\nW\n",
+    "index-outside": "mmalg-v1 2 1 1 1\nU\nV\n1 0 1\nW\n",
+    "too-few-blocks": "mmalg-v1 1 1 1 2\nU\nV\nW\n",
+    "too-many-blocks": "mmalg-v1 1 1 1 1\nU\nV\nW\n\nU\nV\nW\n",
+    "zero-dimension": "mmalg-v1 0 1 1 1\nU\nV\nW\n",
+    "label-order": "mmalg-v1 1 1 1 1\nV\nU\nW\n",
+    "empty": "",
+}
+# The cases in the writer's form (a program may lack the blank lines).
+_READ_IN_BULK = {"empty-blocks", "some-empty-blocks", "fractions", "integral-fractions",
+                 "unsorted", "no-blank-lines"}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_CASES))
+def test_bulk_reader_matches_the_line_reader_on_edge_cases(name):
+    text = _EDGE_CASES[name]
+    assert (_read_canonical(text) is not None) == (name in _READ_IN_BULK)
+    assert _outcome(parse_algorithm, text) == _outcome(_parse_lines, text)
 
 
 def test_entry_grammar():

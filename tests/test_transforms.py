@@ -316,11 +316,13 @@ def test_apply_equivalence_matches_dense_formulas():
 
 
 def _canonical(alg):
-    """Every coefficient is a nonzero int, or a Fraction with denominator > 1."""
+    """Every coefficient is a nonzero int, or a Fraction with denominator > 1,
+    and the public constructor, which checks and cleans every coefficient,
+    gives back the same program."""
     return all(
         c and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
         for tensor in (alg.u, alg.v, alg.w) for d in tensor for c in d.values()
-    )
+    ) and BilinearAlgorithm(alg.dims, alg.rank, alg.u, alg.v, alg.w) == alg
 
 
 _SMALL = (classical(1, 1, 1), classical(1, 1, 2), classical(2, 1, 1), classical(1, 2, 2),
@@ -347,8 +349,20 @@ def valid_programs(draw, max_volume=8):
     return alg
 
 
-@given(valid_programs(), st.sampled_from(DualityPermutation))
-def test_dual_maps_valid_to_valid_canonical(alg, perm):
+# The generators build their programs in canonical form themselves.
+_GENERATED = (*(classical(*dims) for dims in ((1, 1, 1), (1, 2, 3), (2, 2, 2), (2, 3, 4),
+                                              (3, 3, 3))),
+              strassen_222(), *map(pan_aggregation, range(2, 13, 2)))
+
+
+@pytest.mark.parametrize("source", (None, *_GENERATED),
+                         ids=lambda a: "drawn" if a is None else f"{a.dims}-rank{a.rank}")
+@given(st.data())
+def test_dual_maps_valid_to_valid_canonical(source, data):
+    # A fixed source runs once per permutation: Hypothesis stops when the
+    # six are spent.
+    alg = data.draw(valid_programs()) if source is None else source
+    perm = data.draw(st.sampled_from(DualityPermutation))
     assert _canonical(alg)
     out = dual(alg, perm)
     assert verify_brent(out).valid and _canonical(out)
