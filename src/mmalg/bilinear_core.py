@@ -465,21 +465,21 @@ def sanity_rank_lower_bound(alg: BilinearAlgorithm) -> bool:
 # writer sorts entries within a block and separates products by a blank
 # line; the reader accepts entries in any order and arbitrary blank lines.
 #
-# parse_algorithm reads text in the writer's exact form (_CANONICAL: "\n"
-# line ends, one space between tokens, no '+', no leading zero and no zero
-# coefficient, at most one blank line after a product) in bulk, with no
-# Python step per line.  Any other text, and writer-form text that fails a check
-# (an index outside its block, a duplicate entry, a block count other than
-# 3R, a number past Python's int-string digit limit), goes unchanged to
-# the line reader _parse_lines, the one source of FormatErrors.
+# parse_algorithm reads text in the writer's exact form (_HEADER, then one
+# _PRODUCT per product: "\n" line ends, one space between tokens, no '+',
+# no leading zero and no zero coefficient, at most one blank line after a
+# product) in bulk, with no Python step per line.  Any other text, and
+# writer-form text that fails a check (an index outside its block, a
+# duplicate entry, a product count other than R, a number past Python's
+# int-string digit limit), goes unchanged to the line reader _parse_lines,
+# the one source of FormatErrors.
 # ---------------------------------------------------------------------------
 
 _MAGIC = "mmalg-v1"
 _POSITIVE = "[1-9][0-9]*"
 _ENTRY = rf"(?:0|{_POSITIVE}) (?:0|{_POSITIVE}) -?{_POSITIVE}(?:/{_POSITIVE})?\n"
-_CANONICAL = re.compile(
-    rf"{_MAGIC} ({_POSITIVE}) ({_POSITIVE}) ({_POSITIVE}) ({_POSITIVE})\n"
-    rf"((?:U\n(?:{_ENTRY})*+V\n(?:{_ENTRY})*+W\n(?:{_ENTRY})*+\n?)*+)")
+_HEADER = re.compile(rf"{_MAGIC} ({_POSITIVE}) ({_POSITIVE}) ({_POSITIVE}) ({_POSITIVE})\n")
+_PRODUCT = re.compile(rf"U\n(?:{_ENTRY})*V\n(?:{_ENTRY})*W\n(?:{_ENTRY})*\n?")
 _FRACTION = re.compile(r"(-?[0-9]+/[0-9]+)")
 
 
@@ -513,10 +513,17 @@ def _read_canonical(text: str) -> Optional[BilinearAlgorithm]:
     p/q quoted as a string, so json.loads reads every number; each block is
     then one dict built by C-level calls.
     """
-    match = _CANONICAL.fullmatch(text)
-    if match is None:
+    header = _HEADER.match(text)
+    if header is None:
         return None
-    body = match[5].replace("\n\n", "\n")
+    body = text[header.end():]
+    # The body is in the writer's form when removing every _PRODUCT match
+    # leaves nothing.  Matching one product at a time keeps the regex
+    # engine's backtracking state to one product, not the whole text.
+    rest, products = _PRODUCT.subn("", body)
+    if rest:
+        return None
+    body = body.replace("\n\n", "\n")
     fractional = "/" in body
     if fractional:
         # split keeps each p/q (the group) between the texts around it
@@ -525,10 +532,10 @@ def _read_canonical(text: str) -> Optional[BilinearAlgorithm]:
         body = body.replace(label + "\n", "],[")
     body = ("[[" + body[3:].replace(" ", ",").replace("\n", ",") + "]]").replace(",]", "]")
     try:
-        m, k, n, rank = map(int, match.group(1, 2, 3, 4))
-        blocks = json.loads(body)
-        if len(blocks) != 3 * rank:
+        m, k, n, rank = map(int, header.groups())
+        if products != rank:
             return None
+        blocks = json.loads(body)
         slices = [dict(zip(zip(it, it), it)) for it in map(iter, blocks)]
         if 3 * sum(map(len, slices)) != sum(map(len, blocks)):
             return None
