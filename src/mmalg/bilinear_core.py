@@ -30,15 +30,17 @@ import json
 import math
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import add, itemgetter, mul
+from functools import cached_property
+from itertools import chain, islice, repeat
+from operator import itemgetter, lshift, mul, or_
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BadArgument, DimensionError, ExponentUndefined, FormatError
 from .exact_algebra import (
-    PrimeField, _classical, _exact, _packed, _read_header, _read_text, _records, _shown, _unpacked,
+    PrimeField, _classical, _exact, _packed, _read_header, _read_text, _records, _shown,
     _unwritable, _write_text,
 )
 
@@ -204,13 +206,32 @@ class BilinearAlgorithm:
         return f"<BilinearAlgorithm {self.dims} rank {self.rank}>"
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    violations: tuple
+    """The coefficient equations a program violates, as verify_brent found
+    them.
+
+    count is their number.  violations lists them sorted, each as (output
+    (l, q), left (i, j), right (g, h), expected, actual), and is built on
+    first read: a program with no products violates all m k n equations
+    whose right side is 1, so valid and first(limit) never build it.
+    """
+
+    def __init__(self, count: int, listing):
+        self.count = count
+        # listing(limit): the first limit violations, sorted (all for None)
+        self._listing = listing
 
     @property
     def valid(self) -> bool:
-        return not self.violations
+        return not self.count
+
+    def first(self, limit: int) -> tuple:
+        """The first limit violations, in sorted order."""
+        return tuple(self._listing(limit))
+
+    @cached_property
+    def violations(self) -> tuple:
+        return tuple(self._listing(None))
 
 
 @dataclass
@@ -229,7 +250,8 @@ def verify_brent(alg: BilinearAlgorithm) -> VerificationReport:
 
     The triple sum is accumulated sparsely, touching only nonzero coefficient
     combinations, so cost is sum_s nnz(u_s) nnz(v_s) nnz(w_s) rather than the
-    full (mkn)^2 grid.
+    full (mkn)^2 grid.  The equations that no term reaches are counted, not
+    listed, until the report's violations are read.
     """
     sums: dict = {}
     for us, vs, ws in zip(alg.u, alg.v, alg.w):
@@ -240,25 +262,32 @@ def verify_brent(alg: BilinearAlgorithm) -> VerificationReport:
                     key = (l, q, i, j, g, h)
                     prev = sums.get(key)
                     sums[key] = cuv * cw if prev is None else prev + cuv * cw
-    violations = []
+    wrong = []
+    present = 0  # equations with expected value 1 that have a term
     for key, val in sums.items():
         l, q, i, j, g, h = key
         expected = 1 if (i == l and j == g and h == q) else 0
+        present += expected
         if val != expected:
-            violations.append(((l, q), (i, j), (g, h), expected, val))
+            wrong.append(((l, q), (i, j), (g, h), expected, val))
     m, k, n = alg.dims
-    for l in range(m):
-        for j in range(k):
-            for q in range(n):
-                if (l, q, l, j, j, q) not in sums:
-                    violations.append(((l, q), (l, j), (j, q), 1, 0))
-    violations.sort()
-    return VerificationReport(tuple(violations))
+
+    def listing(limit: Optional[int]) -> list:
+        # The equations with no term at all, in sorted order: the first limit
+        # of them and the wrong sums hold the first limit violations.
+        missing = (((l, q), (l, j), (j, q), 1, 0) for l in range(m) for q in range(n)
+                   for j in range(k) if (l, q, l, j, j, q) not in sums)
+        return sorted(chain(wrong, islice(missing, limit)))[:limit]
+
+    return VerificationReport(m * k * n - present + len(wrong), listing)
 
 
 # Trials checked together: every packed int holds one slot per trial of a
 # batch, so memory stays bounded however many trials are asked for.
 _TRIAL_BATCH = 64
+# Products read back together: the bytes that hold their sums stay bounded
+# however large the rank.
+_PRODUCT_CHUNK = 1024
 
 
 def verify_trilinear_random(
@@ -277,15 +306,19 @@ def verify_trilinear_random(
 
     Trials run in batches of up to 64 (Kronecker substitution): each entry
     of A, B and D holds its values for the whole batch as slots of one int,
-    so a linear form is one bigint sum per product for every trial at once,
-    and its slots are read back per trial.  A slot is the fewest 64-bit
-    words that hold (most nonzeros in a slice) * (p-1)^2, so a form's sum
-    never carries into the next slot.  The draws are those of a
-    trial-by-trial loop (per trial: A row-major, then B, then D, each by
-    rng.randrange(p)), so a seed gives the same samples and the same
-    verdict; the check stops after the first batch with a failing trial.
-    The right-hand side runs per trial on plain ints: A B by the classical
-    kernel (exact_algebra._classical), dotted with D's columns.
+    so a linear form is one bigint sum per product for every trial at once.
+    A slot is the fewest 64-bit words that hold (most nonzeros in a slice)
+    * (p-1)^2, so a form's sum never carries into the next slot.  The sums
+    of up to 1024 products per tensor are written to bytes, one to_bytes
+    per product, and read back as 64-bit words: a strided view holds one
+    word of one trial's slot in every product, so a trial's part of the
+    left-hand side is one sum over three views, with no Python step per
+    product.  The draws are those of a trial-by-trial loop (per trial: A
+    row-major, then B, then D, each by rng.randrange(p)), so a seed gives
+    the same samples and the same verdict; the check stops after the first
+    batch with a failing trial.  The right-hand side runs per trial on
+    plain ints: A B by the classical kernel (exact_algebra._classical),
+    dotted with D's columns.
     """
     if not isinstance(trials, int) or trials < 1:
         raise BadArgument(f"trials must be a positive integer, got {trials!r}")
@@ -295,36 +328,45 @@ def verify_trilinear_random(
         raise BadArgument(
             f"prime {prime} too small for a {alg.dims} rank-{alg.rank} program"
         )
+    tensors = (alg.u, alg.v, alg.w)
     # Each distinct coefficient is mapped once, in the order the forms meet it.
-    image = dict.fromkeys(
-        c for tensor in (alg.u, alg.v, alg.w) for d in tensor for c in d.values())
+    image = dict.fromkeys(c for tensor in tensors for d in tensor for c in d.values())
     try:
         for c in image:
             image[c] = field._value(c)
     except ZeroDivisionError:
         raise BadArgument(f"coefficient {c} has no image mod {prime}") from None
-    # Forms index one trial's draws: A at i*k + j, B after it, then D, whose
-    # entry (q, l) the third form reads for w_lq.
+    words = max(1, -(-(max(map(len, chain(*tensors))) * (prime - 1) ** 2).bit_length() // 64))
+    # The keys of A, B and D in the order of one trial's draws; the third
+    # form reads D's entry (q, l) for w_lq.
+    keys = ([(i, j) for i in range(m) for j in range(k)],
+            [(g, h) for g in range(k) for h in range(n)],
+            [(l, q) for q in range(n) for l in range(m)])
     mk, kn = m * k, k * n
-    u_flat = [[(i * k + j, image[c]) for (i, j), c in d.items()] for d in alg.u]
-    v_flat = [[(mk + g * n + h, image[c]) for (g, h), c in d.items()] for d in alg.v]
-    w_flat = [[(mk + kn + q * m + l, image[c]) for (l, q), c in d.items()] for d in alg.w]
-    widest = max(map(len, u_flat + v_flat + w_flat))
-    width = 8 * max(1, -(-(widest * (prime - 1) ** 2).bit_length() // 64))
 
     rng = random.Random(seed)
-    size = mk + kn + n * m
     for start in range(0, trials, _TRIAL_BATCH):
         batch = min(_TRIAL_BATCH, trials - start)
-        draws = [[rng.randrange(prime) for _ in range(size)] for _ in range(batch)]
-        packed = [_packed(column, width) for column in zip(*draws)]
-        slots = [slice(t * width, (t + 1) * width) for t in range(batch)]
+        draws = [[rng.randrange(prime) for _ in range(mk + kn + n * m)] for _ in range(batch)]
+        packed = iter([_packed(column, 8 * words) for column in zip(*draws)])
+        # zip stops at the end of ks before it takes from packed, so each
+        # tensor gets its own run of the packed entries.
+        by_key = [dict(zip(ks, packed)).__getitem__ for ks in keys]
+        size, stride = 8 * words * batch, words * batch
+        # Written in the host's byte order, a product's sum reads back as
+        # native words, lowest first on a little-endian host and highest
+        # first on a big-endian one: place[i] is where its i-th lowest sits.
+        place = range(stride) if sys.byteorder == "little" else range(stride - 1, -1, -1)
         lhs = [0] * batch
-        for eu, ev, ew in zip(u_flat, v_flat, w_flat):
-            la = _unpacked(sum(c * packed[x] for x, c in eu), slots)
-            lb = _unpacked(sum(c * packed[x] for x, c in ev), slots)
-            ld = _unpacked(sum(c * packed[x] for x, c in ew), slots)
-            lhs = list(map(add, lhs, map(mul, map(mul, la, lb), ld)))
+        for first in range(0, alg.rank, _PRODUCT_CHUNK):
+            views = [memoryview(b"".join(
+                sum(map(mul, map(image.__getitem__, d.values()), map(value, d)))
+                .to_bytes(size, sys.byteorder) for d in tensor[first:first + _PRODUCT_CHUNK]
+            )).cast("Q") for tensor, value in zip(tensors, by_key)]
+            for t in range(batch):
+                la, lb, ld = (_slots(view, place[t * words:(t + 1) * words], stride)
+                              for view in views)
+                lhs[t] += sum(map(mul, map(mul, la, lb), ld))
         for left, vals in zip(lhs, draws):
             # trace(A B D): A B, row-major, dotted with D's columns in turn.
             ab = _classical(vals[:mk], vals[mk:mk + kn], m, k, n, None)
@@ -332,6 +374,15 @@ def verify_trilinear_random(
             if (left - sum(map(mul, ab, chain.from_iterable(d[i::m] for i in range(m))))) % prime:
                 return False
     return True
+
+
+def _slots(view, places, stride: int):
+    """The values of one slot in each block of stride 64-bit words of view:
+    the words at places in the block, lowest first."""
+    values = view[places[0]::stride]
+    for w in range(1, len(places)):
+        values = map(or_, values, map(lshift, view[places[w]::stride], repeat(64 * w)))
+    return values
 
 
 class _Program(NamedTuple):

@@ -112,11 +112,11 @@ def cmd_verify(args) -> int:
         if report.valid:
             print(f"VALID ({alg.dims} rank {alg.rank}, coefficient equations hold exactly)")
             return 0
-        print(f"INVALID: {len(report.violations)} violated equations")
-        for (lq, ij, gh, expected, actual) in report.violations[:10]:
+        print(f"INVALID: {report.count} violated equations")
+        for (lq, ij, gh, expected, actual) in report.first(10):
             print(f"  output {lq} left {ij} right {gh}: expected {expected}, got {actual}")
-        if len(report.violations) > 10:
-            print(f"  ... and {len(report.violations) - 10} more")
+        if report.count > 10:
+            print(f"  ... and {report.count - 10} more")
         return 1
     ok = verify_trilinear_random(alg, trials=args.trials, prime=args.prime, seed=args.seed)
     if ok:
@@ -317,7 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--out", help="output path (default: program text to stdout)")
-    p.set_defaults(handler=cmd_gen)
 
     p = sub.add_parser("verify", help="check a program file")
     p.add_argument("path", help="program file, or - for stdin")
@@ -325,35 +324,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("info", help="print statistics and known bounds")
     p.add_argument("path")
-    p.set_defaults(handler=cmd_info)
 
     p = sub.add_parser("bounds", help="known rank bounds table or one lookup")
     p.add_argument("--m", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
-    p.set_defaults(handler=cmd_bounds)
 
     p = sub.add_parser("dual", help="one of the six duals")
     p.add_argument("path")
     p.add_argument("--perm", required=True,
                    choices=[perm.value for perm in DualityPermutation])
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_dual)
 
     p = sub.add_parser("product", help="tensor product of two programs")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_product)
 
     p = sub.add_parser("square", help="tensor cube of a rectangular program")
     p.add_argument("path")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_square)
 
     p = sub.add_parser("equiv", help="apply an equivalence transform")
     p.add_argument("path")
@@ -361,7 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transform", help="transform file to apply")
     p.add_argument("--transform-out", help="where to save a generated transform")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_equiv)
 
     p = sub.add_parser("multiply", help="multiply two matrix files recursively")
     p.add_argument("alg")
@@ -369,14 +361,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.add_argument("--threshold", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_multiply)
 
     p = sub.add_parser("invert", help="invert a matrix file by block elimination")
     p.add_argument("alg")
     p.add_argument("a")
     p.add_argument("--threshold", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_invert)
 
     p = sub.add_parser("bench", help="measured vs predicted cost over sizes")
     p.add_argument("alg")
@@ -384,19 +374,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="also write a CSV table")
-    p.set_defaults(handler=cmd_bench)
 
     return parser
 
 
+# The parser, built on the first call of main and kept for the process;
+# parse_args leaves it unchanged.
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        # Looked up by name on each call, not bound into the kept parser, so
+        # that a wrapper rebound over a cmd_ function (bench/tracing.py) runs.
+        return globals()["cmd_" + args.command](args)
     except (InvalidAlgorithm, SingularMatrix) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

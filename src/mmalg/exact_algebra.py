@@ -43,8 +43,8 @@ Two flat kernels multiply raw row-major operands: _classical, the plain
 loop with one reduction mod p per dot product (none over QQ, where it takes
 ints or Fractions alike), and over GF(p) _packed_classical, which packs
 each row of B into one int (Kronecker substitution) with _packed and reads
-the slots of a row of C back with _unpacked, the pair the batched
-trace-identity verifier (bilinear_core) packs its trials with.
+the slots of a row of C back with _unpacked.  The batched trace-identity
+verifier (bilinear_core) packs its trials with _packed too.
 
 A small text format for matrices is provided: a ``rows cols`` header line
 followed by one whitespace-separated row per line, entries written as

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from operator import mul
 
 from .bilinear_core import (
@@ -107,12 +107,15 @@ def dual(alg: BilinearAlgorithm, perm) -> BilinearAlgorithm:
 def _kron(x, y, rows: int, cols: int) -> list:
     """The Kronecker products of each slice of tensor x with each slice of
     tensor y, x's outer, y's slices rows x cols: c1 at (i1, j1) and c2 at
-    (i2, j2) give c1 * c2 at (i1 * rows + i2, j1 * cols + j2).  A product
-    with a Fraction may be integral (2 * 1/2), so when either tensor holds a
-    Fraction every slice is put back in canonical form."""
-    out = [{(i1 * rows + i2, j1 * cols + j2): c1 * c2
-            for (i1, j1), c1 in d1.items() for (i2, j2), c2 in d2.items()}
-           for d1 in x for d2 in y]
+    (i2, j2) give c1 * c2 at (i1 * rows + i2, j1 * cols + j2).  Each slice
+    of x has its keys shifted to (i1 * rows, j1 * cols) once, and each slice
+    of y is listed once, so a term costs one product and two sums.  A
+    product with a Fraction may be integral (2 * 1/2), so when either tensor
+    holds a Fraction every slice is put back in canonical form."""
+    shifted = [[(i1 * rows, j1 * cols, c1) for (i1, j1), c1 in d1.items()] for d1 in x]
+    listed = [list(d2.items()) for d2 in y]
+    out = [{(r + i2, c + j2): c1 * c2 for r, c, c1 in s1 for (i2, j2), c2 in s2}
+           for s1 in shifted for s2 in listed]
     if any(type(c) is not int for t in (x, y) for d in t for c in d.values()):
         return list(map(_canonical, out))
     return out
@@ -201,21 +204,35 @@ class EquivalenceTransform:
         )
 
 
-def _nonzeros(vectors) -> list:
-    """Each vector as its list of (index, value) over nonzero values."""
-    return [[(a, x) for a, x in enumerate(vec) if x] for vec in vectors]
+def _cleared(vectors) -> list:
+    """Each vector as (d, list of (index, d * value) over its nonzero
+    values), d the lcm of their denominators, so every d * value is an int."""
+    out = []
+    for vec in vectors:
+        nonzero = [(a, x) for a, x in enumerate(vec) if x]
+        d = lcm(*(x.denominator for _, x in nonzero))
+        out.append((d, [(a, x.numerator * (d // x.denominator)) for a, x in nonzero]))
+    return out
 
 
 def _outer_sum(d: dict, left: list, right: list) -> dict:
     """sum over the entries c at (i, j) of d of c * left[i] (x) right[j], as
-    a canonical slice."""
+    a canonical slice; left and right hold _cleared vectors.
+
+    Every term is an int over the slice's one denominator, the lcm over the
+    entries of den(c) * den(left[i]) * den(right[j]), so the sums run on
+    ints and each output entry is divided once."""
+    terms = [(c.numerator, c.denominator * left[i][0] * right[j][0], left[i][1], right[j][1])
+             for (i, j), c in d.items()]
+    den = lcm(*(t[1] for t in terms))
     acc: dict = {}
-    for (i, j), c in d.items():
-        for a, x in left[i]:
-            cx = c * x
-            for b, y in right[j]:
+    for num, part, lv, rv in terms:
+        scale = num * (den // part)
+        for a, x in lv:
+            cx = scale * x
+            for b, y in rv:
                 acc[a, b] = acc.get((a, b), 0) + cx * y
-    return _canonical(acc)
+    return _canonical(acc if den == 1 else {key: Fraction(x, den) for key, x in acc.items()})
 
 
 def apply_equivalence(
@@ -231,6 +248,9 @@ def apply_equivalence(
     at (i, j) adds c times column i of sigma (x) column j of nabla to u-bar,
     c at (g, h) adds c times row g of lam (x) column h of mu to v-bar, and
     c at (l, q) adds c times row l of gamma (x) row q of beta to w-bar.
+    Each of those rows and columns is cleared of denominators once, so the
+    sums run on ints and each output coefficient is one division
+    (_outer_sum).
     """
     m, k, n = alg.dims
     if transform.sigma.rows != m or transform.nabla.rows != k or transform.mu.rows != n:
@@ -245,8 +265,8 @@ def apply_equivalence(
     if not verify_brent(alg).valid:
         raise InvalidAlgorithm("cannot transform an invalid program")
     t = transform
-    sigma_c, nabla_c, mu_c = (_nonzeros(zip(*x.to_rows())) for x in (t.sigma, t.nabla, t.mu))
-    lam_r, gamma_r, beta_r = (_nonzeros(x.to_rows()) for x in (t.lam, t.gamma, t.beta))
+    sigma_c, nabla_c, mu_c = (_cleared(zip(*x.to_rows())) for x in (t.sigma, t.nabla, t.mu))
+    lam_r, gamma_r, beta_r = (_cleared(x.to_rows()) for x in (t.lam, t.gamma, t.beta))
     u, v, w = [], [], []
     for src in t.perm:
         u.append(_outer_sum(alg.u[src], sigma_c, nabla_c))

@@ -6,7 +6,8 @@ verifier: it densifies the coefficient tensors and walks the full
 six-index grid, so the two can cross-check each other.  naive_product
 likewise shares nothing with the package's product kernels, and
 reference_trilinear_random is the trial-by-trial form of the package's
-batched trace-identity check.
+batched trace-identity check, and reference_apply_equivalence the
+equivalence transform in plain Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -86,6 +87,31 @@ def reference_trilinear_random(alg: BilinearAlgorithm, trials: int, prime: int, 
         if lhs % p != rhs % p:
             return False
     return True
+
+
+def reference_apply_equivalence(alg: BilinearAlgorithm, t) -> tuple:
+    """The (u, v, w) slices of apply_equivalence(alg, t), each coefficient a
+    sum of Fraction products c * x * y over the source entries c and the
+    transform's columns or rows x and y, then an int when integral and
+    dropped when zero."""
+
+    def nonzeros(vectors):
+        return [[(a, x) for a, x in enumerate(vec) if x] for vec in vectors]
+
+    def outer_sum(d, left, right):
+        acc = {}
+        for (i, j), c in d.items():
+            for a, x in left[i]:
+                cx = c * x
+                for b, y in right[j]:
+                    acc[a, b] = acc.get((a, b), 0) + cx * y
+        return {key: c.numerator if c.denominator == 1 else c for key, c in acc.items() if c}
+
+    sigma_c, nabla_c, mu_c = (nonzeros(zip(*x.to_rows())) for x in (t.sigma, t.nabla, t.mu))
+    lam_r, gamma_r, beta_r = (nonzeros(x.to_rows()) for x in (t.lam, t.gamma, t.beta))
+    return ([outer_sum(alg.u[s], sigma_c, nabla_c) for s in t.perm],
+            [outer_sum(alg.v[s], lam_r, mu_c) for s in t.perm],
+            [outer_sum(alg.w[s], gamma_r, beta_r) for s in t.perm])
 
 
 def naive_product(a_rows, b_rows, p=None) -> list:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -36,6 +37,8 @@ from mmalg import (
     verify_brent,
     verify_trilinear_random,
 )
+
+from mmalg import bilinear_core
 
 from helpers import (
     P31, P61, brute_force_brent, corrupt_one, reference_trilinear_random,
@@ -129,6 +132,30 @@ def test_verify_brent_agrees_with_dense_oracle():
             dense_keys = {tup[:6] for tup in dense_bad}
             sparse_keys = {lq + ij + gh for (lq, ij, gh, _, _) in report.violations}
             assert dense_keys == sparse_keys, name
+            assert report.count == len(report.violations) == len(dense_bad)
+            assert report.first(3) == report.violations[:3]
+
+
+def test_verify_brent_counts_missing_equations_without_listing_them():
+    # Every one of the m k n equations with right side 1 lacks a term; the
+    # count and the first violations come without building the list.
+    empty = BilinearAlgorithm(DimensionTriple(300, 300, 300), 1, [{}], [{}], [{}])
+    start = time.perf_counter()
+    report = verify_brent(empty)
+    assert not report.valid and report.count == 300**3
+    assert report.first(2) == (((0, 0), (0, 0), (0, 0), 1, 0), ((0, 0), (0, 1), (1, 0), 1, 0))
+    assert time.perf_counter() - start < 1
+    # Missing equations merge in order with wrong sums.
+    c = classical(2, 2, 2)
+    u = [dict(d) for d in c.u]
+    u[1] = {}           # product 1 was the only term of (0,1,0,0,0,1)
+    u[7] = {(1, 1): 2}  # sum (1,1,1,1,1,1) is 2
+    report = verify_brent(BilinearAlgorithm(c.dims, c.rank, u, c.v, c.w))
+    assert report.violations == (
+        ((0, 1), (0, 0), (0, 1), 1, 0),
+        ((1, 1), (1, 1), (1, 1), 1, 2),
+    )
+    assert report.count == 2 and report.first(1) == report.violations[:1]
 
 
 def test_trilinear_random_examples():
@@ -198,6 +225,38 @@ def test_trilinear_random_matches_the_trial_by_trial_reference():
                     assert reference_trilinear_random(prog, trials, p, trials) == expected
                     got = verify_trilinear_random(prog, trials=trials, prime=p, seed=trials)
                     assert got == expected, (alg.dims, p, trials, expected)
+    # A program of more products than one chunk (pan(12), rank 1296), and
+    # the same with one coefficient changed in the second chunk.
+    big = pan_aggregation(12)
+    assert big.rank > bilinear_core._PRODUCT_CHUNK
+    w = list(big.w)
+    w[1200] = {**w[1200], (0, 0): w[1200].get((0, 0), 0) + 1}
+    bad = BilinearAlgorithm(big.dims, big.rank, big.u, big.v, w)
+    for seed in range(4):
+        for prog, expected in ((big, True), (bad, False)):
+            assert reference_trilinear_random(prog, 2, 1301, seed) == expected
+            assert verify_trilinear_random(prog, trials=2, prime=1301, seed=seed) == expected
+
+
+@pytest.mark.parametrize("chunk", (1, 2, 5))
+def test_trilinear_random_product_chunks_and_word_views(chunk, monkeypatch):
+    # Every chunk size reads the same sums back, for slots of one, two and
+    # four 64-bit words.
+    monkeypatch.setattr(bilinear_core, "_PRODUCT_CHUNK", chunk)
+    rng = random.Random(chunk)
+    s = strassen_222()
+    dense = apply_equivalence(s, random_equivalence(s.dims, s.rank, chunk))
+    progs = [s, corrupt_one(s, rng), dense, corrupt_one(dense, rng), classical(2, 3, 2)]
+    seen_words = set()
+    for prog in progs:
+        widest = max(map(len, prog.u + prog.v + prog.w))
+        for p in (101, P61, 2**127 - 1):
+            seen_words.add(-(-(widest * (p - 1) ** 2).bit_length() // 64))
+            for trials in (1, 3, 66):
+                for seed in range(3):
+                    got = verify_trilinear_random(prog, trials=trials, prime=p, seed=seed)
+                    assert got == reference_trilinear_random(prog, trials, p, seed), (p, trials)
+    assert {1, 2, 4} <= seen_words
 
 
 def test_apply_elementary_identity_case():

@@ -24,6 +24,7 @@ from mmalg import (
     strassen_222,
 )
 from mmalg.bilinear_core import BilinearAlgorithm
+from mmalg import cli
 from mmalg.cli import main
 
 from helpers import corrupt_one, unit_lu_matrix
@@ -544,3 +545,50 @@ def test_refused_huge_token_is_echoed_short(strassen_file, tmp_path, capsys):
         assert rc == 2, argv
         assert err.startswith(f"error: line {line}: ") and "'7777" in err, argv
         assert err.count("\n") == 1 and len(err.encode()) < 200, argv
+
+
+def test_verify_of_an_empty_program_with_large_sides_is_fast(tmp_path, capsys):
+    # 64,000,000 equations lack a term; they are counted, not listed.
+    path = tmp_path / "empty.alg"
+    path.write_text("mmalg-v1 400 400 400 1\nU\nV\nW\n")
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 1
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[0] == "INVALID: 64000000 violated equations"
+    assert lines[1:3] == ["  output (0, 0) left (0, 0) right (0, 0): expected 1, got 0",
+                          "  output (0, 0) left (0, 1) right (1, 0): expected 1, got 0"]
+    assert lines[11:] == ["  ... and 63999990 more"]
+
+
+def test_parser_is_built_once_and_reused(strassen_file, tmp_path, capsys, monkeypatch):
+    # The parser main keeps gives every exit code, output and error message
+    # that a parser built afresh for each call gives.
+    calls = [
+        ["gen", "classical", "--m", "1", "--k", "2", "--n", "1", "--out",
+         str(tmp_path / "c121.alg")],
+        ["verify", strassen_file, "--mode", "random", "--trials", "3"],
+        ["info", strassen_file],
+        ["verify", strassen_file, "--mode", "exact"],
+        ["gen"],
+        ["--help"],
+        ["verify", "--help"],
+        [],
+    ]
+    monkeypatch.setattr(cli, "_PARSER", None)
+    kept = [run(capsys, *calls[0])]
+    parser = cli._PARSER
+    kept += [run(capsys, *argv) for argv in calls[1:]]
+    assert parser is not None and cli._PARSER is parser
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run(capsys, *argv))
+    assert kept == fresh
+    assert [rc for rc, _, _ in kept] == [0, 0, 0, 2, 2, 0, 0, 2]
+    assert "usage: mmalg verify" in kept[3][2] and "invalid choice: 'exact'" in kept[3][2]
+    # A handler is looked up when it runs, so one rebound on the module runs,
+    # even after the command has run once.
+    monkeypatch.setattr(cli, "cmd_info", lambda args: 7)
+    assert main(["info", strassen_file]) == 7

@@ -27,6 +27,7 @@ from mmalg import (
     exponent,
     format_transform,
     mat_classical_multiply,
+    mat_inverse,
     pan_aggregation,
     parse_transform,
     random_equivalence,
@@ -37,7 +38,7 @@ from mmalg import (
     verify_brent,
 )
 
-from helpers import P61, corrupt_one
+from helpers import P61, corrupt_one, reference_apply_equivalence
 
 
 def test_all_six_duals_of_strassen():
@@ -384,3 +385,43 @@ def test_squareify_maps_valid_to_valid_canonical(alg):
 def test_apply_equivalence_maps_valid_to_valid_canonical(alg, seed):
     out = apply_equivalence(alg, random_equivalence(alg.dims, alg.rank, seed))
     assert verify_brent(out).valid and _canonical(out)
+
+
+_DIAGONALS = st.fractions(-5, 5, max_denominator=7).filter(bool)
+
+
+@st.composite
+def equivalences(draw, dims, rank):
+    """A transform of unit-triangular L D U basis changes, D drawn from
+    nonzero Fractions, and a drawn relabeling."""
+    pairs = []
+    for size in dims:
+        entries = st.integers(-3, 3)
+        lower = [[1 if i == j else draw(entries) if i > j else 0 for j in range(size)]
+                 for i in range(size)]
+        upper = [[1 if i == j else draw(entries) if i < j else 0 for j in range(size)]
+                 for i in range(size)]
+        diag = [draw(_DIAGONALS) for _ in range(size)]
+        a = mat_classical_multiply(
+            Matrix.from_rows(QQ, [[x * d for x, d in zip(row, diag)] for row in lower]),
+            Matrix.from_rows(QQ, upper))
+        pairs += [a, mat_inverse(a)]
+    return EquivalenceTransform(*pairs, draw(st.permutations(range(rank))))
+
+
+def _typed(tensor):
+    return [[(key, type(c), c) for key, c in d.items()] for d in tensor]
+
+
+@given(st.data())
+def test_apply_equivalence_matches_the_fraction_reference(data):
+    # Same slices, keys in the same order, and the same value types as the
+    # transform computed term by term in Fractions, on programs with int
+    # and Fraction coefficients and transforms with Fraction entries.
+    alg = data.draw(valid_programs())
+    t = data.draw(st.one_of(
+        equivalences(alg.dims, alg.rank),
+        st.integers(0, 2**32).map(lambda seed: random_equivalence(alg.dims, alg.rank, seed))))
+    out = apply_equivalence(alg, t)
+    for got, expected in zip((out.u, out.v, out.w), reference_apply_equivalence(alg, t)):
+        assert _typed(got) == _typed(expected)
