@@ -35,13 +35,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, repeat
-from operator import itemgetter, lshift, mul, or_
+from operator import itemgetter, mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BadArgument, DimensionError, ExponentUndefined, FormatError
 from .exact_algebra import (
-    PrimeField, _classical, _exact, _packed, _read_header, _read_text, _records, _shown,
-    _unwritable, _write_text,
+    PrimeField, _classical, _exact, _packed, _places, _read_header, _read_text, _records, _shown,
+    _slots, _unwritable, _write_text,
 )
 
 # A 61-bit Mersenne prime; default modulus for randomized identity checks.
@@ -348,15 +348,11 @@ def verify_trilinear_random(
     for start in range(0, trials, _TRIAL_BATCH):
         batch = min(_TRIAL_BATCH, trials - start)
         draws = [[rng.randrange(prime) for _ in range(mk + kn + n * m)] for _ in range(batch)]
-        packed = iter([_packed(column, 8 * words) for column in zip(*draws)])
+        packed = iter(_packed(chain.from_iterable(zip(*draws)), 8 * words, batch))
         # zip stops at the end of ks before it takes from packed, so each
         # tensor gets its own run of the packed entries.
         by_key = [dict(zip(ks, packed)).__getitem__ for ks in keys]
         size, stride = 8 * words * batch, words * batch
-        # Written in the host's byte order, a product's sum reads back as
-        # native words, lowest first on a little-endian host and highest
-        # first on a big-endian one: place[i] is where its i-th lowest sits.
-        place = range(stride) if sys.byteorder == "little" else range(stride - 1, -1, -1)
         lhs = [0] * batch
         for first in range(0, alg.rank, _PRODUCT_CHUNK):
             views = [memoryview(b"".join(
@@ -364,7 +360,9 @@ def verify_trilinear_random(
                 .to_bytes(size, sys.byteorder) for d in tensor[first:first + _PRODUCT_CHUNK]
             )).cast("Q") for tensor, value in zip(tensors, by_key)]
             for t in range(batch):
-                la, lb, ld = (_slots(view, place[t * words:(t + 1) * words], stride)
+                # Written in the host's byte order, each sum reads back as
+                # native words, which _places locates.
+                la, lb, ld = (_slots(view, _places(stride)[t * words:(t + 1) * words], stride)
                               for view in views)
                 lhs[t] += sum(map(mul, map(mul, la, lb), ld))
         for left, vals in zip(lhs, draws):
@@ -374,15 +372,6 @@ def verify_trilinear_random(
             if (left - sum(map(mul, ab, chain.from_iterable(d[i::m] for i in range(m))))) % prime:
                 return False
     return True
-
-
-def _slots(view, places, stride: int):
-    """The values of one slot in each block of stride 64-bit words of view:
-    the words at places in the block, lowest first."""
-    values = view[places[0]::stride]
-    for w in range(1, len(places)):
-        values = map(or_, values, map(lshift, view[places[w]::stride], repeat(64 * w)))
-    return values
 
 
 class _Program(NamedTuple):

@@ -41,10 +41,13 @@ matrix) and the conversion of its result into the inverse
 (_cleared_inverse).
 Two flat kernels multiply raw row-major operands: _classical, the plain
 loop with one reduction mod p per dot product (none over QQ, where it takes
-ints or Fractions alike), and over GF(p) _packed_classical, which packs
-each row of B into one int (Kronecker substitution) with _packed and reads
-the slots of a row of C back with _unpacked.  The batched trace-identity
-verifier (bilinear_core) packs its trials with _packed too.
+ints or Fractions alike), and over GF(p) _packed_products, which runs a
+whole batch of leaf products stored end to end in one call: it packs each
+row of B into one int (Kronecker substitution), reads every row of C back
+through one 64-bit word view (_slots, _places) and leaves its results
+unreduced, so the recursion's delayed reduction reaches the leaves.  The
+batched trace-identity verifier (bilinear_core) packs its trials with
+_packed and reads them back with _slots and _places too.
 
 A small text format for matrices is provided: a ``rows cols`` header line
 followed by one whitespace-separated row per line, entries written as
@@ -61,7 +64,7 @@ import sys
 from fractions import Fraction
 from itertools import cycle, repeat
 from math import gcd, lcm
-from operator import add, mul, neg, sub
+from operator import add, lshift, mul, neg, or_, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import BadArgument, BadField, DimensionError, FormatError, SingularMatrix
@@ -521,8 +524,8 @@ def _classical(ae: Sequence, be: Sequence, m: int, k: int, n: int, p: Optional[i
     Each dot product is summed unreduced and reduced mod p once (not at all
     when p is None).  The sum starts from its first term, so a QQ entry
     never adds an int 0 to a Fraction.  It serves the oracle
-    mat_classical_multiply and the recursion's QQ leaves; GF(p) leaves run
-    _packed_classical.
+    mat_classical_multiply and the recursion's QQ leaves; GF(p) leaf
+    batches run _packed_products.
     """
     cols = [be[j::n] for j in range(n)]
     out = []
@@ -534,36 +537,58 @@ def _classical(ae: Sequence, be: Sequence, m: int, k: int, n: int, p: Optional[i
     return out if p is None else [x % p for x in out]
 
 
-def _packed(values, width: int) -> int:
-    """The values (each below 2^(8 width)) as consecutive width-byte slots."""
-    return int.from_bytes(
-        b"".join(map(int.to_bytes, values, repeat(width), repeat("little"))), "little"
-    )
+def _packed(values, width: int, group: int) -> list:
+    """The values (each below 2^(8 width)) in consecutive groups of group,
+    each group one int of width-byte slots, its first value lowest: one
+    join writes them all, and one from_bytes reads each group."""
+    data = b"".join(map(int.to_bytes, values, repeat(width), repeat("little")))
+    size = width * group
+    return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
 
 
-def _unpacked(x: int, slots: list):
-    """The slot values of x, one per slice in slots (the inverse of _packed)."""
-    return map(int.from_bytes, map(x.to_bytes(slots[-1].stop, "little").__getitem__, slots),
-               repeat("little"))
+def _places(stride: int) -> range:
+    """The places of the words of a block of stride 64-bit words written in
+    the host's byte order, read through a native word view: place[i] holds
+    its i-th lowest word.  They run lowest first on a little-endian host,
+    highest first on a big-endian one."""
+    return range(stride) if sys.byteorder == "little" else range(stride - 1, -1, -1)
 
 
-def _packed_classical(ae: Sequence, be: Sequence, m: int, k: int, n: int, p: int) -> list:
-    """Raw row-major m x n product mod p of row-major operands of any ints,
-    each entry reduced to [0, p).
+def _slots(view, places, stride: int):
+    """The values of one slot in each block of stride 64-bit words of view:
+    the words at places in the block, lowest first."""
+    values = view[places[0]::stride]
+    for w in range(1, len(places)):
+        values = map(or_, values, map(lshift, view[places[w]::stride], repeat(64 * w)))
+    return values
+
+
+def _packed_products(ae: Sequence, be: Sequence, nodes: int, m: int, k: int, n: int,
+                     p: int) -> list:
+    """The products of a batch of nodes m x k by k x n pairs of operands
+    of any ints, each stored row-major and the nodes end to end, stored the
+    same way and unreduced: each entry is in [0, k (p-1)^2] and congruent
+    mod p to the entry of the product.
 
     Kronecker substitution (Dumas, Fousse and Salvy, J. Symbolic Comput.
-    2011): the operands are reduced mod p first, and each row of B becomes
-    one int of n slots of w bytes (_packed), w enough for k * (p-1)^2, so
-    that row i of C is the one sum of a_ij times packed row j, whose slots
-    never carry into each other.
+    2011): the operands are reduced mod p once, and each row of B becomes
+    one int of n slots of w 64-bit words, w enough for k * (p-1)^2, so that
+    row i of C is the one sum of a_ij times packed row j, whose slots never
+    carry into each other.  Every row of every node is written to bytes in
+    one join and read back through one word view, a column of slots at a
+    time (_slots).
     """
     ae = [x % p for x in ae]
-    width = -(-(k * (p - 1) ** 2).bit_length() // 8)
-    packed = [_packed([x % p for x in be[j:j + n]], width) for j in range(0, k * n, n)]
-    slots = [slice(j, j + width) for j in range(0, n * width, width)]
-    out = []
-    for i in range(0, m * k, k):
-        out += [x % p for x in _unpacked(sum(map(mul, ae[i:i + k], packed)), slots)]
+    words = -(-(k * (p - 1) ** 2).bit_length() // 64)
+    packed = _packed([x % p for x in be], 8 * words, n)
+    rows = [sum(map(mul, ae[i:i + k], packed[t * k:(t + 1) * k]))
+            for t in range(nodes) for i in range(t * m * k, (t + 1) * m * k, k)]
+    stride = n * words
+    view = memoryview(b"".join(map(int.to_bytes, rows, repeat(8 * stride),
+                                   repeat(sys.byteorder)))).cast("Q")
+    out = [0] * (nodes * m * n)
+    for j in range(n):
+        out[j::n] = _slots(view, _places(stride)[j * words:(j + 1) * words], stride)
     return out
 
 
@@ -595,7 +620,8 @@ def mat_classical_multiply(a: Matrix, b: Matrix) -> Matrix:
     Over QQ it runs on the Fractions themselves, with no denominator
     clearing, so it stays the independent oracle for the cleared-integer
     paths of recursion.recursive_multiply and mat_inverse; over GF(p) it
-    shares no kernel with the recursion, whose leaves run _packed_classical.
+    shares no kernel with the recursion, whose leaf batches run
+    _packed_products, one call per batch, and reduce only at the end.
     """
     m, k, n = _product_dims(a, b)
     ring = a.ring

@@ -69,10 +69,12 @@ its next batch within _BATCH_ENTRIES operand entries, and at least one
 product.  Near the leaves a group is the whole level; near the root it may
 be a single product.  A batch of nodes m x k x n leaves with
 m*k*n <= _LEAF_BATCH * nodes runs the triple loop with each step one map
-over the batch (a 1x1x1 leaf is one map); any other batch runs a kernel
-per node: over GF(p) the packed kernel exact_algebra._packed_classical,
-which reduces its inputs first, over QQ exact_algebra._classical.  The
-result is reordered and cropped once.
+over the batch (a 1x1x1 leaf is one map); any other batch runs over GF(p)
+one call of the packed kernel exact_algebra._packed_products for the whole
+batch, which reduces its inputs once and returns its products unreduced,
+so delayed reduction reaches the leaves, and over QQ
+exact_algebra._classical per node.  The result is reordered and cropped
+once.
 
 recursive_invert reduces inversion to multiplication by 2x2 block
 elimination (Strassen, "Gaussian elimination is not optimal", Numer. Math.
@@ -98,7 +100,7 @@ embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, mul, neg, sub
@@ -106,7 +108,7 @@ from typing import Callable
 
 from .bilinear_core import BilinearAlgorithm, CostReport, _compile, _Program
 from .errors import BadArgument, DimensionError, SingularMatrix
-from .exact_algebra import (Matrix, _bareiss, _classical, _cleared_inverse, _packed_classical,
+from .exact_algebra import (Matrix, _bareiss, _classical, _cleared_inverse, _packed_products,
                             _padded, _product_dims, _square_side)
 
 # A level runs its R products in groups of as many as keep the next batch
@@ -115,7 +117,8 @@ from .exact_algebra import (Matrix, _bareiss, _classical, _cleared_inverse, _pac
 # on its own, a cap above any level's size runs each level whole.
 _BATCH_ENTRIES = 4096
 # A batch of nodes m x k x n leaves with m*k*n <= _LEAF_BATCH * nodes runs
-# the triple loop as maps over the batch; any other runs a kernel per node.
+# the triple loop as maps over the batch; any other runs a kernel (see
+# _multiply_levels).
 _LEAF_BATCH = 16
 
 
@@ -240,8 +243,9 @@ def _multiply_levels(a: list, b: list, levels: list, prog: _Program, sides: tupl
     forms are concatenated into one batch, one call runs it, and its result
     is split back into one slice per product for the W forms.  A batch of
     leaves runs _leaves when a leaf's multiplications are at most
-    _LEAF_BATCH per node of the batch, and otherwise a kernel per node:
-    _packed_classical over GF(p), _classical over QQ.
+    _LEAF_BATCH per node of the batch, and otherwise over GF(p) one call of
+    _packed_products for the whole batch, whose products stay unreduced
+    like every other block, and over QQ _classical per node.
 
     prog's int coefficients make each level multiply the product by
     prog.denominator D, so run gives D^d times the product, d the number of
@@ -254,7 +258,6 @@ def _multiply_levels(a: list, b: list, levels: list, prog: _Program, sides: tupl
     sa, sb, sc = m0 * k0, k0 * n0, m0 * n0
     rank = len(prog.u)
     p = ring._modulus
-    kernel = partial(_classical, p=None) if p is None else partial(_packed_classical, p=p)
     e = prog.denominator ** (len(levels) - 1)
     if p is not None and e % p == 0:
         raise BadArgument(f"a coefficient of the program has no image mod {p}")
@@ -267,12 +270,10 @@ def _multiply_levels(a: list, b: list, levels: list, prog: _Program, sides: tupl
             cost.bilinear_mults += nodes * m * k * n
             if m * k * n <= _LEAF_BATCH * nodes:
                 return _leaves(a, b, nodes, m, k, n)
-            area_a, area_b = m * k, k * n
-            out = []
-            for i in range(nodes):
-                out += kernel(a[i * area_a:(i + 1) * area_a], b[i * area_b:(i + 1) * area_b],
-                              m, k, n)
-            return out
+            if p is not None:
+                return _packed_products(a, b, nodes, m, k, n, p)
+            return [x for i in range(nodes) for x in _classical(
+                a[i * m * k:(i + 1) * m * k], b[i * k * n:(i + 1) * k * n], m, k, n, None)]
         a_blocks = [a[q::sa] for q in range(sa)]
         b_blocks = [b[q::sb] for q in range(sb)]
         mb, kb, nb = levels[depth - 1][0]

@@ -114,8 +114,13 @@ def _kron(x, y, rows: int, cols: int) -> list:
     holds a Fraction every slice is put back in canonical form."""
     shifted = [[(i1 * rows, j1 * cols, c1) for (i1, j1), c1 in d1.items()] for d1 in x]
     listed = [list(d2.items()) for d2 in y]
-    out = [{(r + i2, c + j2): c1 * c2 for r, c, c1 in s1 for (i2, j2), c2 in s2}
-           for s1 in shifted for s2 in listed]
+    out = []
+    for s1 in shifted:
+        for s2 in listed:
+            out.append(d := {})
+            for r, c, c1 in s1:
+                for (i2, j2), c2 in s2:
+                    d[r + i2, c + j2] = c1 * c2
     if any(type(c) is not int for t in (x, y) for d in t for c in d.values()):
         return list(map(_canonical, out))
     return out

@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+from array import array
 from decimal import Decimal
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from mmalg import (
     strassen_222,
 )
 
-from mmalg.exact_algebra import _classical, _packed_classical
+from mmalg.exact_algebra import _classical, _packed_products, _places, _slots
 
 from helpers import P61, naive_product, unit_lu_matrix
 
@@ -124,23 +125,61 @@ def test_matrix_multiply_examples():
         mat_classical_multiply(a, Matrix.identity(PrimeField(7), 2))
 
 
-@given(p=st.sampled_from((2, 3, 97, P61)), m=st.integers(1, 20), k=st.integers(1, 20),
-       n=st.integers(1, 20), bits=st.sampled_from((0, 8, 64, 200)), seed=st.integers(0, 2**32))
-@example(p=P61, m=20, k=20, n=20, bits=0, seed=0)
-@example(p=2, m=20, k=20, n=20, bits=0, seed=0)
-def test_packed_kernel_matches_the_plain_loop(p, m, k, n, bits, seed):
-    # Entries are unreduced and of either sign; bits=0 makes every entry -1,
-    # which is p-1 once reduced, so every slot holds its largest sum.
+@given(p=st.sampled_from((2, 3, 97, P61)), nodes=st.integers(1, 4), m=st.integers(1, 20),
+       k=st.integers(1, 20), n=st.integers(1, 20), bits=st.sampled_from((0, 8, 64, 200)),
+       seed=st.integers(0, 2**32))
+@example(p=P61, nodes=1, m=20, k=20, n=20, bits=0, seed=0)
+@example(p=2, nodes=1, m=20, k=20, n=20, bits=0, seed=0)
+@example(p=P61, nodes=3, m=3, k=65, n=3, bits=0, seed=0)
+def test_packed_kernel_matches_the_plain_loop(p, nodes, m, k, n, bits, seed):
+    # A batch of nodes stored end to end, entries unreduced and of either
+    # sign; bits=0 makes every entry -1, which is p-1 once reduced, so every
+    # slot of every row of every node holds its largest sum.  At k=65 over
+    # 2^61-1 that sum is just above 2^128, so a slot one word short would
+    # carry into the next slot, row and node.
     rng = random.Random(seed)
 
     def draw(count):
         return [rng.randrange(-2**bits, 2**bits) if bits else -1 for _ in range(count)]
-    a, b = draw(m * k), draw(k * n)
-    got = _packed_classical(a, b, m, k, n, p)
-    assert got == _classical(a, b, m, k, n, p)
-    assert got == [x for row in naive_product([a[i:i + k] for i in range(0, m * k, k)],
-                                              [b[j:j + n] for j in range(0, k * n, n)], p)
-                   for x in row]
+    a, b = draw(nodes * m * k), draw(nodes * k * n)
+    got = _packed_products(a, b, nodes, m, k, n, p)
+    assert len(got) == nodes * m * n
+    assert all(0 <= x <= k * (p - 1) ** 2 for x in got)
+    for t in range(nodes):
+        at, bt = a[t * m * k:(t + 1) * m * k], b[t * k * n:(t + 1) * k * n]
+        mine = [x % p for x in got[t * m * n:(t + 1) * m * n]]
+        assert mine == _classical(at, bt, m, k, n, p)
+        assert mine == [x for row in naive_product([at[i:i + k] for i in range(0, m * k, k)],
+                                                   [bt[j:j + n] for j in range(0, k * n, n)], p)
+                        for x in row]
+
+
+@given(blocks=st.integers(1, 5), slots=st.integers(1, 4), words=st.integers(1, 3),
+       order=st.sampled_from(("little", "big")), seed=st.integers(0, 2**32))
+def test_slots_read_a_column_of_slots_in_either_word_order(blocks, slots, words, order, seed):
+    # A block of slots * words 64-bit words holds its slots lowest first
+    # ("little") or its words highest first ("big", as a block written
+    # big-endian reads on a big-endian host); reversed places read the
+    # second the way the first reads with places in order.
+    rng = random.Random(seed)
+    values = [[rng.getrandbits(64 * words) for _ in range(slots)] for _ in range(blocks)]
+    stride = slots * words
+    flat = []
+    for block in values:
+        low_first = [v >> (64 * w) & (2**64 - 1) for v in block for w in range(words)]
+        flat += low_first if order == "little" else low_first[::-1]
+    view = memoryview(array("Q", flat))
+    places = range(stride) if order == "little" else range(stride - 1, -1, -1)
+    for j in range(slots):
+        assert list(_slots(view, places[j * words:(j + 1) * words], stride)) == [
+            block[j] for block in values]
+    # Written in the host's byte order, a block reads back through _places.
+    data = b"".join(int.to_bytes(sum(v << (64 * words * j) for j, v in enumerate(block)),
+                                 8 * stride, sys.byteorder) for block in values)
+    view, places = memoryview(data).cast("Q"), _places(stride)
+    for j in range(slots):
+        assert list(_slots(view, places[j * words:(j + 1) * words], stride)) == [
+            block[j] for block in values]
 
 
 def test_gf_multiply_matches_rational_reduction():

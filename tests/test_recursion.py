@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,7 +37,7 @@ from mmalg import (
     tensor_product,
 )
 
-from mmalg import recursion
+from mmalg import exact_algebra, recursion
 from mmalg.bilinear_core import _compile
 from mmalg.recursion import _BATCH_ENTRIES, _plan
 
@@ -377,6 +378,70 @@ def test_products_match_an_independent_triple_loop():
     for got in products:
         assert all(type(x) is Fraction for x in got.entries)
         assert got.to_rows() == naive_product(a_rows, b_rows)
+
+
+def test_leaf_batches_run_the_packed_kernel_once_each(monkeypatch):
+    # Strassen at K=64, threshold 16, has 7^2 = 49 leaves of 16x16x16, too
+    # large for the mapped triple loop; they reach the GF(p) kernel a batch
+    # of sibling leaves per call.
+    batches = []
+    kernel = recursion._packed_products
+
+    def spy(a, b, nodes, m, k, n, p):
+        batches.append(nodes)
+        return kernel(a, b, nodes, m, k, n, p)
+
+    monkeypatch.setattr(recursion, "_packed_products", spy)
+    rng = random.Random(74)
+    a, b = random_matrix(FIELD, 64, 64, rng), random_matrix(FIELD, 64, 64, rng)
+    got, report = recursive_multiply(RecursionConfig(strassen_222(), 16), a, b)
+    assert got == mat_classical_multiply(a, b)
+    assert report.bilinear_mults == 49 * 16**3
+    assert sum(batches) == 49 and len(batches) < 49
+
+
+def test_rational_products_and_the_oracle_never_run_the_packed_kernel(monkeypatch):
+    # QQ leaves run _classical one node at a time (10x10x10 leaves are too
+    # large for the mapped loop), and mat_classical_multiply runs it over
+    # either ring.
+    def refuse(*args):
+        raise AssertionError("the packed GF(p) kernel ran")
+
+    monkeypatch.setattr(recursion, "_packed_products", refuse)
+    monkeypatch.setattr(exact_algebra, "_packed_products", refuse)
+    rng = random.Random(75)
+    for ring in (QQ, FIELD):
+        a, b = random_matrix(ring, 20, 20, rng), random_matrix(ring, 20, 20, rng)
+        want = naive_product(*(x.to_rows() for x in (a, b)))
+        got = mat_classical_multiply(a, b)
+        if ring == QQ:
+            assert got.to_rows() == want
+            assert recursive_multiply(RecursionConfig(strassen_222(), 10), a, b)[0] == got
+        else:
+            assert got == Matrix.from_rows(ring, want)
+
+
+@given(p=st.sampled_from((2, 3, 97, P61)), threshold=st.integers(8, 12), data=st.data())
+def test_products_and_inverses_through_the_packed_kernel_are_exact(p, threshold, data):
+    # Every side in [5, 2 * threshold]: a product is one leaf, or one level
+    # over leaves of at least 5 on a side, either way through the kernel;
+    # so are the products of inverting a unit-LU matrix (every leading
+    # minor 1) of a side above the threshold.
+    ring = PrimeField(p)
+    m, k, n = (data.draw(st.integers(5, 2 * threshold)) for _ in range(3))
+    side = data.draw(st.integers(threshold + 1, 2 * threshold))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    a, b = random_matrix(ring, m, k, rng), random_matrix(ring, k, n, rng)
+    lu = Matrix.from_rows(ring, [[int(x) for x in row]
+                                 for row in unit_lu_matrix(side, rng).to_rows()])
+    cfg = RecursionConfig(strassen_222(), threshold)
+    with mock.patch.object(recursion, "_packed_products",
+                           wraps=recursion._packed_products) as kernel:
+        assert recursive_multiply(cfg, a, b)[0] == mat_classical_multiply(a, b)
+        assert kernel.call_count
+        kernel.reset_mock()
+        assert recursive_invert(cfg, lu)[0] == mat_inverse(lu)
+        assert kernel.call_count
 
 
 def test_fractional_coefficient_programs_over_rationals():
