@@ -41,7 +41,7 @@ from mmalg import (
 
 from mmalg.exact_algebra import _classical, _packed_products, _places, _slots
 
-from helpers import P61, naive_product, unit_lu_matrix
+from helpers import P31, P61, naive_product, unit_lu_matrix
 
 
 def test_rational_examples():
@@ -125,18 +125,24 @@ def test_matrix_multiply_examples():
         mat_classical_multiply(a, Matrix.identity(PrimeField(7), 2))
 
 
-@given(p=st.sampled_from((2, 3, 97, P61)), nodes=st.integers(1, 4), m=st.integers(1, 20),
-       k=st.integers(1, 20), n=st.integers(1, 20), bits=st.sampled_from((0, 8, 64, 200)),
-       seed=st.integers(0, 2**32))
+@given(p=st.sampled_from((2, 3, 97, P31, P61, 2**89 - 1)), nodes=st.integers(1, 4),
+       m=st.integers(1, 20), k=st.integers(1, 20), n=st.integers(1, 20),
+       bits=st.sampled_from((0, 8, 64, 200)), seed=st.integers(0, 2**32))
 @example(p=P61, nodes=1, m=20, k=20, n=20, bits=0, seed=0)
 @example(p=2, nodes=1, m=20, k=20, n=20, bits=0, seed=0)
+@example(p=P61, nodes=3, m=3, k=64, n=3, bits=0, seed=0)
 @example(p=P61, nodes=3, m=3, k=65, n=3, bits=0, seed=0)
+@example(p=P31, nodes=2, m=3, k=4, n=5, bits=0, seed=0)
+@example(p=2**89 - 1, nodes=2, m=3, k=7, n=5, bits=0, seed=0)
 def test_packed_kernel_matches_the_plain_loop(p, nodes, m, k, n, bits, seed):
     # A batch of nodes stored end to end, entries unreduced and of either
     # sign; bits=0 makes every entry -1, which is p-1 once reduced, so every
-    # slot of every row of every node holds its largest sum.  At k=65 over
-    # 2^61-1 that sum is just above 2^128, so a slot one word short would
-    # carry into the next slot, row and node.
+    # slot of every row of every node holds its largest sum.  Over 2^61-1
+    # that sum fills two 64-bit words to the top bit at k=64, read back
+    # through the word view, and just passes 2^128 at k=65, read back a
+    # slot of 17 bytes at a time: a slot one byte short carries into the
+    # next slot, row and node.  The word view reads slots of one word over
+    # 2^31-1 at k <= 4 and of three over 2^89-1.
     rng = random.Random(seed)
 
     def draw(count):
