@@ -353,6 +353,9 @@ def verify_trilinear_random(
         # tensor gets its own run of the packed entries.
         by_key = [dict(zip(ks, packed)).__getitem__ for ks in keys]
         size, stride = 8 * words * batch, words * batch
+        # Written in the host's byte order, each sum reads back as native
+        # words, which places locates.
+        places = _places(stride)
         lhs = [0] * batch
         for first in range(0, alg.rank, _PRODUCT_CHUNK):
             views = [memoryview(b"".join(
@@ -360,9 +363,7 @@ def verify_trilinear_random(
                 .to_bytes(size, sys.byteorder) for d in tensor[first:first + _PRODUCT_CHUNK]
             )).cast("Q") for tensor, value in zip(tensors, by_key)]
             for t in range(batch):
-                # Written in the host's byte order, each sum reads back as
-                # native words, which _places locates.
-                la, lb, ld = (_slots(view, _places(stride)[t * words:(t + 1) * words], stride)
+                la, lb, ld = (_slots(view, places[t * words:(t + 1) * words], stride)
                               for view in views)
                 lhs[t] += sum(map(mul, map(mul, la, lb), ld))
         for left, vals in zip(lhs, draws):

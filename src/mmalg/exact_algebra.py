@@ -43,12 +43,11 @@ Two flat kernels multiply raw row-major operands: _classical, the plain
 loop with one reduction mod p per dot product (none over QQ, where it takes
 ints or Fractions alike), and over GF(p) _packed_products, which runs a
 whole batch of leaf products stored end to end in one call: it packs each
-row of B into one int (Kronecker substitution) with _packed, reads every
-row of C back in one pass, through a 64-bit word view (_slots, _places)
-when a slot is whole words, and leaves its results unreduced, so the
-recursion's delayed reduction reaches the leaves.  The batched
-trace-identity verifier (bilinear_core) packs its trials with _packed and
-reads them back with _slots and _places too.
+row of B into one int (Kronecker substitution), reads every row of C back
+through one 64-bit word view (_slots, _places) and leaves its results
+unreduced, so the recursion's delayed reduction reaches the leaves.  The
+batched trace-identity verifier (bilinear_core) packs its trials with
+_packed and reads them back with _slots and _places too.
 
 A small text format for matrices is provided: a ``rows cols`` header line
 followed by one whitespace-separated row per line, entries written as
@@ -573,25 +572,20 @@ def _packed_products(ae: Sequence, be: Sequence, nodes: int, m: int, k: int, n: 
 
     Kronecker substitution (Dumas, Fousse and Salvy, J. Symbolic Comput.
     2011): the operands are reduced mod p once, and each row of B becomes
-    one int of n slots of w bytes, w the fewest that hold k * (p-1)^2, so
-    that row i of C is the one sum of a_ij times packed row j, whose slots
-    never carry into each other.  Every row of every node is written to
-    bytes in one join.  When w is a whole number of 64-bit words they are
-    read back through one word view, a column of slots at a time (_slots);
-    otherwise each slot is one from_bytes: padding every slot to whole
-    words would widen every product, which on large leaves (past k = 64
-    over 2^61-1, say) costs more than the view saves.
+    one int of n slots of w 64-bit words, w enough for k * (p-1)^2, so that
+    row i of C is the one sum of a_ij times packed row j, whose slots never
+    carry into each other.  Every row of every node is written to bytes in
+    one join and read back through one word view, a column of slots at a
+    time (_slots).
     """
     ae = [x % p for x in ae]
-    width = -(-(k * (p - 1) ** 2).bit_length() // 8)
-    packed = _packed([x % p for x in be], width, n)
+    words = -(-(k * (p - 1) ** 2).bit_length() // 64)
+    packed = _packed([x % p for x in be], 8 * words, n)
     rows = [sum(map(mul, ae[i:i + k], packed[t * k:(t + 1) * k]))
             for t in range(nodes) for i in range(t * m * k, (t + 1) * m * k, k)]
-    data = b"".join(map(int.to_bytes, rows, repeat(n * width),
-                        repeat("little" if width % 8 else sys.byteorder)))
-    if width % 8:
-        return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-    view, stride, words = memoryview(data).cast("Q"), n * width // 8, width // 8
+    stride = n * words
+    view = memoryview(b"".join(map(int.to_bytes, rows, repeat(8 * stride),
+                                   repeat(sys.byteorder)))).cast("Q")
     columns = [_slots(view, _places(stride)[j * words:(j + 1) * words], stride) for j in range(n)]
     return list(chain.from_iterable(zip(*columns)))
 

@@ -138,11 +138,10 @@ def test_packed_kernel_matches_the_plain_loop(p, nodes, m, k, n, bits, seed):
     # A batch of nodes stored end to end, entries unreduced and of either
     # sign; bits=0 makes every entry -1, which is p-1 once reduced, so every
     # slot of every row of every node holds its largest sum.  Over 2^61-1
-    # that sum fills two 64-bit words to the top bit at k=64, read back
-    # through the word view, and just passes 2^128 at k=65, read back a
-    # slot of 17 bytes at a time: a slot one byte short carries into the
-    # next slot, row and node.  The word view reads slots of one word over
-    # 2^31-1 at k <= 4 and of three over 2^89-1.
+    # that sum fills two 64-bit words to the top bit at k=64 and just
+    # passes 2^128 at k=65, so a slot one word short there would carry into
+    # the next slot, row and node.  Slots are one word over 2^31-1 at
+    # k <= 4 and three over 2^89-1 at k=7.
     rng = random.Random(seed)
 
     def draw(count):
