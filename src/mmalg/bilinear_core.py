@@ -30,7 +30,6 @@ import json
 import math
 import random
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,8 +39,8 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BadArgument, DimensionError, ExponentUndefined, FormatError
 from .exact_algebra import (
-    PrimeField, _classical, _exact, _packed, _places, _read_header, _read_text, _records, _shown,
-    _slots, _unwritable, _write_text,
+    PrimeField, _classical, _exact, _packed, _read_header, _read_text, _records, _shown,
+    _slot_words, _slots, _unwritable, _words, _write_text,
 )
 
 # A 61-bit Mersenne prime; default modulus for randomized identity checks.
@@ -77,28 +76,18 @@ class DimensionTriple:
 
 
 def _clean_tensor(slices, rows: int, cols: int, name: str):
-    out = []
     for s, entries in enumerate(slices):
-        d = {}
         for (r, c), val in entries.items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise DimensionError(
                     f"{name}[{s}] entry ({r},{c}) outside {rows}x{cols}"
                 )
-            if type(val) is not int:
-                if isinstance(val, Fraction):
-                    val = val.numerator if val.denominator == 1 else val
-                elif isinstance(val, int):
-                    val = int(val)
-                else:
-                    raise BadArgument(
-                        f"{name}[{s}] entry ({r},{c}) is {val!r}, not an exact "
-                        f"integer or Fraction"
-                    )
-            if val:
-                d[(r, c)] = val
-        out.append(d)
-    return tuple(out)
+            if not isinstance(val, (int, Fraction)):
+                raise BadArgument(
+                    f"{name}[{s}] entry ({r},{c}) is {val!r}, not an exact "
+                    f"integer or Fraction"
+                )
+    return tuple(map(_canonical, slices))
 
 
 # The most nonzero coefficients any one tensor of a built program may hold:
@@ -309,16 +298,15 @@ def verify_trilinear_random(
     so a linear form is one bigint sum per product for every trial at once.
     A slot is the fewest 64-bit words that hold (most nonzeros in a slice)
     * (p-1)^2, so a form's sum never carries into the next slot.  The sums
-    of up to 1024 products per tensor are written to bytes, one to_bytes
-    per product, and read back as 64-bit words: a strided view holds one
-    word of one trial's slot in every product, so a trial's part of the
-    left-hand side is one sum over three views, with no Python step per
-    product.  The draws are those of a trial-by-trial loop (per trial: A
-    row-major, then B, then D, each by rng.randrange(p)), so a seed gives
-    the same samples and the same verdict; the check stops after the first
-    batch with a failing trial.  The right-hand side runs per trial on
-    plain ints: A B by the classical kernel (exact_algebra._classical),
-    dotted with D's columns.
+    of up to 1024 products per tensor are written out as 64-bit words
+    (exact_algebra._words), and a strided read (_slots) gives one trial's
+    slot in every product, so a trial's part of the left-hand side is one
+    sum over three such reads, with no Python step per product.  The draws
+    are those of a trial-by-trial loop (per trial: A row-major, then B,
+    then D, each by rng.randrange(p)), so a seed gives the same samples and
+    the same verdict; the check stops after the first batch with a failing
+    trial.  The right-hand side runs per trial on plain ints: A B by the
+    classical kernel (exact_algebra._classical), dotted with D's columns.
     """
     if not isinstance(trials, int) or trials < 1:
         raise BadArgument(f"trials must be a positive integer, got {trials!r}")
@@ -336,7 +324,7 @@ def verify_trilinear_random(
             image[c] = field._value(c)
     except ZeroDivisionError:
         raise BadArgument(f"coefficient {c} has no image mod {prime}") from None
-    words = max(1, -(-(max(map(len, chain(*tensors))) * (prime - 1) ** 2).bit_length() // 64))
+    words = _slot_words(max(map(len, chain(*tensors))) * (prime - 1) ** 2)
     # The keys of A, B and D in the order of one trial's draws; the third
     # form reads D's entry (q, l) for w_lq.
     keys = ([(i, j) for i in range(m) for j in range(k)],
@@ -348,23 +336,18 @@ def verify_trilinear_random(
     for start in range(0, trials, _TRIAL_BATCH):
         batch = min(_TRIAL_BATCH, trials - start)
         draws = [[rng.randrange(prime) for _ in range(mk + kn + n * m)] for _ in range(batch)]
-        packed = iter(_packed(chain.from_iterable(zip(*draws)), 8 * words, batch))
+        packed = iter(_packed(chain.from_iterable(zip(*draws)), words, batch))
         # zip stops at the end of ks before it takes from packed, so each
         # tensor gets its own run of the packed entries.
         by_key = [dict(zip(ks, packed)).__getitem__ for ks in keys]
-        size, stride = 8 * words * batch, words * batch
-        # Written in the host's byte order, each sum reads back as native
-        # words, which places locates.
-        places = _places(stride)
+        stride = words * batch
         lhs = [0] * batch
         for first in range(0, alg.rank, _PRODUCT_CHUNK):
-            views = [memoryview(b"".join(
-                sum(map(mul, map(image.__getitem__, d.values()), map(value, d)))
-                .to_bytes(size, sys.byteorder) for d in tensor[first:first + _PRODUCT_CHUNK]
-            )).cast("Q") for tensor, value in zip(tensors, by_key)]
+            views = [_words((sum(map(mul, map(image.__getitem__, d.values()), map(value, d)))
+                             for d in tensor[first:first + _PRODUCT_CHUNK]), stride)
+                     for tensor, value in zip(tensors, by_key)]
             for t in range(batch):
-                la, lb, ld = (_slots(view, places[t * words:(t + 1) * words], stride)
-                              for view in views)
+                la, lb, ld = (_slots(view, words, t * words, stride) for view in views)
                 lhs[t] += sum(map(mul, map(mul, la, lb), ld))
         for left, vals in zip(lhs, draws):
             # trace(A B D): A B, row-major, dotted with D's columns in turn.

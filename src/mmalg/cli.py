@@ -48,7 +48,7 @@ from .generators import classical, pan_aggregation, strassen_222
 from .recursion import RecursionConfig, _plan, recursive_invert, recursive_multiply
 from .transforms import (
     DualityPermutation,
-    apply_equivalence,
+    _equivalence,
     dual,
     dump_transform,
     load_transform,
@@ -209,13 +209,16 @@ def cmd_equiv(args) -> int:
     alg = _read_algorithm(args.path)
     if args.transform and args.seed is not None:
         raise BadArgument("give either --seed or --transform, not both")
+    if not args.transform and args.seed is None:
+        raise BadArgument("need --seed N or --transform FILE")
+    # Checked before a transform is drawn, which costs far more at large sides.
+    if not verify_brent(alg).valid:
+        raise InvalidAlgorithm("cannot transform an invalid program")
     if args.transform:
         transform = load_transform(args.transform)
-    elif args.seed is not None:
-        transform = random_equivalence(alg.dims, alg.rank, args.seed)
     else:
-        raise BadArgument("need --seed N or --transform FILE")
-    result = apply_equivalence(alg, transform)
+        transform = random_equivalence(alg.dims, alg.rank, args.seed)
+    result = _equivalence(alg, transform)
     if args.transform_out and not args.transform:
         dump_transform(transform, args.transform_out)
         print(f"wrote transform {args.transform_out}")

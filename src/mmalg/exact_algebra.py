@@ -44,10 +44,13 @@ loop with one reduction mod p per dot product (none over QQ, where it takes
 ints or Fractions alike), and over GF(p) _packed_products, which runs a
 whole batch of leaf products stored end to end in one call: it packs each
 row of B into one int (Kronecker substitution), reads every row of C back
-through one 64-bit word view (_slots, _places) and leaves its results
-unreduced, so the recursion's delayed reduction reaches the leaves.  The
-batched trace-identity verifier (bilinear_core) packs its trials with
-_packed and reads them back with _slots and _places too.
+in one strided pass over 64-bit words and leaves its results unreduced, so
+the recursion's delayed reduction reaches the leaves.  The layout of such
+packed ints lives only here, in a small codec that the batched
+trace-identity verifier (bilinear_core) uses too: _slot_words sizes a slot,
+_packed joins values into ints of slots, _words writes ints out as
+little-endian 64-bit words on either host byte order, and _slots reads one
+slot of every block of words back.
 
 A small text format for matrices is provided: a ``rows cols`` header line
 followed by one whitespace-separated row per line, entries written as
@@ -61,8 +64,9 @@ from __future__ import annotations
 
 import re
 import sys
+from array import array
 from fractions import Fraction
-from itertools import chain, cycle, repeat
+from itertools import cycle, repeat
 from math import gcd, lcm
 from operator import add, lshift, mul, neg, or_, sub
 from typing import Iterable, Optional, Sequence
@@ -537,29 +541,37 @@ def _classical(ae: Sequence, be: Sequence, m: int, k: int, n: int, p: Optional[i
     return out if p is None else [x % p for x in out]
 
 
-def _packed(values, width: int, group: int) -> list:
-    """The values (each below 2^(8 width)) in consecutive groups of group,
-    each group one int of width-byte slots, its first value lowest: one
-    join writes them all, and one from_bytes reads each group."""
+def _slot_words(bound: int) -> int:
+    """The fewest 64-bit words, at least one, that hold every int in [0, bound]."""
+    return max(1, -(-bound.bit_length() // 64))
+
+
+def _packed(values, words: int, group: int) -> list:
+    """The values (each below 2^(64 words)) in consecutive groups of group,
+    each group one int of slots of words 64-bit words, its first value
+    lowest: one join writes them all, and one from_bytes reads each group."""
+    width = 8 * words
     data = b"".join(map(int.to_bytes, values, repeat(width), repeat("little")))
     size = width * group
     return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
 
 
-def _places(stride: int) -> range:
-    """The places of the words of a block of stride 64-bit words written in
-    the host's byte order, read through a native word view: place[i] holds
-    its i-th lowest word.  They run lowest first on a little-endian host,
-    highest first on a big-endian one."""
-    return range(stride) if sys.byteorder == "little" else range(stride - 1, -1, -1)
+def _words(ints, count: int) -> array:
+    """The ints (each below 2^(64 count)) end to end as count 64-bit words
+    each, lowest word first, on either byte order: the one place that reads
+    the host's."""
+    view = array("Q", b"".join(map(int.to_bytes, ints, repeat(8 * count), repeat("little"))))
+    if sys.byteorder == "big":
+        view.byteswap()
+    return view
 
 
-def _slots(view, places, stride: int):
-    """The values of one slot in each block of stride 64-bit words of view:
-    the words at places in the block, lowest first."""
-    values = view[places[0]::stride]
-    for w in range(1, len(places)):
-        values = map(or_, values, map(lshift, view[places[w]::stride], repeat(64 * w)))
+def _slots(view, words: int, first: int, stride: int):
+    """The values of the slot of words words that starts at word first of
+    each block of stride words of view (see _words)."""
+    values = view[first::stride]
+    for w in range(1, words):
+        values = map(or_, values, map(lshift, view[first + w::stride], repeat(64 * w)))
     return values
 
 
@@ -574,20 +586,16 @@ def _packed_products(ae: Sequence, be: Sequence, nodes: int, m: int, k: int, n: 
     2011): the operands are reduced mod p once, and each row of B becomes
     one int of n slots of w 64-bit words, w enough for k * (p-1)^2, so that
     row i of C is the one sum of a_ij times packed row j, whose slots never
-    carry into each other.  Every row of every node is written to bytes in
-    one join and read back through one word view, a column of slots at a
-    time (_slots).
+    carry into each other.  Every row of every node is written out as words
+    at once (_words), and every slot is read back, in order, in one strided
+    pass (_slots).
     """
     ae = [x % p for x in ae]
-    words = -(-(k * (p - 1) ** 2).bit_length() // 64)
-    packed = _packed([x % p for x in be], 8 * words, n)
+    words = _slot_words(k * (p - 1) ** 2)
+    packed = _packed([x % p for x in be], words, n)
     rows = [sum(map(mul, ae[i:i + k], packed[t * k:(t + 1) * k]))
             for t in range(nodes) for i in range(t * m * k, (t + 1) * m * k, k)]
-    stride = n * words
-    view = memoryview(b"".join(map(int.to_bytes, rows, repeat(8 * stride),
-                                   repeat(sys.byteorder)))).cast("Q")
-    columns = [_slots(view, _places(stride)[j * words:(j + 1) * words], stride) for j in range(n)]
-    return list(chain.from_iterable(zip(*columns)))
+    return list(_slots(_words(rows, n * words), words, 0, words))
 
 
 def _product_dims(a: Matrix, b: Matrix) -> tuple:

@@ -320,6 +320,19 @@ def _multiply(cfg: RecursionConfig, ring, a, b, m: int, k: int, n: int,
     return [v for r in range(0, m * pn, pn) for v in c[r:r + n]], e
 
 
+def _cleared_product(a: Matrix, b: Matrix, core: Callable) -> Matrix:
+    """The product of the conforming matrices a and b from core(ring, ae,
+    be), which returns (c, e) with c / e the raw row-major product of their
+    values cleared by the ring's _clear; _restore divides each entry of c
+    by its row scale times e and its column scale."""
+    ring = a.ring
+    ae, row_scales = ring._clear(a._values, a.cols)
+    be, col_scales = ring._clear(b._values, b.cols, by_columns=True)
+    c, e = core(ring, ae, be)
+    return Matrix._from_values(ring, a.rows, b.cols,
+                               ring._restore(c, [r * e for r in row_scales], col_scales))
+
+
 def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     """Multiply an m x k by a k x n matrix; returns (product, CostReport).
 
@@ -342,12 +355,8 @@ def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
         f"recursive multiply {m}x{k} by {k}x{n}, "
         f"base {cfg.base_alg.dims} rank {cfg.base_alg.rank}, threshold {cfg.threshold}"
     ))
-    ring = a.ring
-    ae, row_scales = ring._clear(a._values, k)
-    be, col_scales = ring._clear(b._values, n, by_columns=True)
-    c, e = _multiply(cfg, ring, ae, be, m, k, n, report)
-    return Matrix._from_values(ring, m, n, ring._restore(c, [r * e for r in row_scales],
-                                                         col_scales)), report
+    return _cleared_product(
+        a, b, lambda ring, ae, be: _multiply(cfg, ring, ae, be, m, k, n, report)), report
 
 
 def apply_elementary(alg: BilinearAlgorithm, a: Matrix, b: Matrix):
@@ -359,20 +368,17 @@ def apply_elementary(alg: BilinearAlgorithm, a: Matrix, b: Matrix):
     a scalar multiplication for each coefficient outside {1, -1}, and an
     addition for each term beyond the first in any linear combination.
     """
-    m, k, n = sides = tuple(alg.dims)
+    sides = tuple(alg.dims)
     if _product_dims(a, b) != sides:
         raise DimensionError(
             f"{alg.dims} program cannot run on {a.rows}x{a.cols} * {b.rows}x{b.cols}"
         )
     prog = _compile(alg)
     report = CostReport(context=f"elementary program {alg.dims} rank {alg.rank}")
-    ring = a.ring
-    ae, row_scales = ring._clear(a._values, k)
-    be, col_scales = ring._clear(b._values, n, by_columns=True)
-    c, e = _multiply_levels(ae, be, _levels(prog, sides, (1, 1, 1), 1), prog, sides, ring,
-                            report)
-    return Matrix._from_values(ring, m, n, ring._restore(c, [r * e for r in row_scales],
-                                                         col_scales)), report
+    levels = _levels(prog, sides, (1, 1, 1), 1)
+    return _cleared_product(
+        a, b, lambda ring, ae, be: _multiply_levels(ae, be, levels, prog, sides, ring, report)
+    ), report
 
 
 def cost_model(alg: BilinearAlgorithm, k: int) -> CostReport:

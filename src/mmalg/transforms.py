@@ -240,23 +240,9 @@ def _outer_sum(d: dict, left: list, right: list) -> dict:
     return _canonical(acc if den == 1 else {key: Fraction(x, den) for key, x in acc.items()})
 
 
-def apply_equivalence(
-    alg: BilinearAlgorithm, transform: EquivalenceTransform
-) -> BilinearAlgorithm:
-    """Change bases and relabel products; preserves correctness and rank.
-
-    The input must verify; the output then verifies by construction.
-
-    New coefficients: u-bar^s = sigma u^t(s) nabla^T, v-bar^s = lam^T v^t(s) mu^T,
-    w-bar^s = gamma^T w^t(s) beta, with t(s) = perm[s].  Each is a sum of
-    outer products over the nonzeros of the source slice: a coefficient c
-    at (i, j) adds c times column i of sigma (x) column j of nabla to u-bar,
-    c at (g, h) adds c times row g of lam (x) column h of mu to v-bar, and
-    c at (l, q) adds c times row l of gamma (x) row q of beta to w-bar.
-    Each of those rows and columns is cleared of denominators once, so the
-    sums run on ints and each output coefficient is one division
-    (_outer_sum).
-    """
+def _equivalence(alg: BilinearAlgorithm, transform: EquivalenceTransform) -> BilinearAlgorithm:
+    """apply_equivalence without checking that alg verifies; BadTransform
+    unless transform fits alg."""
     m, k, n = alg.dims
     if transform.sigma.rows != m or transform.nabla.rows != k or transform.mu.rows != n:
         raise BadTransform(
@@ -267,8 +253,6 @@ def apply_equivalence(
         raise BadTransform(
             f"perm length {len(transform.perm)} does not match rank {alg.rank}"
         )
-    if not verify_brent(alg).valid:
-        raise InvalidAlgorithm("cannot transform an invalid program")
     t = transform
     sigma_c, nabla_c, mu_c = (_cleared(zip(*x.to_rows())) for x in (t.sigma, t.nabla, t.mu))
     lam_r, gamma_r, beta_r = (_cleared(x.to_rows()) for x in (t.lam, t.gamma, t.beta))
@@ -278,6 +262,29 @@ def apply_equivalence(
         v.append(_outer_sum(alg.v[src], lam_r, mu_c))
         w.append(_outer_sum(alg.w[src], gamma_r, beta_r))
     return BilinearAlgorithm._from_slices(alg.dims, alg.rank, u, v, w)
+
+
+def apply_equivalence(
+    alg: BilinearAlgorithm, transform: EquivalenceTransform
+) -> BilinearAlgorithm:
+    """Change bases and relabel products; preserves correctness and rank.
+
+    The input must verify; the output then verifies by construction.  A
+    transform that does not fit the program raises BadTransform.
+
+    New coefficients: u-bar^s = sigma u^t(s) nabla^T, v-bar^s = lam^T v^t(s) mu^T,
+    w-bar^s = gamma^T w^t(s) beta, with t(s) = perm[s].  Each is a sum of
+    outer products over the nonzeros of the source slice: a coefficient c
+    at (i, j) adds c times column i of sigma (x) column j of nabla to u-bar,
+    c at (g, h) adds c times row g of lam (x) column h of mu to v-bar, and
+    c at (l, q) adds c times row l of gamma (x) row q of beta to w-bar.
+    Each of those rows and columns is cleared of denominators once, so the
+    sums run on ints and each output coefficient is one division
+    (_outer_sum).  The work is _equivalence.
+    """
+    if not verify_brent(alg).valid:
+        raise InvalidAlgorithm("cannot transform an invalid program")
+    return _equivalence(alg, transform)
 
 
 _DIAG_CHOICES = (

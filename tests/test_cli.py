@@ -484,6 +484,23 @@ def test_dual_refuses_corrupt_input(tmp_path, capsys):
         assert not out_path.exists() and not trans_path.exists(), argv
 
 
+def test_equiv_checks_its_input_before_drawing_a_transform(tmp_path, capsys, monkeypatch):
+    # Drawing a transform of side 40 takes seconds; an invalid
+    # program is refused before any is drawn.
+    path = tmp_path / "empty.alg"
+    path.write_text("mmalg-v1 40 40 40 1\nU\nV\nW\n")
+
+    def never(*args):
+        raise AssertionError("drew a transform for an invalid program")
+
+    monkeypatch.setattr(cli, "random_equivalence", never)
+    out_path = tmp_path / "o.alg"
+    rc, _, err = run(capsys, "equiv", str(path), "--seed", "1", "--out", str(out_path))
+    assert rc == 1
+    assert "cannot transform an invalid program" in err
+    assert not out_path.exists()
+
+
 def test_written_algorithms_reload_identically(strassen_file, tmp_path, capsys):
     out_path = str(tmp_path / "same.alg")
     rc, _, _ = run(capsys, "dual", strassen_file, "--perm", "mkn", "--out", out_path)

@@ -5,7 +5,6 @@ import pickle
 import random
 import subprocess
 import sys
-from array import array
 from decimal import Decimal
 from fractions import Fraction
 
@@ -39,7 +38,8 @@ from mmalg import (
     strassen_222,
 )
 
-from mmalg.exact_algebra import _classical, _packed_products, _places, _slots
+from mmalg.exact_algebra import (_classical, _packed, _packed_products, _slot_words, _slots,
+                                 _words)
 
 from helpers import P31, P61, naive_product, unit_lu_matrix
 
@@ -159,32 +159,33 @@ def test_packed_kernel_matches_the_plain_loop(p, nodes, m, k, n, bits, seed):
                         for x in row]
 
 
-@given(blocks=st.integers(1, 5), slots=st.integers(1, 4), words=st.integers(1, 3),
-       order=st.sampled_from(("little", "big")), seed=st.integers(0, 2**32))
-def test_slots_read_a_column_of_slots_in_either_word_order(blocks, slots, words, order, seed):
-    # A block of slots * words 64-bit words holds its slots lowest first
-    # ("little") or its words highest first ("big", as a block written
-    # big-endian reads on a big-endian host); reversed places read the
-    # second the way the first reads with places in order.
-    rng = random.Random(seed)
-    values = [[rng.getrandbits(64 * words) for _ in range(slots)] for _ in range(blocks)]
-    stride = slots * words
-    flat = []
-    for block in values:
-        low_first = [v >> (64 * w) & (2**64 - 1) for v in block for w in range(words)]
-        flat += low_first if order == "little" else low_first[::-1]
-    view = memoryview(array("Q", flat))
-    places = range(stride) if order == "little" else range(stride - 1, -1, -1)
-    for j in range(slots):
-        assert list(_slots(view, places[j * words:(j + 1) * words], stride)) == [
-            block[j] for block in values]
-    # Written in the host's byte order, a block reads back through _places.
-    data = b"".join(int.to_bytes(sum(v << (64 * words * j) for j, v in enumerate(block)),
-                                 8 * stride, sys.byteorder) for block in values)
-    view, places = memoryview(data).cast("Q"), _places(stride)
-    for j in range(slots):
-        assert list(_slots(view, places[j * words:(j + 1) * words], stride)) == [
-            block[j] for block in values]
+@given(data=st.data(), words=st.integers(1, 3), group=st.integers(1, 4))
+def test_packed_values_read_back_through_words_and_slots(data, words, group):
+    # _packed joins each group of values into one int, _words writes those
+    # ints out lowest word first, and _slots reads slot j of every int back
+    # from first = j * words, or every slot in order with a stride of one
+    # slot.
+    count = data.draw(st.integers(1, 5))
+    values = data.draw(st.lists(st.integers(0, 2 ** (64 * words) - 1),
+                                min_size=count * group, max_size=count * group))
+    ints = _packed(values, words, group)
+    assert ints == [sum(v << (64 * words * j) for j, v in enumerate(values[i:i + group]))
+                    for i in range(0, len(values), group)]
+    stride = words * group
+    view = _words(ints, stride)
+    assert list(view) == [x >> (64 * w) & (2**64 - 1) for x in ints for w in range(stride)]
+    for j in range(group):
+        assert list(_slots(view, words, j * words, stride)) == values[j::group]
+    assert list(_slots(view, words, 0, words)) == values
+
+
+def test_slot_words_is_the_fewest_words_that_hold_the_bound():
+    assert _slot_words(0) == 1
+    assert _slot_words(1) == 1
+    assert _slot_words(2**64 - 1) == 1
+    assert _slot_words(2**64) == 2
+    assert _slot_words(2**128 - 1) == 2
+    assert _slot_words(2**128) == 3
 
 
 def test_gf_multiply_matches_rational_reduction():

@@ -1,4 +1,5 @@
-"""The source keeps to the Python 3.10 floor that pyproject.toml declares."""
+"""The source keeps to the Python 3.10 floor that pyproject.toml declares,
+and to one module for the layout of packed words."""
 
 import ast
 import importlib
@@ -56,3 +57,12 @@ def test_no_regex_uses_possessive_quantifiers_or_atomic_groups():
     for name, pattern in patterns:
         ops = set(_opcodes(sre_parse.parse(pattern)))
         assert not ops & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}, (name, pattern)
+
+
+def test_only_exact_algebra_handles_byte_order_and_word_views():
+    # The packed-word codec (exact_algebra._words and _slots) is the one
+    # place that knows the host's byte order and how words are viewed.
+    for path in SOURCES:
+        if path.name != "exact_algebra.py":
+            text = path.read_text(encoding="utf-8")
+            assert "byteorder" not in text and "memoryview" not in text, path.name
