@@ -225,7 +225,7 @@ class VerificationReport:
 
 @dataclass
 class CostReport:
-    """Operation counts; the recursion (recursion._multiply_levels) tallies
+    """Operation counts; the recursion (recursion._run_batch) tallies
     into one as it runs."""
 
     bilinear_mults: int = 0
@@ -291,7 +291,9 @@ def verify_trilinear_random(
     compares both sides.  A valid program never fails; an invalid one slips
     through a single trial with probability at most 3/p, so for a 61-bit
     prime even a handful of trials is conclusive in practice.  A coefficient
-    whose denominator is divisible by prime raises BadArgument.
+    whose denominator is divisible by prime raises BadArgument.  A program
+    of rank below generic_lower_bound fails without a trial: a trial costs
+    O(mkn) whatever the rank.
 
     Trials run in batches of up to 64 (Kronecker substitution): each entry
     of A, B and D holds its values for the whole batch as slots of one int,
@@ -324,6 +326,8 @@ def verify_trilinear_random(
             image[c] = field._value(c)
     except ZeroDivisionError:
         raise BadArgument(f"coefficient {c} has no image mod {prime}") from None
+    if alg.rank < generic_lower_bound(alg.dims):
+        return False
     words = _slot_words(max(map(len, chain(*tensors))) * (prime - 1) ** 2)
     # The keys of A, B and D in the order of one trial's draws; the third
     # form reads D's entry (q, l) for w_lq.

@@ -8,6 +8,7 @@ command is deterministic given its inputs and seed flags.
 from __future__ import annotations
 
 import argparse
+import gc
 import random
 import sys
 from math import prod
@@ -16,6 +17,7 @@ from .bilinear_core import (
     DEFAULT_PRIME,
     BilinearAlgorithm,
     DimensionTriple,
+    _check_size,
     dump_algorithm,
     exponent,
     format_algorithm,
@@ -79,6 +81,15 @@ def _read_algorithm(path: str) -> BilinearAlgorithm:
     return parse_algorithm(sys.stdin.read() if raw is None else _decode(raw.read()))
 
 
+def _below_bound(alg: BilinearAlgorithm):
+    """Why no correct program has alg's dims and rank, or None."""
+    bound = generic_lower_bound(alg.dims)
+    if alg.rank < bound:
+        return (f"rank {alg.rank} is below the generic lower bound {bound}; "
+                "no such correct program exists")
+    return None
+
+
 def _require(value, flag: str):
     if value is None:
         raise BadArgument(f"missing required option {flag}")
@@ -125,7 +136,8 @@ def cmd_verify(args) -> int:
             f"mod {args.prime} agree)"
         )
         return 0
-    print("INVALID: trilinear trace identity failed on a random trial")
+    # A rank too low to be correct fails without a trial drawn.
+    print(f"INVALID: {_below_bound(alg) or 'trilinear trace identity failed on a random trial'}")
     return 1
 
 
@@ -142,11 +154,9 @@ def cmd_info(args) -> int:
             f"note: rank {alg.rank} exceeds the known upper bound {bound.upper}; "
             "a cheaper program exists"
         )
-    if alg.rank < generic_lower_bound(alg.dims):
-        print(
-            f"warning: rank {alg.rank} is below the generic lower bound "
-            f"{generic_lower_bound(alg.dims)}; no such correct program exists"
-        )
+    reason = _below_bound(alg)
+    if reason:
+        print(f"warning: {reason}")
     return 0
 
 
@@ -211,6 +221,9 @@ def cmd_equiv(args) -> int:
         raise BadArgument("give either --seed or --transform, not both")
     if not args.transform and args.seed is None:
         raise BadArgument("need --seed N or --transform FILE")
+    # The result holds at most R slices of each of the three shapes.
+    m, k, n = alg.dims
+    _check_size((alg.rank * m * k, alg.rank * k * n, alg.rank * m * n))
     # Checked before a transform is drawn, which costs far more at large sides.
     if not verify_brent(alg).valid:
         raise InvalidAlgorithm("cannot transform an invalid program")
@@ -394,6 +407,11 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # A command makes no reference cycles, so the cyclic collector would only
+    # walk objects that reference counting frees: it is paused while one
+    # runs, and left as the caller had it.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         # Looked up by name on each call, not bound into the kept parser, so
         # that a wrapper rebound over a cmd_ function (bench/tracing.py) runs.
@@ -404,6 +422,9 @@ def main(argv=None) -> int:
     except (FormatError, BadArgument, BadField, BadTransform, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ outermost, then the block index of each level from the last to the first,
 which is innermost.  Block q of a node of A is then the strided slice
 [q::m0*k0] (of B, [q::k0*n0]), and the same slice of a batch of sibling
 nodes stored end to end, node index outermost, holds block q of every one
-of them.  _multiply_levels runs one level of one batch per call: each U
+of them.  _run_batch runs one level of one batch per call: each U
 and V form is one list operation over those slices for the whole batch,
 the operands of a group of its R products are concatenated into the next
 batch, and each W form writes output block r into the slice [r::m0*n0].
@@ -118,7 +118,7 @@ from .exact_algebra import (Matrix, _bareiss, _classical, _cleared_inverse, _pac
 _BATCH_ENTRIES = 4096
 # A batch of nodes m x k x n leaves with m*k*n <= _LEAF_BATCH * nodes runs
 # the triple loop as maps over the batch; any other runs a kernel (see
-# _multiply_levels).
+# _run_batch).
 _LEAF_BATCH = 16
 
 
@@ -230,68 +230,71 @@ def _linear_combination(terms, blocks: list) -> list:
     return [0] * len(blocks[0]) if acc is None else acc
 
 
+def _run_batch(a: list, b: list, nodes: int, depth: int, levels: list, prog: _Program,
+               sides: tuple, p, cost: CostReport) -> list:
+    """The products, in level order, of a batch of nodes sibling pairs of
+    operands with depth levels below them, stored end to end; p is the
+    ring's modulus, None over QQ.
+
+    It runs its R products in consecutive groups of step, the most whose
+    operands (nodes * step block pairs) fit in _BATCH_ENTRIES entries, at
+    least 1: each group's U and V forms are concatenated into one batch,
+    one recursive call runs it, and its result is split back into one slice
+    per product for the W forms.  A batch of leaves runs _leaves when a
+    leaf's multiplications are at most _LEAF_BATCH per node of the batch,
+    and otherwise over GF(p) one call of _packed_products for the whole
+    batch, whose products stay unreduced like every other block, and over
+    QQ _classical per node.
+    """
+    (m, k, n), additions, scalar_mults = levels[depth]
+    cost.additions += nodes * additions
+    cost.scalar_mults += nodes * scalar_mults
+    if depth == 0:
+        cost.bilinear_mults += nodes * m * k * n
+        if m * k * n <= _LEAF_BATCH * nodes:
+            return _leaves(a, b, nodes, m, k, n)
+        if p is not None:
+            return _packed_products(a, b, nodes, m, k, n, p)
+        return [x for i in range(nodes) for x in _classical(
+            a[i * m * k:(i + 1) * m * k], b[i * k * n:(i + 1) * k * n], m, k, n, None)]
+    m0, k0, n0 = sides
+    sa, sb, sc = m0 * k0, k0 * n0, m0 * n0
+    a_blocks = [a[q::sa] for q in range(sa)]
+    b_blocks = [b[q::sb] for q in range(sb)]
+    mb, kb, nb = levels[depth - 1][0]
+    step = max(1, _BATCH_ENTRIES // (nodes * (mb * kb + kb * nb)))
+    size = nodes * mb * nb
+    products = []
+    for g in range(0, len(prog.u), step):
+        us, vs = prog.u[g:g + step], prog.v[g:g + step]
+        c = _run_batch(list(chain.from_iterable(_linear_combination(t, a_blocks) for t in us)),
+                       list(chain.from_iterable(_linear_combination(t, b_blocks) for t in vs)),
+                       len(us) * nodes, depth - 1, levels, prog, sides, p, cost)
+        products += (c[i:i + size] for i in range(0, len(c), size))
+    out = [None] * (nodes * m * n)
+    for r, ws in enumerate(prog.w):
+        out[r::sc] = _linear_combination(ws, products)
+    return out
+
+
 def _multiply_levels(a: list, b: list, levels: list, prog: _Program, sides: tuple, ring,
                      cost: CostReport) -> tuple:
     """(c, e) with c / e the product of two operands of raw ints (over QQ,
     cleared ones) of levels[-1]'s dims in level order (see _level_order), c
-    in level order.
-
-    run(a, b, nodes, depth) multiplies a batch of nodes sibling pairs with
-    depth levels below them, stored end to end.  It runs its R products in
-    consecutive groups of step, the most whose operands (nodes * step block
-    pairs) fit in _BATCH_ENTRIES entries, at least 1: each group's U and V
-    forms are concatenated into one batch, one call runs it, and its result
-    is split back into one slice per product for the W forms.  A batch of
-    leaves runs _leaves when a leaf's multiplications are at most
-    _LEAF_BATCH per node of the batch, and otherwise over GF(p) one call of
-    _packed_products for the whole batch, whose products stay unreduced
-    like every other block, and over QQ _classical per node.
+    in level order, run as one batch of one node (_run_batch).
 
     prog's int coefficients make each level multiply the product by
-    prog.denominator D, so run gives D^d times the product, d the number of
-    levels.  When D^d > 1 the ring's _normal divides it out once (over
-    GF(p) e is then 1); over GF(p) a product that recurses raises
+    prog.denominator D, so _run_batch gives D^d times the product, d the
+    number of levels.  When D^d > 1 the ring's _normal divides it out once
+    (over GF(p) e is then 1); over GF(p) a product that recurses raises
     BadArgument when p divides D, that is when some coefficient has no
     image mod p.
     """
-    m0, k0, n0 = sides
-    sa, sb, sc = m0 * k0, k0 * n0, m0 * n0
-    rank = len(prog.u)
     p = ring._modulus
     e = prog.denominator ** (len(levels) - 1)
     if p is not None and e % p == 0:
         raise BadArgument(f"a coefficient of the program has no image mod {p}")
-
-    def run(a: list, b: list, nodes: int, depth: int) -> list:
-        (m, k, n), additions, scalar_mults = levels[depth]
-        cost.additions += nodes * additions
-        cost.scalar_mults += nodes * scalar_mults
-        if depth == 0:
-            cost.bilinear_mults += nodes * m * k * n
-            if m * k * n <= _LEAF_BATCH * nodes:
-                return _leaves(a, b, nodes, m, k, n)
-            if p is not None:
-                return _packed_products(a, b, nodes, m, k, n, p)
-            return [x for i in range(nodes) for x in _classical(
-                a[i * m * k:(i + 1) * m * k], b[i * k * n:(i + 1) * k * n], m, k, n, None)]
-        a_blocks = [a[q::sa] for q in range(sa)]
-        b_blocks = [b[q::sb] for q in range(sb)]
-        mb, kb, nb = levels[depth - 1][0]
-        step = max(1, _BATCH_ENTRIES // (nodes * (mb * kb + kb * nb)))
-        size = nodes * mb * nb
-        products = []
-        for g in range(0, rank, step):
-            us, vs = prog.u[g:g + step], prog.v[g:g + step]
-            c = run(list(chain.from_iterable(_linear_combination(t, a_blocks) for t in us)),
-                    list(chain.from_iterable(_linear_combination(t, b_blocks) for t in vs)),
-                    len(us) * nodes, depth - 1)
-            products += (c[i:i + size] for i in range(0, len(c), size))
-        out = [None] * (nodes * m * n)
-        for r, ws in enumerate(prog.w):
-            out[r::sc] = _linear_combination(ws, products)
-        return out
-
-    c = run(a, b, 1, len(levels) - 1)
+    c = _run_batch(a, b, 1, len(levels) - 1, levels, prog, sides, p, cost)
     return (c, 1) if e == 1 else ring._normal(c, e)
 
 

@@ -29,6 +29,7 @@ from .errors import BadArgument, BadTransform, FormatError, InvalidAlgorithm
 from .exact_algebra import (
     Matrix,
     QQ,
+    _classical,
     _read_header,
     _read_rows,
     _read_text,
@@ -287,24 +288,21 @@ def apply_equivalence(
     return _equivalence(alg, transform)
 
 
-_DIAG_CHOICES = (
-    Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
-    Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(1, 3),
-)
+# The diagonal entries 1, -1, 2, -2, 1/2, -1/2, 3 and 1/3, in sixths.
+_DIAG_SIXTHS = (6, -6, 12, -12, 3, -3, 18, 2)
 
 
 def _random_invertible(size: int, rng: random.Random) -> Matrix:
     # L * D * U with unit triangular L, U and nonzero diagonal D: invertible
-    # by construction, entries stay small.
-    lower = [[Fraction(1) if i == j else
-              (Fraction(rng.randint(-2, 2)) if i > j else Fraction(0))
-              for j in range(size)] for i in range(size)]
-    upper = [[Fraction(1) if i == j else
-              (Fraction(rng.randint(-2, 2)) if i < j else Fraction(0))
-              for j in range(size)] for i in range(size)]
-    diag = [rng.choice(_DIAG_CHOICES) for _ in range(size)]
-    ld = [[lower[i][j] * diag[j] for j in range(size)] for i in range(size)]
-    return mat_classical_multiply(Matrix.from_rows(QQ, ld), Matrix.from_rows(QQ, upper))
+    # by construction, entries stay small.  L, U and 6 D are integral, so
+    # the product runs on ints and is divided by 6 once.
+    lower = [1 if i == j else (rng.randint(-2, 2) if i > j else 0)
+             for i in range(size) for j in range(size)]
+    upper = [1 if i == j else (rng.randint(-2, 2) if i < j else 0)
+             for i in range(size) for j in range(size)]
+    diag = [rng.choice(_DIAG_SIXTHS) for _ in range(size)]
+    ldu = _classical(list(map(mul, lower, diag * size)), upper, size, size, size, None)
+    return Matrix._from_values(QQ, size, size, [Fraction(x, 6) for x in ldu])
 
 
 def random_equivalence(

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in process through main(argv)."""
 
+import gc
 import io
 import os
 import random
@@ -24,6 +25,7 @@ from mmalg import (
     strassen_222,
 )
 from mmalg.bilinear_core import BilinearAlgorithm
+from mmalg.transforms import dump_transform, random_equivalence
 from mmalg import cli
 from mmalg.cli import main
 
@@ -244,6 +246,26 @@ def test_square_and_product_refuse_oversized_results(tmp_path, capsys):
     rc, _, err = run(capsys, "product", pan12, pan12, "--out", out)
     assert rc == 2 and not os.path.exists(out)
     assert err.startswith("error:") and "2000000" in err
+
+
+def test_equiv_refuses_an_oversized_result_before_building(tmp_path, capsys, monkeypatch):
+    # An equivalent of pan(22) (rank 6,776) holds up to 6,776 * 484 nonzeros
+    # per tensor; it is refused from that bound alone, before its input is
+    # checked or a transform drawn.
+    out = str(tmp_path / "eq.alg")
+    pan22 = str(tmp_path / "pan22.alg")
+    dump_algorithm(pan_aggregation(22), pan22)
+
+    def never(*args):
+        raise AssertionError("built an oversized equivalent")
+
+    monkeypatch.setattr(cli, "verify_brent", never)
+    monkeypatch.setattr(cli, "random_equivalence", never)
+    monkeypatch.setattr(cli, "_equivalence", never)
+    rc, _, err = run(capsys, "equiv", pan22, "--seed", "1", "--out", out)
+    assert rc == 2 and not os.path.exists(out)
+    assert err == ("error: result would hold 3279584 nonzero u coefficients, "
+                   "over the limit of 2000000\n")
 
 
 def test_equiv_generate_save_replay(strassen_file, tmp_path, capsys):
@@ -577,6 +599,14 @@ def test_verify_of_an_empty_program_with_large_sides_is_fast(tmp_path, capsys):
     assert lines[1:3] == ["  output (0, 0) left (0, 0) right (0, 0): expected 1, got 0",
                           "  output (0, 0) left (0, 1) right (1, 0): expected 1, got 0"]
     assert lines[11:] == ["  ... and 63999990 more"]
+    # A trial would draw 480,000 values; no program of rank 1 is correct at
+    # these sides, so the randomized check draws none.
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "verify", str(path), "--mode", "random")
+    assert time.perf_counter() - start < 1
+    assert rc == 1
+    assert out == ("INVALID: rank 1 is below the generic lower bound 319600; "
+                   "no such correct program exists\n")
 
 
 def test_parser_is_built_once_and_reused(strassen_file, tmp_path, capsys, monkeypatch):
@@ -609,3 +639,93 @@ def test_parser_is_built_once_and_reused(strassen_file, tmp_path, capsys, monkey
     # even after the command has run once.
     monkeypatch.setattr(cli, "cmd_info", lambda args: 7)
     assert main(["info", strassen_file]) == 7
+
+
+def _sweep(tmp_path):
+    """(argv lists that get past argument parsing, argv lists that argparse
+    refuses): every subcommand on small valid, invalid, malformed and
+    large-header inputs."""
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    good = str(tmp_path / "good.alg")
+    dump_algorithm(strassen_222(), good)
+    bad = str(tmp_path / "bad.alg")
+    dump_algorithm(corrupt_one(strassen_222(), random.Random(3)), bad)
+    programs = (good, bad, write("broken.alg", "mmalg-v1 2 2 2\n"),
+                write("empty.alg", "mmalg-v1 400 400 400 1\nU\nV\nW\n"))
+    trans = str(tmp_path / "t.mmtrans")
+    dump_transform(random_equivalence((2, 2, 2), 7, 4), trans)
+    other_transforms = (write("broken.mmtrans", "mmtrans-v1 2 2 2 7\nsigma\n1 0\n"),
+                        write("empty.mmtrans", "mmtrans-v1 400 400 400 1\n"))
+    a = str(tmp_path / "a.mat")
+    dump_matrix(unit_lu_matrix(5, random.Random(2)), a)
+    matrices = (a, write("singular.mat", "2 2\n1 2\n2 4\n"),
+                write("broken.mat", "2 2\n1 x\n3 4\n"), write("empty.mat", "400 400\n"))
+    out = str(tmp_path / "out")
+    ran = [
+        ["gen", "strassen"],
+        ["gen", "classical", "--m", "2", "--k", "3", "--n", "4", "--out", out],
+        ["gen", "pan", "--n", "4", "--out", out],
+        ["gen", "pan", "--n", "3"],
+        ["gen", "classical", "--m", "2"],
+        ["gen", "classical", "--m", "200", "--k", "200", "--n", "200"],
+        ["bounds"],
+        ["bounds", "--m", "2", "--k", "3", "--n", "3"],
+        ["bounds", "--m", "2"],
+        ["bench", good, "--sizes", "x"],
+        ["verify", "-"],
+    ]
+    for p in programs:
+        ran += [
+            ["verify", p],
+            ["verify", p, "--mode", "random", "--trials", "3"],
+            ["info", p],
+            ["dual", p, "--perm", "knm", "--out", out],
+            ["product", p, good, "--out", out],
+            ["square", p, "--out", out],
+            ["equiv", p, "--seed", "1", "--out", out],
+            ["equiv", p, "--transform", trans, "--out", out],
+            ["multiply", p, a, a, "--threshold", "2", "--out", out],
+            ["invert", p, a, "--out", out],
+            ["bench", p, "--sizes", "2..5", "--out", out],
+        ]
+    ran += [["equiv", good, "--transform", t, "--out", out] for t in other_transforms]
+    for m in matrices:
+        ran += [["multiply", good, m, m, "--out", out], ["invert", good, m, "--out", out]]
+    refused = [[], ["nosuch"], ["verify"], ["dual", good], ["verify", good, "--mode", "exact"],
+               ["bench", good, "--seed", "x"]]
+    return ran, refused
+
+
+@pytest.mark.parametrize("collector_on", [True, False])
+def test_every_command_exits_cleanly_with_the_collector_as_it_was(tmp_path, capsys,
+                                                                   monkeypatch, collector_on):
+    # Commands run with the cyclic collector paused, which is safe only
+    # while they leave no reference cycles: the collector finds nothing
+    # after any command, and is on or off after it as it was before.
+    ran, refused = _sweep(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    main(["bounds"])  # argparse leaves cycles of its own when it builds the parser
+    was = gc.isenabled()
+    # What exists now is frozen, so each collection walks only what the
+    # sweep makes.
+    gc.collect()
+    gc.freeze()
+    try:
+        for argv in ran + refused:
+            gc.collect()
+            (gc.enable if collector_on else gc.disable)()
+            rc = main(argv)
+            assert gc.isenabled() is collector_on, argv
+            garbage = gc.collect()
+            gc.enable()
+            _, err = capsys.readouterr()
+            assert rc in (0, 1, 2) and "Traceback" not in err, argv
+            # argparse's own usage exits leave a few objects inside argparse.
+            assert argv in refused and rc == 2 or garbage == 0, (argv, garbage)
+    finally:
+        gc.unfreeze()
+        (gc.enable if was else gc.disable)()

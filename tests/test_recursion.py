@@ -1,5 +1,6 @@
 """Recursive multiplication, the closed-form cost model, and block inversion."""
 
+import gc
 import itertools
 import random
 import tracemalloc
@@ -595,6 +596,26 @@ def test_invert_over_prime_field():
         )
         inverse, _ = recursive_invert(cfg, a)
         assert mat_classical_multiply(a, inverse) == Matrix.identity(FIELD, size)
+
+
+def test_products_and_inverses_leave_no_cyclic_garbage():
+    # The CLI runs its commands with the cyclic collector paused, so what a
+    # product or an inverse leaves behind must be freed by reference counts.
+    cfg = RecursionConfig(strassen_222(), 1)
+    rng = random.Random(63)
+    a = random_matrix(FIELD, 5, 5, rng)
+    q = unit_lu_matrix(5, rng)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for run in (lambda: recursive_multiply(cfg, a, a), lambda: recursive_multiply(cfg, q, q),
+                    lambda: recursive_invert(cfg, q)):
+            gc.collect()
+            run()
+            assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_invert_failure_taxonomy():

@@ -1,5 +1,6 @@
 """The source keeps to the Python 3.10 floor that pyproject.toml declares,
-and to one module for the layout of packed words."""
+to one module for the layout of packed words, and to one module that
+touches the cyclic garbage collector."""
 
 import ast
 import importlib
@@ -66,3 +67,11 @@ def test_only_exact_algebra_handles_byte_order_and_word_views():
         if path.name != "exact_algebra.py":
             text = path.read_text(encoding="utf-8")
             assert "byteorder" not in text and "memoryview" not in text, path.name
+
+
+def test_only_the_cli_touches_the_garbage_collector():
+    # cli.main pauses the cyclic collector while a command runs and restores
+    # it after; a library call keeps its caller's collector policy.
+    for path in SOURCES:
+        if path.name != "cli.py":
+            assert not re.search(r"\bgc\b", path.read_text(encoding="utf-8")), path.name
