@@ -511,8 +511,22 @@ _PRODUCT = re.compile(rf"U\n(?:{_ENTRY})*V\n(?:{_ENTRY})*W\n(?:{_ENTRY})*\n?")
 _FRACTION = re.compile(r"(-?[0-9]+/[0-9]+)")
 
 
+# Lines per "\n"-terminated piece of format_algorithm's text.
+_PIECE_LINES = 4096
+
+
 def format_algorithm(alg: BilinearAlgorithm) -> str:
+    """The program in the text format; BadArgument naming the first entry
+    past Python's int-string digit limit.
+
+    Whenever a slice brings the pending lines to _PIECE_LINES, they are
+    joined into one "\n"-terminated piece, and the text is the join of the
+    pieces: the writer holds about twice its text (the pieces and their
+    join), not one str object per line.  The text is built in full before
+    dump_algorithm opens its file, so a refused entry leaves no file.
+    """
     m, k, n = alg.dims
+    pieces = []
     lines = [f"{_MAGIC} {m} {k} {n} {alg.rank}"]
     try:
         for s in range(alg.rank):
@@ -522,6 +536,10 @@ def format_algorithm(alg: BilinearAlgorithm) -> str:
                 lines.append(label)
                 for (r, c) in sorted(d):
                     lines.append(f"{r} {c} {d[(r, c)]}")
+                if len(lines) >= _PIECE_LINES:
+                    lines.append("")
+                    pieces.append("\n".join(lines))
+                    lines = []
     except ValueError:
         raise _unwritable(
             (f"{name}[{s}] entry ({r},{c})", x)
@@ -529,7 +547,9 @@ def format_algorithm(alg: BilinearAlgorithm) -> str:
             for s, d in enumerate(tensor)
             for (r, c), x in d.items()
         ) from None
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    pieces.append("\n".join(lines))
+    return "".join(pieces)
 
 
 def _read_canonical(text: str) -> Optional[BilinearAlgorithm]:

@@ -17,7 +17,6 @@ from .bilinear_core import (
     DEFAULT_PRIME,
     BilinearAlgorithm,
     DimensionTriple,
-    _check_size,
     dump_algorithm,
     exponent,
     format_algorithm,
@@ -50,6 +49,7 @@ from .generators import classical, pan_aggregation, strassen_222
 from .recursion import RecursionConfig, _plan, recursive_invert, recursive_multiply
 from .transforms import (
     DualityPermutation,
+    _check_equivalence_size,
     _equivalence,
     dual,
     dump_transform,
@@ -221,9 +221,7 @@ def cmd_equiv(args) -> int:
         raise BadArgument("give either --seed or --transform, not both")
     if not args.transform and args.seed is None:
         raise BadArgument("need --seed N or --transform FILE")
-    # The result holds at most R slices of each of the three shapes.
-    m, k, n = alg.dims
-    _check_size((alg.rank * m * k, alg.rank * k * n, alg.rank * m * n))
+    _check_equivalence_size(alg)
     # Checked before a transform is drawn, which costs far more at large sides.
     if not verify_brent(alg).valid:
         raise InvalidAlgorithm("cannot transform an invalid program")

@@ -826,7 +826,7 @@ def _row_lines(a: Matrix, name: str = "entry") -> list:
 
 def format_matrix(a: Matrix) -> str:
     """Render in the matrix text format; exact round-trip with parse_matrix."""
-    return "\n".join([f"{a.rows} {a.cols}", *_row_lines(a)]) + "\n"
+    return "\n".join([f"{a.rows} {a.cols}", *_row_lines(a), ""])
 
 
 def parse_matrix(text: str, ring: RationalField | PrimeField = QQ) -> Matrix:

@@ -105,23 +105,39 @@ def dual(alg: BilinearAlgorithm, perm) -> BilinearAlgorithm:
     return _dual(alg, perm)
 
 
+def _numbered(tensor) -> dict:
+    """Each distinct key of the tensor's slices, numbered in order of first use."""
+    index: dict = {}
+    for d in tensor:
+        for key in d:
+            index.setdefault(key, len(index))
+    return index
+
+
 def _kron(x, y, rows: int, cols: int) -> list:
     """The Kronecker products of each slice of tensor x with each slice of
     tensor y, x's outer, y's slices rows x cols: c1 at (i1, j1) and c2 at
-    (i2, j2) give c1 * c2 at (i1 * rows + i2, j1 * cols + j2).  Each slice
-    of x has its keys shifted to (i1 * rows, j1 * cols) once, and each slice
-    of y is listed once, so a term costs one product and two sums.  A
+    (i2, j2) give c1 * c2 at (i1 * rows + i2, j1 * cols + j2).
+
+    The distinct keys of each tensor are numbered once, and each output key
+    is built once per (x-key, y-key) pair, in a table with one row per
+    x-key.  Every output slice takes its keys from that table, so all of
+    them share at most one key tuple per position of the output shape, not
+    one tuple per nonzero, and a term costs one product and one lookup.  A
     product with a Fraction may be integral (2 * 1/2), so when either tensor
-    holds a Fraction every slice is put back in canonical form."""
-    shifted = [[(i1 * rows, j1 * cols, c1) for (i1, j1), c1 in d1.items()] for d1 in x]
-    listed = [list(d2.items()) for d2 in y]
+    holds a Fraction every slice is put back in canonical form, which keeps
+    the shared keys."""
+    x_keys, y_keys = _numbered(x), _numbered(y)
+    table = [[(i1 * rows + i2, j1 * cols + j2) for i2, j2 in y_keys] for i1, j1 in x_keys]
+    rowed = [[(table[x_keys[key]], c1) for key, c1 in d1.items()] for d1 in x]
+    listed = [[(y_keys[key], c2) for key, c2 in d2.items()] for d2 in y]
     out = []
-    for s1 in shifted:
+    for s1 in rowed:
         for s2 in listed:
             out.append(d := {})
-            for r, c, c1 in s1:
-                for (i2, j2), c2 in s2:
-                    d[r + i2, c + j2] = c1 * c2
+            for t, c1 in s1:
+                for j, c2 in s2:
+                    d[t[j]] = c1 * c2
     if any(type(c) is not int for t in (x, y) for d in t for c in d.values()):
         return list(map(_canonical, out))
     return out
@@ -241,6 +257,13 @@ def _outer_sum(d: dict, left: list, right: list) -> dict:
     return _canonical(acc if den == 1 else {key: Fraction(x, den) for key, x in acc.items()})
 
 
+def _check_equivalence_size(alg: BilinearAlgorithm) -> None:
+    """BadArgument when a transform of alg could pass _MAX_NONZEROS: the
+    result holds at most R slices of each of the three shapes."""
+    m, k, n = alg.dims
+    _check_size((alg.rank * m * k, alg.rank * k * n, alg.rank * m * n))
+
+
 def _equivalence(alg: BilinearAlgorithm, transform: EquivalenceTransform) -> BilinearAlgorithm:
     """apply_equivalence without checking that alg verifies; BadTransform
     unless transform fits alg."""
@@ -281,8 +304,11 @@ def apply_equivalence(
     c at (l, q) adds c times row l of gamma (x) row q of beta to w-bar.
     Each of those rows and columns is cleared of denominators once, so the
     sums run on ints and each output coefficient is one division
-    (_outer_sum).  The work is _equivalence.
+    (_outer_sum).  The work is _equivalence.  A program whose R*m*k, R*k*n
+    or R*m*n passes _MAX_NONZEROS is refused with BadArgument before any
+    work, since its result could hold that many nonzeros.
     """
+    _check_equivalence_size(alg)
     if not verify_brent(alg).valid:
         raise InvalidAlgorithm("cannot transform an invalid program")
     return _equivalence(alg, transform)
@@ -350,8 +376,8 @@ def format_transform(transform: EquivalenceTransform) -> str:
         lines.append(label)
         lines.extend(_row_lines(mat, f"{label} entry"))
     lines.append("perm")
-    lines.append(" ".join(str(s + 1) for s in transform.perm))
-    return "\n".join(lines) + "\n"
+    lines += [" ".join(str(s + 1) for s in transform.perm), ""]
+    return "\n".join(lines)
 
 
 def _expect_label(records, label: str) -> None:

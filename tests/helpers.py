@@ -6,8 +6,9 @@ verifier: it densifies the coefficient tensors and walks the full
 six-index grid, so the two can cross-check each other.  naive_product
 likewise shares nothing with the package's product kernels, and
 reference_trilinear_random is the trial-by-trial form of the package's
-batched trace-identity check, and reference_apply_equivalence the
-equivalence transform in plain Fraction arithmetic.
+batched trace-identity check, reference_apply_equivalence the
+equivalence transform in plain Fraction arithmetic, and reference_tensor
+the tensor product with a fresh key tuple per entry.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from mmalg import BilinearAlgorithm, Matrix, QQ, mat_classical_multiply
+from mmalg import BilinearAlgorithm, DimensionTriple, Matrix, QQ, mat_classical_multiply
 
 P61 = 2**61 - 1
 P31 = 2**31 - 1
@@ -112,6 +113,23 @@ def reference_apply_equivalence(alg: BilinearAlgorithm, t) -> tuple:
     return ([outer_sum(alg.u[s], sigma_c, nabla_c) for s in t.perm],
             [outer_sum(alg.v[s], lam_r, mu_c) for s in t.perm],
             [outer_sum(alg.w[s], gamma_r, beta_r) for s in t.perm])
+
+
+def reference_tensor(a: BilinearAlgorithm, b: BilinearAlgorithm) -> tuple:
+    """(dims, rank, u, v, w) of tensor_product(a, b), each slice a list of
+    (key, value) items in insertion order: a's slices outer, b's inner, and
+    within a slice a's entries outer, each entry with a key tuple of its own
+    and an integral value as an int."""
+
+    def kron(x, y, rows, cols):
+        return [[((i1 * rows + i2, j1 * cols + j2),
+                  c.numerator if (c := c1 * c2).denominator == 1 else c)
+                 for (i1, j1), c1 in d1.items() for (i2, j2), c2 in d2.items()]
+                for d1 in x for d2 in y]
+
+    (m1, k1, n1), (m2, k2, n2) = a.dims, b.dims
+    return (DimensionTriple(m1 * m2, k1 * k2, n1 * n2), a.rank * b.rank, kron(a.u, b.u, m2, k2),
+            kron(a.v, b.v, k2, n2), kron(a.w, b.w, m2, n2))
 
 
 def naive_product(a_rows, b_rows, p=None) -> list:

@@ -705,7 +705,9 @@ def test_every_command_exits_cleanly_with_the_collector_as_it_was(tmp_path, caps
                                                                    monkeypatch, collector_on):
     # Commands run with the cyclic collector paused, which is safe only
     # while they leave no reference cycles: the collector finds nothing
-    # after any command, and is on or off after it as it was before.
+    # after any command, and is on or off after it as it was before.  Each
+    # command answers these inputs in a few ms, whatever their headers say,
+    # so one that blows up fails its 2 s budget.
     ran, refused = _sweep(tmp_path)
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     main(["bounds"])  # argparse leaves cycles of its own when it builds the parser
@@ -718,7 +720,9 @@ def test_every_command_exits_cleanly_with_the_collector_as_it_was(tmp_path, caps
         for argv in ran + refused:
             gc.collect()
             (gc.enable if collector_on else gc.disable)()
+            start = time.perf_counter()
             rc = main(argv)
+            seconds = time.perf_counter() - start
             assert gc.isenabled() is collector_on, argv
             garbage = gc.collect()
             gc.enable()
@@ -726,6 +730,7 @@ def test_every_command_exits_cleanly_with_the_collector_as_it_was(tmp_path, caps
             assert rc in (0, 1, 2) and "Traceback" not in err, argv
             # argparse's own usage exits leave a few objects inside argparse.
             assert argv in refused and rc == 2 or garbage == 0, (argv, garbage)
+            assert seconds < 2, (argv, seconds)
     finally:
         gc.unfreeze()
         (gc.enable if was else gc.disable)()

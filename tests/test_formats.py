@@ -10,7 +10,9 @@ Program text read in bulk reads exactly as the line reader reads it.
 
 import re
 import time
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -26,6 +28,7 @@ from mmalg import (
     MmalgError,
     PrimeField,
     QQ,
+    classical,
     dump_algorithm,
     dump_matrix,
     dump_transform,
@@ -34,10 +37,13 @@ from mmalg import (
     format_transform,
     parse_algorithm,
     parse_matrix,
+    pan_aggregation,
     parse_transform,
     random_equivalence,
+    squareify,
     strassen_222,
 )
+from mmalg import bilinear_core
 from mmalg.bilinear_core import _parse_lines, _read_canonical
 
 GF97 = PrimeField(97)
@@ -98,6 +104,43 @@ def test_program_round_trip(alg):
     text = format_algorithm(alg)
     assert parse_algorithm(text) == alg
     assert format_algorithm(parse_algorithm(text)) == text
+
+
+def _line_per_entry(alg):
+    """The program text as one str per line, joined once."""
+    lines = [f"mmalg-v1 {alg.dims.m} {alg.dims.k} {alg.dims.n} {alg.rank}"]
+    for s in range(alg.rank):
+        if s:
+            lines.append("")
+        for label, d in (("U", alg.u[s]), ("V", alg.v[s]), ("W", alg.w[s])):
+            lines.append(label)
+            lines += [f"{r} {c} {d[r, c]}" for r, c in sorted(d)]
+    return "\n".join(lines) + "\n"
+
+
+@given(programs(), st.integers(1, 12))
+def test_program_text_in_pieces_matches_one_line_per_entry(alg, piece_lines):
+    # Pieces of any length join to the same bytes, a piece ending mid-product
+    # or between products alike.
+    assert format_algorithm(alg) == _line_per_entry(alg)
+    with mock.patch.object(bilinear_core, "_PIECE_LINES", piece_lines):
+        assert format_algorithm(alg) == _line_per_entry(alg)
+
+
+def test_program_writer_holds_about_twice_its_text():
+    # The squared classical(2,3,4) is 0.39 MB of text in 96,768 lines; one
+    # str per line would hold about 3.7 MB at the peak.
+    alg = pan_aggregation(16)
+    assert format_algorithm(alg) == _line_per_entry(alg)
+    alg = squareify(classical(2, 3, 4))
+    tracemalloc.start()
+    try:
+        text = format_algorithm(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == _line_per_entry(alg)
+    assert peak < 1_500_000, peak
 
 
 @given(transforms())

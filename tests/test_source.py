@@ -1,6 +1,6 @@
 """The source keeps to the Python 3.10 floor that pyproject.toml declares,
-to one module for the layout of packed words, and to one module that
-touches the cyclic garbage collector."""
+to one module for the layout of packed words and for opening files, and to
+one module that touches the cyclic garbage collector."""
 
 import ast
 import importlib
@@ -67,6 +67,14 @@ def test_only_exact_algebra_handles_byte_order_and_word_views():
         if path.name != "exact_algebra.py":
             text = path.read_text(encoding="utf-8")
             assert "byteorder" not in text and "memoryview" not in text, path.name
+
+
+def test_only_exact_algebra_opens_files():
+    # exact_algebra._read_text and _write_text are the one read path and the
+    # one write path of the three text formats.
+    for path in SOURCES:
+        if path.name != "exact_algebra.py":
+            assert not re.search(r"\bopen\(", path.read_text(encoding="utf-8")), path.name
 
 
 def test_only_the_cli_touches_the_garbage_collector():

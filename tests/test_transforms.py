@@ -37,8 +37,9 @@ from mmalg import (
     tensor_product,
     verify_brent,
 )
+from mmalg import transforms
 
-from helpers import P61, corrupt_one, reference_apply_equivalence
+from helpers import P61, corrupt_one, reference_apply_equivalence, reference_tensor
 
 
 def test_all_six_duals_of_strassen():
@@ -160,6 +161,43 @@ def test_squareify():
     assert exponent(sq) == 3.0
 
 
+def _items(tensor):
+    return [[(key, type(c), c) for key, c in d.items()] for d in tensor]
+
+
+def _from_items(dims, rank, u, v, w):
+    return BilinearAlgorithm(dims, rank, *([dict(s) for s in t] for t in (u, v, w)))
+
+
+def test_tensor_products_share_their_key_tuples():
+    # Each output key is built once, so a tensor holds at most one key
+    # object per position of its slices (one per nonzero would be 13,824
+    # for the square).  Slices, values, value types and insertion order are
+    # those of a product built with a fresh tuple per entry, with Fraction
+    # values and with products of Fractions that are ints (2 * 1/2).
+    s = strassen_222()
+
+    def scaled(f):
+        return BilinearAlgorithm(s.dims, s.rank, [{key: c * f for key, c in d.items()} for d in s.u],
+                                 s.v, [{key: Fraction(c) / f for key, c in d.items()} for d in s.w])
+
+    c234 = classical(2, 3, 4)
+    knm, nmk = dual(c234, "knm"), dual(c234, "nmk")
+    cases = (
+        (squareify(c234), reference_tensor(_from_items(*reference_tensor(c234, knm)), nmk)),
+        (tensor_product(pan_aggregation(4), s), reference_tensor(pan_aggregation(4), s)),
+        *((tensor_product(scaled(2), scaled(f)), reference_tensor(scaled(2), scaled(f)))
+          for f in (Fraction(2), Fraction(1, 2))),
+    )
+    for out, (dims, rank, *tensors) in cases:
+        assert (out.dims, out.rank) == (dims, rank)
+        m, k, n = dims
+        for tensor, reference, shape in zip((out.u, out.v, out.w), tensors,
+                                            (m * k, k * n, m * n)):
+            assert _items(tensor) == [[(key, type(c), c) for key, c in s] for s in reference]
+            assert len({id(key) for d in tensor for key in d}) <= shape
+
+
 def test_identity_transform_is_fixed_point():
     for alg in (strassen_222(), classical(2, 3, 4)):
         ident = EquivalenceTransform.identity(alg.dims, alg.rank)
@@ -201,6 +239,20 @@ def test_apply_equivalence_size_mismatch():
     short = EquivalenceTransform.identity(alg.dims, 5)
     with pytest.raises(BadTransform):
         apply_equivalence(alg, short)
+
+
+def test_apply_equivalence_refuses_an_oversized_result_before_building(monkeypatch):
+    # An equivalent of pan(22) (rank 6,776) holds up to 6,776 * 484 nonzeros
+    # per tensor; it is refused from that bound alone.
+    def never(*args):
+        raise AssertionError("built an oversized equivalent")
+
+    alg = pan_aggregation(22)
+    transform = EquivalenceTransform.identity(alg.dims, alg.rank)
+    monkeypatch.setattr(transforms, "verify_brent", never)
+    monkeypatch.setattr(transforms, "_equivalence", never)
+    with pytest.raises(BadArgument, match="result would hold 3279584 nonzero u coefficients"):
+        apply_equivalence(alg, transform)
 
 
 def test_random_equivalence_preserves_validity():
