@@ -25,13 +25,9 @@ from .exact_algebra import (
     QQ,
     Rational,
     RationalField,
-    dump_matrix,
-    format_matrix,
     is_prime,
-    load_matrix,
     mat_classical_multiply,
     mat_inverse,
-    parse_matrix,
     random_matrix,
 )
 from .bilinear_core import (
@@ -42,13 +38,9 @@ from .bilinear_core import (
     KnownRankBounds,
     RankBound,
     VerificationReport,
-    dump_algorithm,
     exponent,
-    format_algorithm,
     generic_lower_bound,
     known_bounds,
-    load_algorithm,
-    parse_algorithm,
     sanity_rank_lower_bound,
     verify_brent,
     verify_trilinear_random,
@@ -59,13 +51,23 @@ from .transforms import (
     EquivalenceTransform,
     apply_equivalence,
     dual,
-    dump_transform,
-    format_transform,
-    load_transform,
-    parse_transform,
     random_equivalence,
     squareify,
     tensor_product,
+)
+from .formats import (
+    dump_algorithm,
+    dump_matrix,
+    dump_transform,
+    format_algorithm,
+    format_matrix,
+    format_transform,
+    load_algorithm,
+    load_matrix,
+    load_transform,
+    parse_algorithm,
+    parse_matrix,
+    parse_transform,
 )
 from .recursion import (
     RecursionConfig,

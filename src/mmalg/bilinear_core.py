@@ -9,9 +9,10 @@ when the value is integral, else a Fraction with denominator > 1.  The
 constructor makes that choice once, so every later step (verification, the
 transforms, the writer, the evaluator) does int arithmetic on the integral
 coefficients that the shipped programs consist of.  The generators, the
-transforms and the reader of canonical text build slices in that form
-themselves and hand them to BilinearAlgorithm._from_slices, which checks
-nothing; the public constructor checks and cleans every coefficient.
+transforms and the reader of canonical text (formats) build slices in
+that form themselves and hand them to BilinearAlgorithm._from_slices,
+which checks nothing; the public constructor checks and cleans every
+coefficient.
 
 Correctness is equivalent to the coefficient equations
 
@@ -26,22 +27,17 @@ l''_s(D) = sum_lq w^s_lq d_ql with D of shape n x m.
 
 from __future__ import annotations
 
-import json
 import math
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, repeat
-from operator import itemgetter, mul
+from operator import mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .errors import BadArgument, DimensionError, ExponentUndefined, FormatError
-from .exact_algebra import (
-    PrimeField, _classical, _exact, _packed, _read_header, _read_text, _records, _shown,
-    _slot_words, _slots, _unwritable, _words, _write_text,
-)
+from .errors import BadArgument, DimensionError, ExponentUndefined
+from .exact_algebra import PrimeField, _classical, _packed, _slot_words, _slots, _words
 
 # A 61-bit Mersenne prime; default modulus for randomized identity checks.
 DEFAULT_PRIME = 2**61 - 1
@@ -481,191 +477,3 @@ def known_bounds() -> KnownRankBounds:
 def sanity_rank_lower_bound(alg: BilinearAlgorithm) -> bool:
     """True when the program's rank respects the generic lower bound."""
     return alg.rank >= generic_lower_bound(alg.dims)
-
-
-# ---------------------------------------------------------------------------
-# Algorithm text format.
-#
-# Header line:  mmalg-v1 m k n R
-# Then, for each product s = 1..R, three labeled blocks
-#     U / V / W, each holding lines "i j value" (0-based indices, value an
-# integer or p/q fraction, read by exact_algebra._exact).  The canonical
-# writer sorts entries within a block and separates products by a blank
-# line; the reader accepts entries in any order and arbitrary blank lines.
-#
-# parse_algorithm reads text in the writer's exact form (_HEADER, then one
-# _PRODUCT per product: "\n" line ends, one space between tokens, no '+',
-# no leading zero and no zero coefficient, at most one blank line after a
-# product) in bulk, with no Python step per line.  Any other text, and
-# writer-form text that fails a check (an index outside its block, a
-# duplicate entry, a product count other than R, a number past Python's
-# int-string digit limit), goes unchanged to the line reader _parse_lines,
-# the one source of FormatErrors.
-# ---------------------------------------------------------------------------
-
-_MAGIC = "mmalg-v1"
-_POSITIVE = "[1-9][0-9]*"
-_ENTRY = rf"(?:0|{_POSITIVE}) (?:0|{_POSITIVE}) -?{_POSITIVE}(?:/{_POSITIVE})?\n"
-_HEADER = re.compile(rf"{_MAGIC} ({_POSITIVE}) ({_POSITIVE}) ({_POSITIVE}) ({_POSITIVE})\n")
-_PRODUCT = re.compile(rf"U\n(?:{_ENTRY})*V\n(?:{_ENTRY})*W\n(?:{_ENTRY})*\n?")
-_FRACTION = re.compile(r"(-?[0-9]+/[0-9]+)")
-
-
-# Lines per "\n"-terminated piece of format_algorithm's text.
-_PIECE_LINES = 4096
-
-
-def format_algorithm(alg: BilinearAlgorithm) -> str:
-    """The program in the text format; BadArgument naming the first entry
-    past Python's int-string digit limit.
-
-    Whenever a slice brings the pending lines to _PIECE_LINES, they are
-    joined into one "\n"-terminated piece, and the text is the join of the
-    pieces: the writer holds about twice its text (the pieces and their
-    join), not one str object per line.  The text is built in full before
-    dump_algorithm opens its file, so a refused entry leaves no file.
-    """
-    m, k, n = alg.dims
-    pieces = []
-    lines = [f"{_MAGIC} {m} {k} {n} {alg.rank}"]
-    try:
-        for s in range(alg.rank):
-            if s:
-                lines.append("")
-            for label, d in (("U", alg.u[s]), ("V", alg.v[s]), ("W", alg.w[s])):
-                lines.append(label)
-                for (r, c) in sorted(d):
-                    lines.append(f"{r} {c} {d[(r, c)]}")
-                if len(lines) >= _PIECE_LINES:
-                    lines.append("")
-                    pieces.append("\n".join(lines))
-                    lines = []
-    except ValueError:
-        raise _unwritable(
-            (f"{name}[{s}] entry ({r},{c})", x)
-            for name, tensor in (("u", alg.u), ("v", alg.v), ("w", alg.w))
-            for s, d in enumerate(tensor)
-            for (r, c), x in d.items()
-        ) from None
-    lines.append("")
-    pieces.append("\n".join(lines))
-    return "".join(pieces)
-
-
-def _read_canonical(text: str) -> Optional[BilinearAlgorithm]:
-    """The program that text in the writer's exact form holds, or None when
-    text is in another form or fails a check (see the text-format comment).
-
-    String replacements turn the blocks into one JSON list of numbers each
-    (a label line becomes "],[" and an entry line "i,j,value,"), with each
-    p/q quoted as a string, so json.loads reads every number; each block is
-    then one dict built by C-level calls.
-    """
-    header = _HEADER.match(text)
-    if header is None:
-        return None
-    body = text[header.end():]
-    # The body is in the writer's form when removing every _PRODUCT match
-    # leaves nothing.  Matching one product at a time keeps the regex
-    # engine's backtracking state to one product, not the whole text.
-    rest, products = _PRODUCT.subn("", body)
-    if rest:
-        return None
-    body = body.replace("\n\n", "\n")
-    fractional = "/" in body
-    if fractional:
-        # split keeps each p/q (the group) between the texts around it
-        body = '"'.join(_FRACTION.split(body))
-    for label in "UVW":
-        body = body.replace(label + "\n", "],[")
-    body = ("[[" + body[3:].replace(" ", ",").replace("\n", ",") + "]]").replace(",]", "]")
-    try:
-        m, k, n, rank = map(int, header.groups())
-        if products != rank:
-            return None
-        blocks = json.loads(body)
-        slices = [dict(zip(zip(it, it), it)) for it in map(iter, blocks)]
-        if 3 * sum(map(len, slices)) != sum(map(len, blocks)):
-            return None
-        if fractional:
-            slices = [_canonical({key: c if type(c) is int else _exact(c) for key, c in d.items()})
-                      for d in slices]
-    except ValueError:
-        return None
-    u, v, w = slices[0::3], slices[1::3], slices[2::3]
-    for tensor, rows, cols in ((u, m, k), (v, k, n), (w, m, n)):
-        keys = set().union(*tensor)
-        if keys and (max(keys)[0] >= rows or max(map(itemgetter(1), keys)) >= cols):
-            return None
-    return BilinearAlgorithm._from_slices(DimensionTriple(m, k, n), rank, u, v, w)
-
-
-def parse_algorithm(text: str) -> BilinearAlgorithm:
-    """The program of a text in the format above: read in bulk when the text
-    is in the writer's exact form, else line by line."""
-    alg = _read_canonical(text)
-    return _parse_lines(text) if alg is None else alg
-
-
-def _parse_lines(text: str) -> BilinearAlgorithm:
-    """The line reader: any text in the format, or a FormatError naming the
-    first line at fault."""
-    records = _records(text)
-    m, k, n, rank = _read_header(records, _MAGIC, ("m", "k", "n", "R"), "algorithm")
-    shapes = {"U": (m, k), "V": (k, n), "W": (m, n)}
-    order = ("U", "V", "W")
-    u, v, w = [], [], []
-    dest = {"U": u, "V": v, "W": w}
-    current = None  # (label, dict)
-    blocks_seen = 0
-
-    for lineno, tokens in records:
-        if not tokens:
-            break
-        if len(tokens) == 1 and tokens[0] in shapes:
-            label = tokens[0]
-            want = order[blocks_seen % 3]
-            if label != want:
-                raise FormatError(lineno, f"expected block '{want}', found '{label}'")
-            if blocks_seen >= 3 * rank:
-                raise FormatError(lineno, f"more than {rank} products in file")
-            current = (label, {})
-            dest[label].append(current[1])
-            blocks_seen += 1
-            continue
-        if current is None:
-            raise FormatError(lineno, "coefficient entry before any block label")
-        if len(tokens) != 3:
-            raise FormatError(lineno, "expected 'i j value'")
-        try:
-            r, c = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise FormatError(lineno, "indices must be integers") from None
-        try:
-            val = _exact(tokens[2])
-        except (ValueError, ZeroDivisionError):
-            raise FormatError(lineno, f"bad coefficient {_shown(tokens[2])}") from None
-        label, block = current
-        rows, cols = shapes[label]
-        if not (0 <= r < rows and 0 <= c < cols):
-            raise FormatError(
-                lineno, f"index ({r},{c}) outside {rows}x{cols} block '{label}'"
-            )
-        if (r, c) in block:
-            raise FormatError(lineno, f"duplicate entry ({r},{c}) in block '{label}'")
-        block[(r, c)] = val
-
-    if blocks_seen != 3 * rank:
-        raise FormatError(
-            lineno,
-            f"file ends after {blocks_seen} blocks; rank {rank} needs {3 * rank}",
-        )
-    return BilinearAlgorithm(DimensionTriple(m, k, n), rank, u, v, w)
-
-
-def load_algorithm(path) -> BilinearAlgorithm:
-    return parse_algorithm(_read_text(path))
-
-
-def dump_algorithm(alg: BilinearAlgorithm, path) -> None:
-    _write_text(path, format_algorithm(alg))

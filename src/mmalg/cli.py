@@ -17,13 +17,9 @@ from .bilinear_core import (
     DEFAULT_PRIME,
     BilinearAlgorithm,
     DimensionTriple,
-    dump_algorithm,
     exponent,
-    format_algorithm,
     generic_lower_bound,
     known_bounds,
-    load_algorithm,
-    parse_algorithm,
     verify_brent,
     verify_trilinear_random,
 )
@@ -37,13 +33,18 @@ from .errors import (
     InvalidAlgorithm,
     SingularMatrix,
 )
-from .exact_algebra import (
-    PrimeField,
+from .exact_algebra import PrimeField, random_matrix
+from .formats import (
     _decode,
     _write_text,
+    dump_algorithm,
     dump_matrix,
+    dump_transform,
+    format_algorithm,
+    load_algorithm,
     load_matrix,
-    random_matrix,
+    load_transform,
+    parse_algorithm,
 )
 from .generators import classical, pan_aggregation, strassen_222
 from .recursion import RecursionConfig, _plan, recursive_invert, recursive_multiply
@@ -52,8 +53,6 @@ from .transforms import (
     _check_equivalence_size,
     _equivalence,
     dual,
-    dump_transform,
-    load_transform,
     random_equivalence,
     squareify,
     tensor_product,

@@ -51,18 +51,10 @@ trace-identity verifier (bilinear_core) uses too: _slot_words sizes a slot,
 _packed joins values into ints of slots, _words writes ints out as
 little-endian 64-bit words on either host byte order, and _slots reads one
 slot of every block of words back.
-
-A small text format for matrices is provided: a ``rows cols`` header line
-followed by one whitespace-separated row per line, entries written as
-integers or ``p/q`` fractions.  Writing and re-reading a matrix reproduces it
-exactly.  The program and transform formats share its conventions, and the
-private helpers here (_read_text, _records, _read_header, _exact, _shown,
-_read_rows, _row_lines, _write_text) read and write all three.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from array import array
 from fractions import Fraction
@@ -71,17 +63,19 @@ from math import gcd, lcm
 from operator import add, lshift, mul, neg, or_, sub
 from typing import Iterable, Optional, Sequence
 
-from .errors import BadArgument, BadField, DimensionError, FormatError, SingularMatrix
+from .errors import BadArgument, BadField, DimensionError, SingularMatrix
 
 # The exact scalar of QQ: lowest terms, positive denominator.  Program
 # coefficients take it only when they are not integral (bilinear_core).
 Rational = Fraction
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every n below 3.3e24."""
+    """Miller-Rabin to the prime bases up to 41: exact for every n below
+    psi_13 = 3317044064679887385961981 (about 3.3e24), the least strong
+    pseudoprime to all of them; above it, a strong probable-prime test."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -304,7 +298,11 @@ class PrimeField:
             den = x.denominator % p
             if den == 0:
                 raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
-            return x.numerator * pow(den, -1, p) % p
+            try:
+                return x.numerator * pow(den, -1, p) % p
+            except ValueError:
+                # gcd(den, p) > 1 with den != 0 mod p: p has a proper factor
+                raise BadField(f"modulus {p} is not prime: {x} has no image") from None
         raise BadArgument(
             f"cannot coerce {x!r} into GF({p}): not an int, Fraction or ModularScalar"
         )
@@ -702,147 +700,3 @@ def random_matrix(ring: RationalField | PrimeField, rows: int, cols: int, rng) -
     else:
         values = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rows * cols)]
     return Matrix._from_values(ring, rows, cols, values)
-
-
-def _decode(data: bytes) -> str:
-    """data as UTF-8 text; an undecodable byte raises FormatError naming its line."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the lines before the bad byte, plus the one it starts
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        raise FormatError(line, f"byte 0x{data[exc.start]:02x} is not valid UTF-8") from None
-
-
-def _read_text(path) -> str:
-    with open(path, "rb") as fh:
-        return _decode(fh.read())
-
-
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _records(text: str):
-    """Yield (1-based line number, tokens) for each non-blank line of text.
-
-    A last (number of the final line, []) record marks the end of the text,
-    so a reader that runs out reports the line where the text stopped.
-    """
-    lineno = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if tokens:
-            yield lineno, tokens
-    yield lineno or 1, []
-
-
-def _read_header(records, magic, names, what: str) -> list:
-    """Read a header record: magic (unless None), then one positive integer per name."""
-    lineno, tokens = next(records)
-    if not tokens:
-        raise FormatError(1, f"empty {what} file")
-    lead = [] if magic is None else [magic]
-    if len(tokens) != len(lead) + len(names) or tokens[: len(lead)] != lead:
-        raise FormatError(lineno, f"expected '{' '.join(lead + list(names))}' header")
-    try:
-        values = [int(t) for t in tokens[len(lead):]]
-    except ValueError:
-        raise FormatError(lineno, "header dimensions must be integers") from None
-    if min(values) < 1:
-        raise FormatError(lineno, "header dimensions must be positive")
-    return values
-
-
-_EXACT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
-def _exact(tok: str) -> int | Fraction:
-    """The value of an entry token: an optional sign, ASCII digits, and
-    optionally '/' and ASCII digits.  A token without '/' is an int, one
-    with it a Fraction in lowest terms (so '4/2' is Fraction(2)).
-
-    Any other token, or one past Python's integer-string conversion limit,
-    raises ValueError; a zero denominator raises ZeroDivisionError.
-    """
-    match = _EXACT.fullmatch(tok)
-    if match is None:
-        raise ValueError(tok)
-    num, den = match.groups()
-    return int(num) if den is None else Fraction(int(num), int(den))
-
-
-def _shown(tok: str) -> str:
-    """tok quoted for an error message, cut after its first 20 characters."""
-    return repr(tok if len(tok) <= 20 else tok[:20] + "...")
-
-
-def _read_rows(records, rows: int, cols: int, ring: RationalField | PrimeField) -> Matrix:
-    """Read rows records of cols exact entries (see _exact) each."""
-    value = ring._value
-    flat = []
-    for found in range(rows):
-        lineno, tokens = next(records)
-        if not tokens:
-            raise FormatError(lineno, f"expected {rows} rows, found {found}")
-        if len(tokens) != cols:
-            raise FormatError(lineno, f"expected {cols} entries, found {len(tokens)}")
-        for tok in tokens:
-            try:
-                flat.append(value(_exact(tok)))
-            except (ValueError, ZeroDivisionError):
-                raise FormatError(lineno, f"bad entry {_shown(tok)}") from None
-    return Matrix._from_values(ring, rows, cols, flat)
-
-
-def _unwritable(named) -> BadArgument:
-    """The error for the first (name, value) of named that str() refuses.
-
-    str() of an integer past Python's integer-string conversion limit (4,300
-    digits by default) raises ValueError; a writer that meets it calls this
-    to name the entry.
-    """
-    for name, x in named:
-        try:
-            str(x)
-        except ValueError:
-            break
-    return BadArgument(
-        f"{name} has more than {sys.get_int_max_str_digits()} digits, "
-        "Python's integer-string conversion limit"
-    )
-
-
-def _row_lines(a: Matrix, name: str = "entry") -> list:
-    """One line per row of a, entries separated by single spaces."""
-    e, n = a._values, a.cols
-    try:
-        return [" ".join(map(str, e[i : i + n])) for i in range(0, len(e), n)]
-    except ValueError:
-        named = ((f"{name} ({i // n},{i % n})", x) for i, x in enumerate(e))
-        raise _unwritable(named) from None
-
-
-def format_matrix(a: Matrix) -> str:
-    """Render in the matrix text format; exact round-trip with parse_matrix."""
-    return "\n".join([f"{a.rows} {a.cols}", *_row_lines(a), ""])
-
-
-def parse_matrix(text: str, ring: RationalField | PrimeField = QQ) -> Matrix:
-    """Parse the matrix text format.  Raises FormatError with a line number."""
-    records = _records(text)
-    rows, cols = _read_header(records, None, ("rows", "cols"), "matrix")
-    matrix = _read_rows(records, rows, cols, ring)
-    *extra, (end, _) = records
-    if extra:
-        raise FormatError(end, f"expected {rows} rows, found {rows + len(extra)}")
-    return matrix
-
-
-def load_matrix(path, ring: RationalField | PrimeField = QQ) -> Matrix:
-    return parse_matrix(_read_text(path), ring)
-
-
-def dump_matrix(a: Matrix, path) -> None:
-    _write_text(path, format_matrix(a))

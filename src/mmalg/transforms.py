@@ -25,21 +25,8 @@ from operator import mul
 from .bilinear_core import (
     BilinearAlgorithm, DimensionTriple, _canonical, _check_size, verify_brent,
 )
-from .errors import BadArgument, BadTransform, FormatError, InvalidAlgorithm
-from .exact_algebra import (
-    Matrix,
-    QQ,
-    _classical,
-    _read_header,
-    _read_rows,
-    _read_text,
-    _records,
-    _row_lines,
-    _shown,
-    _write_text,
-    mat_classical_multiply,
-    mat_inverse,
-)
+from .errors import BadArgument, BadTransform, InvalidAlgorithm
+from .exact_algebra import Matrix, QQ, _classical, mat_classical_multiply, mat_inverse
 
 
 def _t(d: dict) -> dict:
@@ -352,71 +339,3 @@ def random_equivalence(
         mu, mat_inverse(mu),
         tuple(perm),
     )
-
-
-# ---------------------------------------------------------------------------
-# Transform text format.
-#
-# Header:  mmtrans-v1 m k n R
-# Six labeled matrix blocks (sigma, gamma: m x m; nabla, lambda: k x k;
-# mu, beta: n x n), each label on its own line followed by its rows, then a
-# "perm" block with one line of R 1-based product indices.
-# ---------------------------------------------------------------------------
-
-_MAGIC = "mmtrans-v1"
-_LABELS = ("sigma", "gamma", "nabla", "lambda", "mu", "beta")
-
-
-def format_transform(transform: EquivalenceTransform) -> str:
-    mats = (transform.sigma, transform.gamma, transform.nabla,
-            transform.lam, transform.mu, transform.beta)
-    lines = [f"{_MAGIC} {transform.sigma.rows} {transform.nabla.rows} {transform.mu.rows} "
-             f"{len(transform.perm)}"]
-    for label, mat in zip(_LABELS, mats):
-        lines.append(label)
-        lines.extend(_row_lines(mat, f"{label} entry"))
-    lines.append("perm")
-    lines += [" ".join(str(s + 1) for s in transform.perm), ""]
-    return "\n".join(lines)
-
-
-def _expect_label(records, label: str) -> None:
-    lineno, tokens = next(records)
-    if tokens != [label]:
-        found = _shown(" ".join(tokens)) if tokens else "end of file"
-        raise FormatError(lineno, f"expected block '{label}', found {found}")
-
-
-def parse_transform(text: str) -> EquivalenceTransform:
-    records = _records(text)
-    m, k, n, rank = _read_header(records, _MAGIC, ("m", "k", "n", "R"), "transform")
-    sizes = {"sigma": m, "gamma": m, "nabla": k, "lambda": k, "mu": n, "beta": n}
-    mats = {}
-    for label in _LABELS:
-        _expect_label(records, label)
-        mats[label] = _read_rows(records, sizes[label], sizes[label], QQ)
-    _expect_label(records, "perm")
-    lineno, tokens = next(records)
-    if len(tokens) != rank:
-        raise FormatError(lineno, f"perm needs {rank} entries, found {len(tokens)}")
-    try:
-        perm = tuple(int(t) - 1 for t in tokens)
-    except ValueError:
-        raise FormatError(lineno, "perm entries must be integers") from None
-    if any(s < 0 or s >= rank for s in perm):
-        raise FormatError(lineno, f"perm entries must lie in 1..{rank}")
-    lineno, tokens = next(records)
-    if tokens:
-        raise FormatError(lineno, "trailing content after perm")
-    return EquivalenceTransform(
-        mats["sigma"], mats["gamma"], mats["nabla"],
-        mats["lambda"], mats["mu"], mats["beta"], perm,
-    )
-
-
-def load_transform(path) -> EquivalenceTransform:
-    return parse_transform(_read_text(path))
-
-
-def dump_transform(transform: EquivalenceTransform, path) -> None:
-    _write_text(path, format_transform(transform))

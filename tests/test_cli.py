@@ -25,8 +25,9 @@ from mmalg import (
     strassen_222,
 )
 from mmalg.bilinear_core import BilinearAlgorithm
-from mmalg.transforms import dump_transform, random_equivalence
-from mmalg import cli
+from mmalg.formats import dump_transform
+from mmalg.transforms import random_equivalence
+from mmalg import cli, exact_algebra
 from mmalg.cli import main
 
 from helpers import corrupt_one, unit_lu_matrix
@@ -457,6 +458,29 @@ def test_verify_coefficient_without_image_mod_p_is_a_usage_error(tmp_path, capsy
     assert rc == 2 and out == "" and err == "error: coefficient 1/3 has no image mod 3\n"
     rc, out, _ = run(capsys, "verify", path, "--mode", "random", "--prime", "5")
     assert rc == 0 and out.startswith("VALID")
+
+
+def test_verify_mod_a_strong_pseudoprime_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to every prime
+    # base up to 37; the program is Strassen with product 0's U form divided
+    # by the smaller factor and its W form multiplied by it.
+    psi12, factor = 318665857834031151167461, 399165290221
+    s = strassen_222()
+    u = [dict(d) for d in s.u]
+    w = [dict(d) for d in s.w]
+    u[0] = {key: Fraction(c, factor) for key, c in u[0].items()}
+    w[0] = {key: c * factor for key, c in w[0].items()}
+    path = str(tmp_path / "scaled.alg")
+    dump_algorithm(BilinearAlgorithm(s.dims, s.rank, u, s.v, w), path)
+    argv = ("verify", path, "--mode", "random", "--prime", str(psi12))
+    assert run(capsys, "verify", path)[0] == 0
+    assert run(capsys, *argv) == (2, "", f"error: modulus {psi12} is not prime\n")
+    # Should a composite pass the prime check, its missing inverse is still
+    # a usage error, not a traceback.
+    monkeypatch.setattr(exact_algebra, "_MR_BASES", (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    monkeypatch.setattr(exact_algebra, "_KNOWN_PRIMES", set())
+    assert run(capsys, *argv) == (
+        2, "", f"error: modulus {psi12} is not prime: 1/{factor} has no image\n")
 
 
 def test_bench_coefficient_without_image_mod_p_is_a_usage_error(tmp_path, capsys):

@@ -38,6 +38,7 @@ from mmalg import (
     strassen_222,
 )
 
+from mmalg import exact_algebra
 from mmalg.exact_algebra import (_classical, _packed, _packed_products, _slot_words, _slots,
                                  _words)
 
@@ -78,6 +79,35 @@ def test_prime_checks():
         PrimeField(1)
     with pytest.raises(BadField):
         ModularScalar(3, 10)
+
+
+# psi_12, the least strong pseudoprime to every prime base up to 37, and its
+# smaller factor: PSI_12 = 399165290221 * 798330580441.
+PSI_12 = 318665857834031151167461
+PSI_12_FACTOR = 399165290221
+
+
+def test_prime_check_is_exact_past_the_bases_up_to_37():
+    assert PSI_12 == PSI_12_FACTOR * 798330580441
+    assert not is_prime(PSI_12)
+    with pytest.raises(BadField):
+        PrimeField(PSI_12)
+    with pytest.raises(BadField):
+        ModularScalar(PSI_12_FACTOR, PSI_12)
+    assert is_prime(798330580441) and is_prime(2**89 - 1)
+
+
+def test_a_denominator_without_an_inverse_is_a_bad_field(monkeypatch):
+    # A composite modulus that passes the prime check (as psi_12 passed the
+    # bases up to 37) shows when a denominator has no inverse modulo it.
+    monkeypatch.setattr(exact_algebra, "_MR_BASES", (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    monkeypatch.setattr(exact_algebra, "_KNOWN_PRIMES", set())
+    field = PrimeField(PSI_12)
+    assert field._value(Fraction(1, 2)) == (PSI_12 + 1) // 2
+    with pytest.raises(BadField, match=f"modulus {PSI_12} is not prime"):
+        field._value(Fraction(1, PSI_12_FACTOR))
+    with pytest.raises(ZeroDivisionError):
+        field._value(Fraction(1, PSI_12))
 
 
 def test_field_embedding():

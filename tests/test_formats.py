@@ -43,8 +43,8 @@ from mmalg import (
     squareify,
     strassen_222,
 )
-from mmalg import bilinear_core
-from mmalg.bilinear_core import _parse_lines, _read_canonical
+from mmalg import formats
+from mmalg.formats import _parse_lines, _read_canonical
 
 GF97 = PrimeField(97)
 
@@ -123,7 +123,7 @@ def test_program_text_in_pieces_matches_one_line_per_entry(alg, piece_lines):
     # Pieces of any length join to the same bytes, a piece ending mid-product
     # or between products alike.
     assert format_algorithm(alg) == _line_per_entry(alg)
-    with mock.patch.object(bilinear_core, "_PIECE_LINES", piece_lines):
+    with mock.patch.object(formats, "_PIECE_LINES", piece_lines):
         assert format_algorithm(alg) == _line_per_entry(alg)
 
 
@@ -264,6 +264,51 @@ def test_entry_tokens_are_strict(tok):
             parse(text)
         assert time.perf_counter() - start < 0.1
         assert err.value.line == line
+
+
+def _last_token_replaced(lines, i, tok):
+    """The text of lines with the last token of line i replaced by tok."""
+    lines = list(lines)
+    lines[i] = lines[i].rsplit(" ", 1)[0] + " " + tok
+    return "\n".join(lines) + "\n"
+
+
+# int() reads each of these as a number (10, 2 and 2); the entry rule does not.
+@pytest.mark.parametrize("tok", ["1_0", "\u0662", "\uff12"])
+def test_header_index_and_perm_tokens_follow_the_entry_rule(tok):
+    value = int(tok)
+    transform = format_transform(
+        EquivalenceTransform.identity(DimensionTriple(1, 1, 1), value)).splitlines()
+    cases = (
+        (parse_matrix, f"{tok} 1\n" + "1\n" * value, 1,
+         "header dimensions must be integers"),
+        (parse_algorithm, f"mmalg-v1 {tok} 1 1 1\nU\nV\nW\n", 1,
+         "header dimensions must be integers"),
+        (parse_transform, _last_token_replaced(transform, 0, tok), 1,
+         "header dimensions must be integers"),
+        (parse_algorithm, f"mmalg-v1 {value + 1} 1 1 1\n\nU\n{tok} 0 1\nV\nW\n", 4,
+         "indices must be integers"),
+        (parse_algorithm, f"mmalg-v1 1 {value + 1} 1 1\nU\n0 {tok} 1\nV\nW\n", 3,
+         "indices must be integers"),
+        (parse_transform, _last_token_replaced(transform, -1, tok), len(transform),
+         "perm entries must be integers"),
+    )
+    for parse, text, line, message in cases:
+        with pytest.raises(FormatError) as err:
+            parse(text)
+        assert (err.value.line, err.value.message) == (line, message)
+
+
+def test_matrix_reader_counts_extra_rows_without_keeping_them():
+    text = "1 1\n1\n" + "7 7 7 7\n" * 300_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="^line 300002: expected 1 rows, found 300001$"):
+            parse_matrix(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40_000_000, peak
 
 
 def test_writers_refuse_entries_past_the_digit_limit(tmp_path):

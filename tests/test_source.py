@@ -1,6 +1,7 @@
 """The source keeps to the Python 3.10 floor that pyproject.toml declares,
-to one module for the layout of packed words and for opening files, and to
-one module that touches the cyclic garbage collector."""
+to one module for the layout of packed words, to one module for the text
+formats (the only one that opens files or imports re or json), and to one
+module that touches the cyclic garbage collector."""
 
 import ast
 import importlib
@@ -69,12 +70,35 @@ def test_only_exact_algebra_handles_byte_order_and_word_views():
             assert "byteorder" not in text and "memoryview" not in text, path.name
 
 
-def test_only_exact_algebra_opens_files():
-    # exact_algebra._read_text and _write_text are the one read path and the
-    # one write path of the three text formats.
+def test_only_formats_opens_files():
+    # formats._read_text and _write_text are the one read path and the one
+    # write path of the three text formats.
     for path in SOURCES:
-        if path.name != "exact_algebra.py":
+        if path.name != "formats.py":
             assert not re.search(r"\bopen\(", path.read_text(encoding="utf-8")), path.name
+
+
+def test_only_formats_imports_re_or_json():
+    # Text is parsed in one module; the others compute on objects.
+    for path in SOURCES:
+        if path.name != "formats.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module.split(".")[0]]
+                else:
+                    continue
+                assert not {"re", "json"} & set(names), (path.name, node.lineno)
+
+
+def test_lower_modules_hold_no_reader_or_writer():
+    # The formats left these modules whole: no reader or writer is defined or
+    # re-exported there, so a text format has one import path.
+    for name in ("exact_algebra", "bilinear_core", "transforms"):
+        module = importlib.import_module(f"mmalg.{name}")
+        held = [n for n in vars(module) if re.match(r"_?(parse|format|load|dump)_", n)]
+        assert not held, (name, held)
 
 
 def test_only_the_cli_touches_the_garbage_collector():
