@@ -10,8 +10,8 @@ A Matrix stores raw values: ints in [0, p) over GF(p), the Fractions
 themselves over QQ.  Its constructor takes every entry through the ring once;
 ring elements (``ModularScalar`` over GF(p)) appear only where a caller reads
 a scalar: ``entries``, ``m[r, c]`` and ``to_rows()``.  Only this module knows
-the raw form.  Each ring carries its raw arithmetic as private members, which
-every other module uses:
+the raw form.  Each ring carries its raw arithmetic as private members,
+which the other modules use; only this module reads ``_modulus``:
 
 - ``_modulus``: p, or None over QQ, where raw values are never reduced;
 - ``_value(x)``: an int, a Fraction or a ring element as a raw value;
@@ -25,7 +25,12 @@ every other module uses:
   divides cleared values exactly: ``//`` over QQ, times d^-1 mod p over
   GF(p), and ``_normal(ints, d)`` puts a block ints / d of cleared values
   in normal form: over QQ with d > 0 and gcd(d, *ints) divided out, over
-  GF(p) times d^-1 mod p, so that d = 1.
+  GF(p) times d^-1 mod p, so that d = 1;
+- the recursion's two per-ring steps: ``_leaf_products`` runs a batch of
+  leaf products on cleared ints, over QQ _classical one node at a time, over
+  GF(p) one call of _packed_products; ``_check_denominator(d)`` refuses a
+  program denominator d with no inverse, over GF(p) with BadArgument when p
+  divides d, over QQ never.
 
 Matrix sums, negation and scaling compute on the raw values and take each
 result through ``_value``; program evaluation (recursion) is exact list
@@ -257,6 +262,15 @@ class RationalField:
             return values, d
         return [v // g for v in values], d // g
 
+    def _leaf_products(self, a: list, b: list, nodes: int, m: int, k: int, n: int) -> list:
+        """The products of a batch of nodes m x k by k x n pairs of cleared
+        ints, stored as _packed_products stores them: _classical per node."""
+        return [x for i in range(nodes) for x in _classical(
+            a[i * m * k:(i + 1) * m * k], b[i * k * n:(i + 1) * k * n], m, k, n, None)]
+
+    def _check_denominator(self, d: int) -> None:
+        """Every program denominator is invertible over QQ."""
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -331,6 +345,15 @@ class PrimeField:
 
     def _normal(self, values: Sequence, d: int) -> tuple:
         return self._quotient(values, d), 1
+
+    def _leaf_products(self, a: list, b: list, nodes: int, m: int, k: int, n: int) -> list:
+        return _packed_products(a, b, nodes, m, k, n, self.p)
+
+    def _check_denominator(self, d: int) -> None:
+        """Raise BadArgument when p divides d, that is when some coefficient
+        of a program of denominator d has no image mod p."""
+        if d % self.p == 0:
+            raise BadArgument(f"a coefficient of the program has no image mod {self.p}")
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -526,8 +549,8 @@ def _classical(ae: Sequence, be: Sequence, m: int, k: int, n: int, p: Optional[i
     Each dot product is summed unreduced and reduced mod p once (not at all
     when p is None).  The sum starts from its first term, so a QQ entry
     never adds an int 0 to a Fraction.  It serves the oracle
-    mat_classical_multiply and the recursion's QQ leaves; GF(p) leaf
-    batches run _packed_products.
+    mat_classical_multiply and the recursion's QQ leaves
+    (RationalField._leaf_products); GF(p) leaf batches run _packed_products.
     """
     cols = [be[j::n] for j in range(n)]
     out = []

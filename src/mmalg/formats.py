@@ -54,17 +54,28 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
+# The line breaks of str.splitlines, "\r\n" first so that it is one break.
+_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 def _records(text: str):
     """Yield (1-based line number, tokens) for each non-blank line of text.
 
-    A last (number of the final line, []) record marks the end of the text,
-    so a reader that runs out reports the line where the text stopped.
+    The text is split into lines (str.splitlines) a piece at a time, each
+    piece about 64K characters that ends at the end of a line (_BREAK), so
+    a reader holds one piece's lines, not all of them.  A last (number of
+    the final line, []) record marks the end of the text, so a reader that
+    runs out reports the line where the text stopped.
     """
-    lineno = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if tokens:
-            yield lineno, tokens
+    lineno = start = 0
+    while start < len(text):
+        brk = _BREAK.search(text, start + 65536)
+        end = brk.end() if brk else len(text)
+        for lineno, line in enumerate(text[start:end].splitlines(), start=lineno + 1):
+            tokens = line.split()
+            if tokens:
+                yield lineno, tokens
+        start = end
     yield lineno or 1, []
 
 

@@ -16,8 +16,8 @@ A side of 1 is never split.  A product whose dimensions are the powers
 s_x^t of the base sides is not padded at all.  The base program is
 compiled once per RecursionConfig (bilinear_core._compile), and its linear
 forms run through _linear_combination, exact list arithmetic with the +-1
-shortcuts.  apply_elementary runs a program once as one level of the same
-loop, with 1x1x1 leaves, on which level order is row-major.  Costs are
+shortcuts.  apply_elementary runs a program once through the same core as
+one level over 1x1x1 leaves, on which level order is row-major.  Costs are
 tallied into one CostReport level by level: a level charges its batch's
 node count times one node's U, V and W combinations, counted per entry of
 an A, a B and a C block one level down, and a leaf m x k x n triple loop
@@ -27,9 +27,13 @@ counts: at threshold 1 and K a power of a square base's side the two agree
 exactly.
 
 The recursion runs on raw values, not on Matrix objects: _multiply is its
-core, which takes row-major int lists and dims, tallies into a CostReport
-and returns the product as ints over one denominator, and
-recursive_multiply is a thin Matrix wrapper around it.  Over GF(p) the
+core and the only code that runs a product.  It takes the compiled
+program, the base sides, a plan (depth, leaf dims), row-major int lists
+and their dims, tallies into a CostReport and returns the product as ints
+over one denominator; recursive_multiply and apply_elementary reach it
+through one Matrix wrapper (_cleared_product), and recursive_invert's
+block products call it directly.  It reads the ring only through the
+ring's private members (exact_algebra), never its modulus.  Over GF(p) the
 ints are the raw values; over QQ they are the ints left by clearing
 denominators once per product.  The ring's
 _clear scales row i of A by the lcm r_i of its denominators and column j
@@ -38,7 +42,7 @@ turns entry (i, j) of the int product back into a raw value: a Fraction
 over r_i * c_j over QQ, the int reduced mod p over GF(p).  The program
 runs cleared too: bilinear_core._compile scales its coefficients to ints
 over one denominator D, so each level computes D times its products.
-_multiply_levels divides the D^d of a product of d levels out once,
+_multiply divides the D^d of a product of d levels out once,
 through the ring's _normal, a step skipped when D^d = 1, as for every
 shipped program; recursive_multiply folds the denominator left over QQ
 into the row scales it gives _restore.  So no Fraction enters the
@@ -48,9 +52,10 @@ Delayed reduction (as in FFLAS-FFPACK; Dumas, Giorgi and Pernet, ACM TOMS
 2008): over GF(p) no block operation reduces mod p.  Block additions,
 subtractions and scalings are exact list arithmetic on ints.  A product
 that recurses needs p not to divide D, that is an image mod p for every
-coefficient, and raises BadArgument otherwise; a product that does not
-recurse evaluates no form, so a coefficient with no image mod p does not
-stop it.  _restore reduces the product once.
+coefficient, and the ring's _check_denominator raises BadArgument
+otherwise; a product that does not recurse evaluates no form, so a
+coefficient with no image mod p does not stop it.  _restore reduces the
+product once.
 
 Level order and batches.  recursive_multiply reorders both padded operands
 into level order (see _level_order): the entries of a leaf block
@@ -69,12 +74,12 @@ its next batch within _BATCH_ENTRIES operand entries, and at least one
 product.  Near the leaves a group is the whole level; near the root it may
 be a single product.  A batch of nodes m x k x n leaves with
 m*k*n <= _LEAF_BATCH * nodes runs the triple loop with each step one map
-over the batch (a 1x1x1 leaf is one map); any other batch runs over GF(p)
-one call of the packed kernel exact_algebra._packed_products for the whole
-batch, which reduces its inputs once and returns its products unreduced,
-so delayed reduction reaches the leaves, and over QQ
-exact_algebra._classical per node.  The result is reordered and cropped
-once.
+over the batch (a 1x1x1 leaf is one map); any other batch runs the ring's
+_leaf_products: over GF(p) one call of the packed kernel
+exact_algebra._packed_products for the whole batch, which reduces its
+inputs once and returns its products unreduced, so delayed reduction
+reaches the leaves, and over QQ exact_algebra._classical per node.  The
+result is reordered and cropped once.
 
 recursive_invert reduces inversion to multiplication by 2x2 block
 elimination (Strassen, "Gaussian elimination is not optimal", Numer. Math.
@@ -108,8 +113,8 @@ from typing import Callable
 
 from .bilinear_core import BilinearAlgorithm, CostReport, _compile, _Program
 from .errors import BadArgument, DimensionError, SingularMatrix
-from .exact_algebra import (Matrix, _bareiss, _classical, _cleared_inverse, _packed_products,
-                            _padded, _product_dims, _square_side)
+from .exact_algebra import (Matrix, _bareiss, _cleared_inverse, _padded, _product_dims,
+                            _square_side)
 
 # A level runs its R products in groups of as many as keep the next batch
 # within this many operand entries (at least one product per group), so
@@ -231,10 +236,9 @@ def _linear_combination(terms, blocks: list) -> list:
 
 
 def _run_batch(a: list, b: list, nodes: int, depth: int, levels: list, prog: _Program,
-               sides: tuple, p, cost: CostReport) -> list:
+               sides: tuple, ring, cost: CostReport) -> list:
     """The products, in level order, of a batch of nodes sibling pairs of
-    operands with depth levels below them, stored end to end; p is the
-    ring's modulus, None over QQ.
+    operands with depth levels below them, stored end to end.
 
     It runs its R products in consecutive groups of step, the most whose
     operands (nodes * step block pairs) fit in _BATCH_ENTRIES entries, at
@@ -242,9 +246,9 @@ def _run_batch(a: list, b: list, nodes: int, depth: int, levels: list, prog: _Pr
     one recursive call runs it, and its result is split back into one slice
     per product for the W forms.  A batch of leaves runs _leaves when a
     leaf's multiplications are at most _LEAF_BATCH per node of the batch,
-    and otherwise over GF(p) one call of _packed_products for the whole
-    batch, whose products stay unreduced like every other block, and over
-    QQ _classical per node.
+    and otherwise the ring's _leaf_products: over GF(p) one call of the
+    packed kernel for the whole batch, whose products stay unreduced like
+    every other block, and over QQ _classical per node.
     """
     (m, k, n), additions, scalar_mults = levels[depth]
     cost.additions += nodes * additions
@@ -253,10 +257,7 @@ def _run_batch(a: list, b: list, nodes: int, depth: int, levels: list, prog: _Pr
         cost.bilinear_mults += nodes * m * k * n
         if m * k * n <= _LEAF_BATCH * nodes:
             return _leaves(a, b, nodes, m, k, n)
-        if p is not None:
-            return _packed_products(a, b, nodes, m, k, n, p)
-        return [x for i in range(nodes) for x in _classical(
-            a[i * m * k:(i + 1) * m * k], b[i * k * n:(i + 1) * k * n], m, k, n, None)]
+        return ring._leaf_products(a, b, nodes, m, k, n)
     m0, k0, n0 = sides
     sa, sb, sc = m0 * k0, k0 * n0, m0 * n0
     a_blocks = [a[q::sa] for q in range(sa)]
@@ -269,7 +270,7 @@ def _run_batch(a: list, b: list, nodes: int, depth: int, levels: list, prog: _Pr
         us, vs = prog.u[g:g + step], prog.v[g:g + step]
         c = _run_batch(list(chain.from_iterable(_linear_combination(t, a_blocks) for t in us)),
                        list(chain.from_iterable(_linear_combination(t, b_blocks) for t in vs)),
-                       len(us) * nodes, depth - 1, levels, prog, sides, p, cost)
+                       len(us) * nodes, depth - 1, levels, prog, sides, ring, cost)
         products += (c[i:i + size] for i in range(0, len(c), size))
     out = [None] * (nodes * m * n)
     for r, ws in enumerate(prog.w):
@@ -277,61 +278,49 @@ def _run_batch(a: list, b: list, nodes: int, depth: int, levels: list, prog: _Pr
     return out
 
 
-def _multiply_levels(a: list, b: list, levels: list, prog: _Program, sides: tuple, ring,
-                     cost: CostReport) -> tuple:
-    """(c, e) with c / e the product of two operands of raw ints (over QQ,
-    cleared ones) of levels[-1]'s dims in level order (see _level_order), c
-    in level order, run as one batch of one node (_run_batch).
-
-    prog's int coefficients make each level multiply the product by
-    prog.denominator D, so _run_batch gives D^d times the product, d the
-    number of levels.  When D^d > 1 the ring's _normal divides it out once
-    (over GF(p) e is then 1); over GF(p) a product that recurses raises
-    BadArgument when p divides D, that is when some coefficient has no
-    image mod p.
-    """
-    p = ring._modulus
-    e = prog.denominator ** (len(levels) - 1)
-    if p is not None and e % p == 0:
-        raise BadArgument(f"a coefficient of the program has no image mod {p}")
-    c = _run_batch(a, b, 1, len(levels) - 1, levels, prog, sides, p, cost)
-    return (c, 1) if e == 1 else ring._normal(c, e)
-
-
-def _multiply(cfg: RecursionConfig, ring, a, b, m: int, k: int, n: int,
+def _multiply(prog: _Program, sides: tuple, plan: tuple, ring, a, b, dims: tuple,
               cost: CostReport) -> tuple:
     """(c, e) with c / e the m x n product of row-major m x k and k x n raw
-    ints (over QQ, cleared ones), c row-major and unreduced mod p, with its
-    counts tallied into cost (see _multiply_levels).
+    ints (over QQ, cleared ones), dims = (m, k, n), c row-major and
+    unreduced mod p, by the program prog over a base of sides (m0, k0, n0)
+    with plan = (d, leaf): d levels over leaves of dims leaf (see _plan).
+    Its counts are tallied into cost.
 
-    Each dimension x is embedded with zeros into s_x^d * ceil(x / s_x^d),
-    d the depth of _plan, both operands are put in level order, and the
-    product is put back in row order and cropped once.
+    Each dimension x is embedded with zeros into s_x^d * leaf[x], both
+    operands are put in level order (_level_order) and run as one batch of
+    one node (_run_batch), and the product is put back in row order and
+    cropped once.  prog's int coefficients make each level multiply the
+    product by prog.denominator D, so _run_batch gives D^d times the
+    product.  The ring checks D^d first (_check_denominator: over GF(p),
+    BadArgument when p divides it, that is when some coefficient has no
+    image mod p; so a product with d = 0 is never refused), and when
+    D^d > 1 its _normal divides it out once (over GF(p) e is then 1).
     """
-    m0, k0, n0 = sides = tuple(cfg.base_alg.dims)
-    depth, leaf = _plan(sides, (m, k, n), cfg.threshold)
-    prog = cfg._prog
+    (m0, k0, n0), (m, k, n), (depth, leaf) = sides, dims, plan
+    e = prog.denominator ** depth
+    ring._check_denominator(e)
     levels = _levels(prog, sides, leaf, depth)
     pm, pk, pn = levels[depth][0]
     ae, be = _padded(a, m, k, pm, pk), _padded(b, k, n, pk, pn)
-    out, e = _multiply_levels([ae[i] for i in _level_order(pm, pk, m0, k0, depth)],
-                              [be[i] for i in _level_order(pk, pn, k0, n0, depth)],
-                              levels, prog, sides, ring, cost)
+    out = _run_batch([ae[i] for i in _level_order(pm, pk, m0, k0, depth)],
+                     [be[i] for i in _level_order(pk, pn, k0, n0, depth)],
+                     1, depth, levels, prog, sides, ring, cost)
     c = [None] * len(out)  # the product, row-major
     for i, v in zip(_level_order(pm, pn, m0, n0, depth), out):
         c[i] = v
-    return [v for r in range(0, m * pn, pn) for v in c[r:r + n]], e
+    c = [v for r in range(0, m * pn, pn) for v in c[r:r + n]]
+    return (c, 1) if e == 1 else ring._normal(c, e)
 
 
-def _cleared_product(a: Matrix, b: Matrix, core: Callable) -> Matrix:
-    """The product of the conforming matrices a and b from core(ring, ae,
-    be), which returns (c, e) with c / e the raw row-major product of their
-    values cleared by the ring's _clear; _restore divides each entry of c
-    by its row scale times e and its column scale."""
+def _cleared_product(a: Matrix, b: Matrix, prog: _Program, sides: tuple, plan: tuple,
+                     cost: CostReport) -> Matrix:
+    """The product of the conforming matrices a and b by _multiply, run on
+    their values cleared by the ring's _clear; _restore divides each entry
+    of its (c, e) by its row scale times e and its column scale."""
     ring = a.ring
     ae, row_scales = ring._clear(a._values, a.cols)
     be, col_scales = ring._clear(b._values, b.cols, by_columns=True)
-    c, e = core(ring, ae, be)
+    c, e = _multiply(prog, sides, plan, ring, ae, be, (a.rows, a.cols, b.cols), cost)
     return Matrix._from_values(ring, a.rows, b.cols,
                                ring._restore(c, [r * e for r in row_scales], col_scales))
 
@@ -353,35 +342,33 @@ def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     reduces mod p once, at the end (_restore).  The recursion itself is
     _multiply.
     """
-    m, k, n = _product_dims(a, b)
+    m, k, n = dims = _product_dims(a, b)
+    sides = tuple(cfg.base_alg.dims)
     report = CostReport(context=(
         f"recursive multiply {m}x{k} by {k}x{n}, "
         f"base {cfg.base_alg.dims} rank {cfg.base_alg.rank}, threshold {cfg.threshold}"
     ))
-    return _cleared_product(
-        a, b, lambda ring, ae, be: _multiply(cfg, ring, ae, be, m, k, n, report)), report
+    plan = _plan(sides, dims, cfg.threshold)
+    return _cleared_product(a, b, cfg._prog, sides, plan, report), report
 
 
 def apply_elementary(alg: BilinearAlgorithm, a: Matrix, b: Matrix):
     """Run the program once on concrete matrices; returns (product, CostReport).
 
-    It runs as one level of the recursion (_multiply_levels) with 1x1x1
-    leaves, on values cleared by the ring's _clear as in recursive_multiply,
-    so its counts are one level's: one bilinear multiplication per product,
-    a scalar multiplication for each coefficient outside {1, -1}, and an
-    addition for each term beyond the first in any linear combination.
+    It runs as one level of the recursion (_multiply) with 1x1x1 leaves,
+    whatever _plan would choose for a base with a side of 1, on values
+    cleared by the ring's _clear as in recursive_multiply, so its counts
+    are one level's: one bilinear multiplication per product, a scalar
+    multiplication for each coefficient outside {1, -1}, and an addition
+    for each term beyond the first in any linear combination.
     """
     sides = tuple(alg.dims)
     if _product_dims(a, b) != sides:
         raise DimensionError(
             f"{alg.dims} program cannot run on {a.rows}x{a.cols} * {b.rows}x{b.cols}"
         )
-    prog = _compile(alg)
     report = CostReport(context=f"elementary program {alg.dims} rank {alg.rank}")
-    levels = _levels(prog, sides, (1, 1, 1), 1)
-    return _cleared_product(
-        a, b, lambda ring, ae, be: _multiply_levels(ae, be, levels, prog, sides, ring, report)
-    ), report
+    return _cleared_product(a, b, _compile(alg), sides, (1, (1, 1, 1)), report), report
 
 
 def cost_model(alg: BilinearAlgorithm, k: int) -> CostReport:
@@ -486,13 +473,15 @@ def recursive_invert(cfg: RecursionConfig, a: Matrix):
     """
     side = _square_side(a)
     ring = a.ring
+    sides = tuple(cfg.base_alg.dims)
     report = CostReport()
     subcalls = 0
 
     def mul(x: list, y: list, m: int, k: int, n: int, d: int) -> tuple:
         nonlocal subcalls
         subcalls += 1
-        c, e = _multiply(cfg, ring, x, y, m, k, n, report)
+        plan = _plan(sides, (m, k, n), cfg.threshold)
+        c, e = _multiply(cfg._prog, sides, plan, ring, x, y, (m, k, n), report)
         return c, d * e
 
     cleared, scales = ring._clear(a._values, side)

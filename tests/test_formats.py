@@ -15,7 +15,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mmalg import (
@@ -309,6 +309,38 @@ def test_matrix_reader_counts_extra_rows_without_keeping_them():
     finally:
         tracemalloc.stop()
     assert peak < 40_000_000, peak
+
+
+def test_matrix_reader_peaks_under_twice_its_text():
+    # Lines are cut from the text a piece at a time, so the reader never
+    # holds one str per line of its input.
+    text = "1 1\n1\n" + "7 7 7 7\n" * 300_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="^line 300002: expected 1 rows, found 300001$"):
+            parse_matrix(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text), peak
+
+
+_SEPARATORS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029"]
+
+
+@given(pieces=st.lists(st.sampled_from(_SEPARATORS + ["", " ", "\t", "7", "ab", "1/2 -3"]),
+                       max_size=40),
+       pad=st.sampled_from([0, 65530, 65534, 65535, 65536, 65537]))
+@example(pieces=["\r\n", "7"], pad=65536)
+@example(pieces=["ab", "\r\n", "\n"], pad=65535)
+def test_records_are_the_lines_that_splitlines_finds(pieces, pad):
+    # Padding of about 64K characters puts the drawn separators next to the
+    # end of the first piece the reader cuts, "\r\n" straddling it included.
+    text = "x" * pad + "".join(pieces)
+    lines = text.splitlines()
+    want = [(i, line.split()) for i, line in enumerate(lines, start=1) if line.split()]
+    assert list(formats._records(text)) == want + [(len(lines) or 1, [])]
 
 
 def test_writers_refuse_entries_past_the_digit_limit(tmp_path):

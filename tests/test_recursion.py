@@ -272,6 +272,29 @@ def test_apply_elementary_is_one_level_of_the_recursion(ring):
             assert report.bilinear_mults == alg.rank
 
 
+@pytest.mark.parametrize("ring", [QQ, PrimeField(97)])
+def test_apply_elementary_runs_one_level_on_a_base_with_a_side_of_1(ring):
+    # At a base with a side of 1, _plan gives depth 0, the triple loop;
+    # apply_elementary runs the program itself as one level over 1x1x1
+    # leaves, so its counts are R multiplications and the compiled forms'
+    # additions and scalings, which the triple loop's differ from here.
+    rng = random.Random(77)
+    for dims in ((1, 2, 3), (3, 1, 2)):
+        base = classical(*dims)
+        m, k, n = dims
+        assert _plan(dims, dims, 1) == (0, dims)
+        for seed in (1, 2):
+            alg = apply_equivalence(base, random_equivalence(base.dims, base.rank, seed))
+            prog = _compile(alg)
+            counts = (alg.rank, sum(prog.form_additions), sum(prog.form_scalar_mults))
+            assert counts != (m * k * n, m * (k - 1) * n, 0), (dims, seed)
+            for _ in range(3):
+                a, b = random_matrix(ring, m, k, rng), random_matrix(ring, k, n, rng)
+                got, report = apply_elementary(alg, a, b)
+                assert got == mat_classical_multiply(a, b), (dims, seed)
+                assert (report.bilinear_mults, report.additions, report.scalar_mults) == counts
+
+
 def test_compiled_coefficients_are_ints_over_one_denominator():
     # Product s's U and V forms are scaled by the lcms du_s, dv_s of their
     # denominators and its W form by D / (du_s dv_s), D the lcm over s of
@@ -386,13 +409,13 @@ def test_leaf_batches_run_the_packed_kernel_once_each(monkeypatch):
     # large for the mapped triple loop; they reach the GF(p) kernel a batch
     # of sibling leaves per call.
     batches = []
-    kernel = recursion._packed_products
+    kernel = exact_algebra._packed_products
 
     def spy(a, b, nodes, m, k, n, p):
         batches.append(nodes)
         return kernel(a, b, nodes, m, k, n, p)
 
-    monkeypatch.setattr(recursion, "_packed_products", spy)
+    monkeypatch.setattr(exact_algebra, "_packed_products", spy)
     rng = random.Random(74)
     a, b = random_matrix(FIELD, 64, 64, rng), random_matrix(FIELD, 64, 64, rng)
     got, report = recursive_multiply(RecursionConfig(strassen_222(), 16), a, b)
@@ -408,7 +431,6 @@ def test_rational_products_and_the_oracle_never_run_the_packed_kernel(monkeypatc
     def refuse(*args):
         raise AssertionError("the packed GF(p) kernel ran")
 
-    monkeypatch.setattr(recursion, "_packed_products", refuse)
     monkeypatch.setattr(exact_algebra, "_packed_products", refuse)
     rng = random.Random(75)
     for ring in (QQ, FIELD):
@@ -436,8 +458,8 @@ def test_products_and_inverses_through_the_packed_kernel_are_exact(p, threshold,
     lu = Matrix.from_rows(ring, [[int(x) for x in row]
                                  for row in unit_lu_matrix(side, rng).to_rows()])
     cfg = RecursionConfig(strassen_222(), threshold)
-    with mock.patch.object(recursion, "_packed_products",
-                           wraps=recursion._packed_products) as kernel:
+    with mock.patch.object(exact_algebra, "_packed_products",
+                           wraps=exact_algebra._packed_products) as kernel:
         assert recursive_multiply(cfg, a, b)[0] == mat_classical_multiply(a, b)
         assert kernel.call_count
         kernel.reset_mock()

@@ -1,7 +1,8 @@
 """The source keeps to the Python 3.10 floor that pyproject.toml declares,
-to one module for the layout of packed words, to one module for the text
-formats (the only one that opens files or imports re or json), and to one
-module that touches the cyclic garbage collector."""
+to one module for the layout of packed words and the rings' raw form (the
+only one that reads a ring's modulus), to one module for the text formats
+(the only one that opens files or imports re or json), and to one module
+that touches the cyclic garbage collector."""
 
 import ast
 import importlib
@@ -68,6 +69,23 @@ def test_only_exact_algebra_handles_byte_order_and_word_views():
         if path.name != "exact_algebra.py":
             text = path.read_text(encoding="utf-8")
             assert "byteorder" not in text and "memoryview" not in text, path.name
+
+
+def test_only_exact_algebra_reads_a_ring_modulus():
+    # Each ring carries the recursion's per-ring steps (_leaf_products and
+    # _check_denominator) next to its raw arithmetic, so no other module
+    # branches on the modulus, and the recursion reaches a leaf kernel only
+    # through the ring.
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name != "exact_algebra.py":
+            reads = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr == "_modulus"]
+            assert not reads, (path.name, reads)
+        if path.name == "recursion.py":
+            imported = {alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) for alias in node.names}
+            assert not imported & {"_classical", "_packed_products"}, imported
 
 
 def test_only_formats_opens_files():
