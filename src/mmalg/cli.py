@@ -13,6 +13,7 @@ import random
 import sys
 from math import prod
 
+from . import bilinear_core
 from .bilinear_core import (
     DEFAULT_PRIME,
     BilinearAlgorithm,
@@ -265,27 +266,38 @@ def cmd_invert(args) -> int:
 
 
 def _parse_sizes(spec: str, side: int) -> list:
-    """The sizes K of spec; "auto" is the powers of side (at least 2) up to 64."""
-    if spec == "auto":
-        sizes = []
-        power = side
-        while power <= 64:
-            sizes.append(power)
-            power *= side
-        return sizes or [side]
+    """The sizes K of spec; "auto" is the powers of side (at least 2) up to 64.
+
+    A K x K operand past bilinear_core._MAX_NONZEROS entries is refused with
+    BadArgument before any size is listed or any matrix built.
+    """
     try:
-        if ".." in spec:
+        if spec == "auto":
+            sizes = []
+            power = side
+            while power <= 64:
+                sizes.append(power)
+                power *= side
+            sizes = sizes or [side]
+            largest = sizes[-1]
+        elif ".." in spec:
             lo_text, hi_text = spec.split("..", 1)
             lo, hi = int(lo_text), int(hi_text)
             if lo < 1 or hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
-        sizes = [int(tok) for tok in spec.split(",")]
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError
-        return sizes
+            sizes, largest = range(lo, hi + 1), hi
+        else:
+            sizes = [int(tok) for tok in spec.split(",")]
+            if not sizes or any(s < 1 for s in sizes):
+                raise ValueError
+            largest = max(sizes)
     except ValueError:
         raise BadArgument(f"bad --sizes {spec!r}; use N, A..B, or A,B,C") from None
+    limit = bilinear_core._MAX_NONZEROS
+    if largest * largest > limit:
+        raise BadArgument(f"--sizes {spec!r}: a {largest}x{largest} operand holds "
+                          f"{largest * largest} entries, over the limit of {limit}")
+    return list(sizes)
 
 
 def cmd_bench(args) -> int:

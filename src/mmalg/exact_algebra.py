@@ -371,6 +371,11 @@ class PrimeField:
 # cache, which would keep every earlier import of the package alive.
 
 
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 1 or cols < 1:
+        raise DimensionError(f"matrix dimensions must be positive, got {rows}x{cols}")
+
+
 class Matrix:
     """Dense immutable matrix over an exact ring, stored row-major as raw values."""
 
@@ -378,8 +383,7 @@ class Matrix:
 
     def __init__(self, ring: RationalField | PrimeField, rows: int, cols: int, entries: Iterable):
         """entries, row-major, are ints, Fractions or elements of ring."""
-        if rows < 1 or cols < 1:
-            raise DimensionError(f"matrix dimensions must be positive, got {rows}x{cols}")
+        _check_shape(rows, cols)
         values = tuple(map(ring._value, entries))
         if len(values) != rows * cols:
             raise DimensionError(
@@ -418,12 +422,12 @@ class Matrix:
     @classmethod
     def from_blocks(cls, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
         """Assemble a block grid; blocks in a row share height, in a column width."""
+        if not grid or not grid[0] or any(len(row) != len(grid[0]) for row in grid):
+            raise DimensionError("block grid must be a non-empty rectangle")
         ring = grid[0][0].ring
         heights = [row[0].rows for row in grid]
         widths = [blk.cols for blk in grid[0]]
         for bi, row in enumerate(grid):
-            if len(row) != len(widths):
-                raise DimensionError("ragged block grid")
             for bj, blk in enumerate(row):
                 if blk.ring != ring:
                     raise ValueError("mixed rings")
@@ -496,6 +500,7 @@ class Matrix:
         )
 
     def submatrix(self, r0: int, c0: int, rows: int, cols: int) -> "Matrix":
+        _check_shape(rows, cols)
         if r0 < 0 or c0 < 0 or r0 + rows > self.rows or c0 + cols > self.cols:
             raise DimensionError("submatrix out of range")
         e = self._values
@@ -717,6 +722,7 @@ def mat_inverse(a: Matrix) -> Matrix:
 
 def random_matrix(ring: RationalField | PrimeField, rows: int, cols: int, rng) -> Matrix:
     """Uniform entries over GF(p); small random rationals over QQ."""
+    _check_shape(rows, cols)
     p = ring._modulus
     if p is not None:
         values = [rng.randrange(p) for _ in range(rows * cols)]

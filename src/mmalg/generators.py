@@ -46,9 +46,14 @@ def strassen_222() -> BilinearAlgorithm:
     return BilinearAlgorithm._from_slices(DimensionTriple(2, 2, 2), 7, u, v, w)
 
 
-def _bump(d: dict, key: tuple, delta: int) -> None:
-    # Every delta into one dict has the same sign, so no entry sums to 0.
-    d[key] = d.get(key, 0) + delta
+def _slice(keys: list, sign: int = 1) -> dict:
+    # One slice of a product from the keys of its factor: `sign` per
+    # occurrence of a key, so a repeated key adds up.  All keys share one
+    # sign, so no entry sums to 0.
+    d: dict = {}
+    for key in keys:
+        d[key] = d.get(key, 0) + sign
+    return d
 
 
 def pan_aggregation(n: int) -> BilinearAlgorithm:
@@ -88,68 +93,34 @@ def pan_aggregation(n: int) -> BilinearAlgorithm:
         raise BadArgument(f"aggregation scheme requires even n >= 2, got {n!r}")
     _check_size([2 * n**3 + 2 * n**2] * 3)
 
-    u, v, w = [], [], []
+    # key[x][y] is the entry (x mod n, y mod n), so the shifted x' is x + 1.
+    # Each entry is one tuple, shared by every slice that holds it.
+    key = [[(x % n, y % n) for y in range(n + 1)] for x in range(n + 1)]
+    r = range(n)
 
-    def product(ua: dict, vb: dict, wd: dict) -> None:
-        u.append(ua)
-        v.append(vb)
-        w.append(wd)
+    def even(x: int, y: int) -> range:
+        # The values z that make x+y+z even, in increasing order.
+        return range((x + y) % 2, n, 2)
 
+    # Each product is stated once, as the keys of its a, b and d factors,
+    # which give its u, v and w slices.
     # Aggregate products, one per even-parity triple.  The d factor d_xy
     # lands at output entry (y, x): output coefficients follow c_lq while
     # the trace form reads d_ql.
-    for i in range(n):
-        for j in range(n):
-            for h in range(n):
-                if (i + j + h) % 2:
-                    continue
-                i1, j1, h1 = (i + 1) % n, (j + 1) % n, (h + 1) % n
-                ua: dict = {}
-                vb: dict = {}
-                wd: dict = {}
-                _bump(ua, (i, j), 1)
-                _bump(ua, (h1, i1), 1)
-                _bump(vb, (j, h), 1)
-                _bump(vb, (i1, j1), 1)
-                _bump(wd, (i, h), 1)
-                _bump(wd, (h1, j1), 1)
-                product(ua, vb, wd)
-
+    products = [(_slice([key[i][j], key[h + 1][i + 1]]), _slice([key[j][h], key[i + 1][j + 1]]),
+                 _slice([key[i][h], key[h + 1][j + 1]])) for i in r for j in r for h in even(i, j)]
     # Correction family (1): kills cross terms degenerate in j.
-    for i in range(n):
-        for h in range(n):
-            i1, h1 = (i + 1) % n, (h + 1) % n
-            vb = {}
-            for j in range(n):
-                if (i + j + h) % 2:
-                    continue
-                _bump(vb, (j, h), 1)
-                _bump(vb, (i1, (j + 1) % n), 1)
-            product({(h1, i1): 1}, vb, {(i, h): -1})
-
+    products += [(_slice([key[h + 1][i + 1]]),
+                  _slice([k for j in even(i, h) for k in (key[j][h], key[i + 1][j + 1])]),
+                  _slice([key[i][h]], -1)) for i in r for h in r]
     # Correction family (2): kills cross terms degenerate in h.
-    for i in range(n):
-        for j in range(n):
-            i1, j1 = (i + 1) % n, (j + 1) % n
-            wd = {}
-            for h in range(n):
-                if (i + j + h) % 2:
-                    continue
-                _bump(wd, (i, h), -1)
-                _bump(wd, ((h + 1) % n, j1), -1)
-            product({(i, j): 1}, {(i1, j1): 1}, wd)
-
+    products += [(_slice([key[i][j]]), _slice([key[i + 1][j + 1]]),
+                  _slice([k for h in even(i, j) for k in (key[i][h], key[h + 1][j + 1])], -1))
+                 for i in r for j in r]
     # Correction family (3): kills cross terms degenerate in i.
-    for j in range(n):
-        for h in range(n):
-            j1, h1 = (j + 1) % n, (h + 1) % n
-            ua = {}
-            for i in range(n):
-                if (i + j + h) % 2:
-                    continue
-                _bump(ua, (i, j), 1)
-                _bump(ua, (h1, (i + 1) % n), 1)
-            product(ua, {(j, h): 1}, {(h1, j1): -1})
+    products += [(_slice([k for i in even(j, h) for k in (key[i][j], key[h + 1][i + 1])]),
+                  _slice([key[j][h]]), _slice([key[h + 1][j + 1]], -1)) for j in r for h in r]
+    u, v, w = zip(*products)
 
     rank = n**3 // 2 + 3 * n**2
     return BilinearAlgorithm._from_slices(DimensionTriple(n, n, n), rank, u, v, w)

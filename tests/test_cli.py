@@ -4,6 +4,8 @@ import gc
 import io
 import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -27,7 +29,7 @@ from mmalg import (
 from mmalg.bilinear_core import BilinearAlgorithm
 from mmalg.formats import dump_transform
 from mmalg.transforms import random_equivalence
-from mmalg import cli, exact_algebra
+from mmalg import bilinear_core, cli, exact_algebra
 from mmalg.cli import main
 
 from helpers import corrupt_one, unit_lu_matrix
@@ -510,6 +512,53 @@ def test_bench_size_specs(strassen_file, capsys):
         rc, _, err = run(capsys, "bench", strassen_file, "--sizes", spec)
         assert rc == 2, spec
         assert "bad --sizes" in err
+
+
+_BENCH_RANGE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from mmalg.cli import main
+sys.exit(main(["bench", sys.argv[1], "--sizes", "1..1000000000"]))
+"""
+
+
+def test_bench_refuses_sizes_past_the_entry_limit(strassen_file, tmp_path, capsys, monkeypatch):
+    # K = 100000 asks for 10^10 entries per operand; the limit is
+    # bilinear_core._MAX_NONZEROS, so K = 1414 is the largest size allowed.
+    built = []
+
+    def spy(ring, rows, cols, rng):
+        built.append(rows)
+        if rows * cols > 2_000_000:
+            raise AssertionError(f"built a {rows}x{cols} matrix")
+        return random_matrix(ring, rows, cols, rng)
+
+    monkeypatch.setattr(cli, "random_matrix", spy)
+    for spec in ("100000", "2,100000", "1415", "1..1415"):
+        rc, out, err = run(capsys, "bench", strassen_file, "--sizes", spec)
+        assert rc == 2 and out == "", spec
+        assert err.startswith("error:") and "over the limit of 2000000" in err, spec
+    # "auto" over a base with a side of 1415 is that one size.
+    wide = str(tmp_path / "wide.alg")
+    dump_algorithm(classical(1415, 1, 1), wide)
+    rc, out, err = run(capsys, "bench", wide, "--sizes", "auto")
+    assert rc == 2 and out == "" and "a 1415x1415 operand" in err
+    assert built == []
+    # The limit is read when the sizes are: 5x5 holds 25 entries, 6x6 36.
+    monkeypatch.setattr(bilinear_core, "_MAX_NONZEROS", 25)
+    rc, _, _ = run(capsys, "bench", strassen_file, "--sizes", "5")
+    assert rc == 0 and built == [5, 5]
+    for spec in ("6", "1..6", "5,6"):
+        rc, _, err = run(capsys, "bench", strassen_file, "--sizes", spec)
+        assert rc == 2 and "over the limit of 25" in err, spec
+    assert built == [5, 5]
+    # A range is refused from its bounds, before it is listed: run where a
+    # listed range of 10^9 sizes would fail to allocate rather than fill memory.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", _BENCH_RANGE, strassen_file],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
 def test_dual_refuses_corrupt_input(tmp_path, capsys):

@@ -255,6 +255,23 @@ def test_matrix_structure_helpers():
         Matrix(QQ, 0, 2, [])
 
 
+def test_every_public_builder_keeps_shapes_positive():
+    # A matrix with no rows or no columns has no text form (format_matrix
+    # needs a column), so no public path may build one.
+    a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
+    for shape in ((0, 0, 0, 0), (1, 1, 0, 1), (0, 0, 2, 0), (0, 0, -1, 1)):
+        with pytest.raises(DimensionError, match="must be positive"):
+            a.submatrix(*shape)
+    rng = random.Random(5)
+    for ring in (QQ, PrimeField(P61)):
+        for rows, cols in ((0, 3), (-1, 2), (3, 0), (0, 0)):
+            with pytest.raises(DimensionError, match="must be positive"):
+                random_matrix(ring, rows, cols, rng)
+    for grid in ([], [[]], [[], [a]], [[a], []], [[a], [a, a]]):
+        with pytest.raises(DimensionError):
+            Matrix.from_blocks(grid)
+
+
 def test_mat_inverse():
     a = Matrix.from_rows(QQ, [[1, 1], [0, 1]])
     assert mat_inverse(a) == Matrix.from_rows(QQ, [[1, -1], [0, 1]])

@@ -1,5 +1,6 @@
 """The three program families: shapes, ranks, validity, coefficient alphabets."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -130,3 +131,41 @@ def test_pan_multiplies_correctly():
             product, report = apply_elementary(alg, a, b)
             assert product == mat_classical_multiply(a, b)
             assert report.bilinear_mults == alg.rank
+
+
+# sha256 of repr([list(d.items()) for d in t]) for t = u, v, w.
+PAN_SLICE_DIGESTS = {
+    2: ("3f4e942a066e00a5389c5a369ce7799dbb824279ea03f15068ef14b3005fecde",
+        "4fbe53e71463bf96bc4202a1c2c08a531ece22cee3c762998d7881be3677a9cc",
+        "774ba644ff12bcd61a449606efac84ada2fa8b4e22678a49b04d7cb9089e417c"),
+    4: ("687aee8e3895a80572a2187f18007418f038e14ff558368613948d7944e9f6ed",
+        "81fc6fa1d80e1bc32b35404f7ec3cba1706a5fc0af4e70d9bd406147bc9e3d10",
+        "dc50fe9ac3c078f34ade7b998f5b7a72c50bd3e7da1231f53a3fc1ea3dcab2fc"),
+    6: ("250c1e45170c130509d5a9979132b97a002c4b709086926d57348b5e985641de",
+        "87ee428368da17fb382e72e8e8366df5b48c4ee791ff4787b1cdee667cf978f2",
+        "626b1a4dc8007c741d04a5cb5f5dd3b9d9465c16033fa7c0789624b0a37e6a40"),
+    8: ("b6e751487dbbe0a1cd9064192320c2cc4450be8cf6451892fb2dc0e84cd6ecb8",
+        "c66e4d0643a2970298da968860a953f8b51e70d69d6c388a566455af50717f81",
+        "6127549821ee2e4aeb84477a8d5735f087ca5355abf41105e23024d2bbe69b66"),
+    12: ("0e22c306f7f2f4c96efee405f2ffd1adf7a526e281bea3194234b3772dff9bd4",
+         "61eb4b86feb35482462f5fc1fdafc14c740cc1c07100fd062a93aeddf83bb145",
+         "a236e28a02aa6f8856c96572e78b3d8862ec6227269ae1669a253258cc88041f"),
+    16: ("255f6c6680d8218925dd91cf2a71da26212e728249c5349c4d59c456d5a2f973",
+         "39457b5a2213b0182a6969acf70527ba127b9ded6c0a489851b9ce373100707f",
+         "a5bef55b39e435c6f16332c3a6a750e9693f114a857f5a095ac17bccd83bd454"),
+    34: ("e5d8e870684a0ae9976d6410712af1af92d656e90b7fdf2746e9ae77a3aad17a",
+         "f01848f6e821826bcdcb087e00ade6a3d1eac831c0c7429c3adc67ee1834b2ba",
+         "2043f5174b5d15312253aa1b562013186b410c0a5318bef29a206de2b25cc694"),
+}
+
+
+def test_pan_slices_are_pinned():
+    # Product order, key order within a slice and the int type of every
+    # coefficient: the program file's bytes and the compiled evaluator's
+    # term order follow all three, and equality and the writer (which sorts
+    # keys) see none of them.
+    for n, digests in PAN_SLICE_DIGESTS.items():
+        alg = pan_aggregation(n)
+        got = tuple(hashlib.sha256(repr([list(d.items()) for d in t]).encode()).hexdigest()
+                    for t in (alg.u, alg.v, alg.w))
+        assert got == digests, n

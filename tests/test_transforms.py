@@ -231,6 +231,33 @@ def test_transform_invariants_enforced():
     assert t.sigma == two
 
 
+def test_basis_pairs_one_entry_off_the_inverse_are_refused():
+    # Each basis-change pair must multiply to I exactly: pairs with
+    # fractional entries at sides 1-12, one entry off the inverse, are refused.
+    rng = random.Random(61)
+    for size in range(1, 13):
+        eye = Matrix.identity(QQ, size)
+        for _ in range(3):
+            left = transforms._random_invertible(size, rng)
+            right = mat_inverse(left)
+            values = list(right.entries)
+            spot = rng.randrange(size * size)
+            values[spot] += Fraction(rng.choice((1, -1)), rng.randint(1, 7))
+            off = Matrix(QQ, size, size, values)
+            assert mat_classical_multiply(left, off) != eye
+            pairs = ((left, off, eye, eye, eye, eye, "sigma/gamma"),
+                     (eye, eye, left, off, eye, eye, "nabla/lam"),
+                     (eye, eye, eye, eye, left, off, "mu/beta"))
+            for *mats, name in pairs:
+                with pytest.raises(BadTransform, match=f"{name} do not multiply"):
+                    EquivalenceTransform(*mats, (0,))
+            EquivalenceTransform(left, right, eye, eye, right, left, (0,))
+    for seed, dims in enumerate(((1, 1, 1), (3, 5, 2), (12, 7, 9), (4, 11, 12))):
+        t = random_equivalence(DimensionTriple(*dims), 3, seed)
+        for left, right in ((t.sigma, t.gamma), (t.nabla, t.lam), (t.mu, t.beta)):
+            assert mat_classical_multiply(left, right) == Matrix.identity(QQ, left.rows)
+
+
 def test_apply_equivalence_size_mismatch():
     alg = classical(2, 3, 4)
     wrong = EquivalenceTransform.identity(DimensionTriple(2, 2, 2), alg.rank)
