@@ -32,12 +32,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BadArgument, DimensionError, ExponentUndefined
-from .exact_algebra import PrimeField, _classical, _packed, _slot_words, _slots, _words
+from .exact_algebra import PrimeField, _packed, _packed_products, _slot_words, _slots, _words
 
 # A 61-bit Mersenne prime; default modulus for randomized identity checks.
 DEFAULT_PRIME = 2**61 - 1
@@ -294,66 +294,87 @@ def verify_trilinear_random(
     Trials run in batches of up to 64 (Kronecker substitution): each entry
     of A, B and D holds its values for the whole batch as slots of one int,
     so a linear form is one bigint sum per product for every trial at once.
-    A slot is the fewest 64-bit words that hold (most nonzeros in a slice)
-    * (p-1)^2, so a form's sum never carries into the next slot.  The sums
-    of up to 1024 products per tensor are written out as 64-bit words
-    (exact_algebra._words), and a strided read (_slots) gives one trial's
-    slot in every product, so a trial's part of the left-hand side is one
-    sum over three such reads, with no Python step per product.  The draws
+    Each coefficient is taken as its residue nearest zero, so +-1 and +-2
+    stay small.  Let top be the largest |residue|, low the largest size of a
+    negative one (0 when none is negative), and size_s the most nonzeros in
+    one slice of product s.  Product s then gets slots of the fewest 64-bit
+    words that hold size_s (top + low) p, and the products run in one group
+    per width.  Every slot of a group's form sums starts from size low p,
+    size the group's largest size_s: a multiple of p, so no residue changes,
+    and large enough that no slot goes negative and borrows from the next.
+    The sums of up to 1024 of a group's products per tensor are written out
+    as 64-bit words (exact_algebra._words), and a strided read (_slots)
+    gives one trial's slot in every product, so a trial's part of the
+    left-hand side is one sum over three such reads, with no Python step
+    per product; a one-word slot is read as a plain slice.  The draws
     are those of a trial-by-trial loop (per trial: A row-major, then B,
     then D, each by rng.randrange(p)), so a seed gives the same samples and
     the same verdict; the check stops after the first batch with a failing
-    trial.  The right-hand side runs per trial on plain ints: A B by the
-    classical kernel (exact_algebra._classical), dotted with D's columns.
+    trial.  The right-hand side takes every trial's A B from one call of
+    the packed kernel (exact_algebra._packed_products, the trials as its
+    nodes) and dots each with D's columns.
     """
     if not isinstance(trials, int) or trials < 1:
         raise BadArgument(f"trials must be a positive integer, got {trials!r}")
     field = PrimeField(prime)
     m, k, n = alg.dims
     if prime <= max(m, k, n, alg.rank):
-        raise BadArgument(
-            f"prime {prime} too small for a {alg.dims} rank-{alg.rank} program"
-        )
+        raise BadArgument(f"prime {prime} too small for a {alg.dims} rank-{alg.rank} program")
     tensors = (alg.u, alg.v, alg.w)
     # Each distinct coefficient is mapped once, in the order the forms meet it.
-    image = dict.fromkeys(c for tensor in tensors for d in tensor for c in d.values())
+    image = dict.fromkeys(chain.from_iterable(map(dict.values, chain(*tensors))))
     try:
         for c in image:
-            image[c] = field._value(c)
+            image[c] = (field._value(c) + prime // 2) % prime - prime // 2
     except ZeroDivisionError:
         raise BadArgument(f"coefficient {c} has no image mod {prime}") from None
     if alg.rank < generic_lower_bound(alg.dims):
         return False
-    words = _slot_words(max(map(len, chain(*tensors))) * (prime - 1) ** 2)
+    top = max(map(abs, image.values()), default=0)
+    low = max(0, -min(image.values(), default=0))
+    # Product s needs slots that hold size_s (top + low) p; the products run in
+    # one group per slot width, each group a mask over the products.
+    sizes = list(map(max, map(len, alg.u), map(len, alg.v), map(len, alg.w)))
+    width = {size: _slot_words(size * (top + low) * prime) for size in set(sizes)}
+    groups = {w: [width[z] == w for z in sizes] for w in set(width.values())}
     # The keys of A, B and D in the order of one trial's draws; the third
     # form reads D's entry (q, l) for w_lq.
     keys = ([(i, j) for i in range(m) for j in range(k)],
             [(g, h) for g in range(k) for h in range(n)],
             [(l, q) for q in range(n) for l in range(m)])
-    mk, kn = m * k, k * n
+    mk, kn, mn = m * k, k * n, m * n
 
     rng = random.Random(seed)
     for start in range(0, trials, _TRIAL_BATCH):
         batch = min(_TRIAL_BATCH, trials - start)
         draws = [[rng.randrange(prime) for _ in range(mk + kn + n * m)] for _ in range(batch)]
-        packed = iter(_packed(chain.from_iterable(zip(*draws)), words, batch))
-        # zip stops at the end of ks before it takes from packed, so each
-        # tensor gets its own run of the packed entries.
-        by_key = [dict(zip(ks, packed)).__getitem__ for ks in keys]
-        stride = words * batch
         lhs = [0] * batch
-        for first in range(0, alg.rank, _PRODUCT_CHUNK):
-            views = [_words((sum(map(mul, map(image.__getitem__, d.values()), map(value, d)))
-                             for d in tensor[first:first + _PRODUCT_CHUNK]), stride)
-                     for tensor, value in zip(tensors, by_key)]
-            for t in range(batch):
-                la, lb, ld = (_slots(view, words, t * words, stride) for view in views)
-                lhs[t] += sum(map(mul, map(mul, la, lb), ld))
-        for left, vals in zip(lhs, draws):
-            # trace(A B D): A B, row-major, dotted with D's columns in turn.
-            ab = _classical(vals[:mk], vals[mk:mk + kn], m, k, n, None)
-            d = vals[mk + kn:]
-            if (left - sum(map(mul, ab, chain.from_iterable(d[i::m] for i in range(m))))) % prime:
+        for words, mask in groups.items():
+            packed = iter(_packed(chain.from_iterable(zip(*draws)), words, batch))
+            # zip stops at the end of ks before it takes from packed, so each
+            # tensor gets its own run of the packed entries.
+            by_key = [dict(zip(ks, packed)).__getitem__ for ks in keys]
+            stride = words * batch
+            # Each slot of a form sum starts from size * low * p, size the group's
+            # largest: a multiple of p that keeps every slot from going negative.
+            bias = max(compress(sizes, mask)) * low * prime * _packed(
+                repeat(1, batch), words, batch)[0]
+            # Each pass below takes the next chunk of the group's slices.
+            forms = [compress(tensor, mask) for tensor in tensors]
+            for _ in range(0, sum(mask), _PRODUCT_CHUNK):
+                views = [_words((sum(map(mul, map(image.__getitem__, d.values()), map(value, d)),
+                                     bias) for d in islice(form, _PRODUCT_CHUNK)), stride)
+                         for form, value in zip(forms, by_key)]
+                for t in range(batch):
+                    la, lb, ld = (_slots(view, words, t * words, stride) for view in views)
+                    lhs[t] += sum(map(mul, map(mul, la, lb), ld))
+            del packed, by_key, views  # before the next group packs its draws
+        # trace(A B D): each trial's A B, row-major, dotted with D's columns in turn.
+        a, b = ([x for vals in draws for x in vals[i:j]] for i, j in ((0, mk), (mk, mk + kn)))
+        ab = _packed_products(a, b, batch, m, k, n, prime)
+        for t, (left, vals) in enumerate(zip(lhs, draws)):
+            cols = chain.from_iterable(vals[mk + kn + i::m] for i in range(m))
+            if (left - sum(map(mul, ab[t * mn:(t + 1) * mn], cols))) % prime:
                 return False
     return True
 

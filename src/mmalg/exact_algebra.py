@@ -50,7 +50,9 @@ ints or Fractions alike), and over GF(p) _packed_products, which runs a
 whole batch of leaf products stored end to end in one call: it packs each
 row of B into one int (Kronecker substitution), reads every row of C back
 in one strided pass over 64-bit words and leaves its results unreduced, so
-the recursion's delayed reduction reaches the leaves.  The layout of such
+the recursion's delayed reduction reaches the leaves; the randomized
+verifier's right-hand side is one call of it too, with a batch's trials as
+its nodes.  The layout of such
 packed ints lives only here, in a small codec that the batched
 trace-identity verifier (bilinear_core) uses too: _slot_words sizes a slot,
 _packed joins values into ints of slots, _words writes ints out as

@@ -38,7 +38,7 @@ from mmalg import (
     verify_trilinear_random,
 )
 
-from mmalg import bilinear_core
+from mmalg import bilinear_core, exact_algebra
 
 from helpers import (
     P31, P61, brute_force_brent, corrupt_one, reference_trilinear_random,
@@ -249,14 +249,94 @@ def test_trilinear_random_product_chunks_and_word_views(chunk, monkeypatch):
     progs = [s, corrupt_one(s, rng), dense, corrupt_one(dense, rng), classical(2, 3, 2)]
     seen_words = set()
     for prog in progs:
-        widest = max(map(len, prog.u + prog.v + prog.w))
         for p in (101, P61, 2**127 - 1):
-            seen_words.add(-(-(widest * (p - 1) ** 2).bit_length() // 64))
+            seen_words.update(_slot_widths(prog, p))
             for trials in (1, 3, 66):
                 for seed in range(3):
                     got = verify_trilinear_random(prog, trials=trials, prime=p, seed=seed)
                     assert got == reference_trilinear_random(prog, trials, p, seed), (p, trials)
     assert {1, 2, 4} <= seen_words
+
+
+def _centred(c, p: int) -> int:
+    """The residue of the rational c mod p nearest zero."""
+    c = Fraction(c)
+    x = c.numerator * pow(c.denominator, -1, p) % p
+    return x - p if 2 * x > p else x
+
+
+def _slot_widths(alg: BilinearAlgorithm, p: int) -> set:
+    """The slot widths in 64-bit words of alg's products at prime p: product s
+    needs size_s (top + low) p, where size_s is its largest slice, top the
+    largest |centred image| and low the largest negative one's size."""
+    images = [_centred(c, p) for c in alg.coefficient_values()]
+    top = max(map(abs, images), default=0)
+    low = max(0, -min(images, default=0))
+    return {-(-(max(map(len, t)) * (top + low) * p).bit_length() // 64)
+            for t in zip(alg.u, alg.v, alg.w)}
+
+
+def _negated(alg: BilinearAlgorithm, *slices) -> BilinearAlgorithm:
+    """alg with each slice named in slices negated: ("u", 0) negates u[0]."""
+    tensors = {name: list(getattr(alg, name)) for name in "uvw"}
+    for name, s in slices:
+        tensors[name][s] = {key: -c for key, c in tensors[name][s].items()}
+    return BilinearAlgorithm(alg.dims, alg.rank, tensors["u"], tensors["v"], tensors["w"])
+
+
+def test_trilinear_random_gives_each_product_its_own_slot_width(monkeypatch):
+    # pan(4)'s coefficients are +-1 and +-2.  Kept signed at 2^61-1, they put
+    # a product of at most 2 entries per slice (product 0) in one-word slots,
+    # since 2 (2 + 2) p < 2^64, and a wider one (product 32) in two-word
+    # slots, so one call reads both widths.  Negating slices puts negative
+    # coefficients in the narrow and the wide product: the valid program must
+    # pass, so no slot borrows from the next, and each verdict is the
+    # reference's.
+    words_read = set()
+
+    def spy(view, words, first, stride):
+        words_read.add(words)
+        return exact_algebra._slots(view, words, first, stride)
+
+    monkeypatch.setattr(bilinear_core, "_slots", spy)
+    pan4 = pan_aggregation(4)
+    assert _slot_widths(pan4, P61) == {1, 2}
+    sizes = [max(map(len, t)) for t in zip(pan4.u, pan4.v, pan4.w)]
+    assert (sizes[0], sizes[32]) == (2, 4)
+    cases = ((_negated(pan4, ("u", 0), ("w", 0), ("v", 32), ("w", 32)), True),
+             (_negated(pan4, ("u", 0)), False),
+             (_negated(pan4, ("v", 32)), False))
+    for prog, expected in cases:
+        assert min(prog.u[0].values()) < 0 or min(prog.v[32].values()) < 0
+        for seed in range(3):
+            words_read.clear()
+            assert verify_trilinear_random(prog, trials=3, prime=P61, seed=seed) == expected
+            assert reference_trilinear_random(prog, 3, P61, seed) == expected
+            assert words_read == {1, 2}
+
+
+@pytest.mark.parametrize("p", (11, 13, 101))
+def test_trilinear_random_on_centred_images_that_change_sign(p):
+    # At a small prime many coefficients have a centred image of the other
+    # sign (1/2 becomes -(p-1)/2, and 7 mod 11 becomes -4).  Every verdict
+    # on a Fraction-coefficient program and on changed copies of it is the
+    # reference's, on both sides of the batch of 64 trials.
+    s = strassen_222()
+    valid = apply_equivalence(s, random_equivalence(s.dims, s.rank, 2))
+    values = valid.coefficient_values()
+    assert any(type(c) is Fraction for c in values)
+    assert any((_centred(c, p) < 0) != (c < 0) for c in values)
+    rng = random.Random(p)
+    progs = [valid] + [corrupt_one(valid, rng) for _ in range(3)]
+    verdicts = set()
+    for prog in progs:
+        for trials in (2, 63, 64, 65):
+            for seed in range(2):
+                expected = reference_trilinear_random(prog, trials, p, seed)
+                got = verify_trilinear_random(prog, trials=trials, prime=p, seed=seed)
+                assert got == expected, (p, trials, seed)
+                verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_apply_elementary_identity_case():

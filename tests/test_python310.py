@@ -18,8 +18,12 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-# The benchmark's program pipeline, then products and an inverse of small
-# matrix files, over a shipped program and over a Fraction-coefficient one.
+# The one command that reports an invalid program and exits 1.
+FAILING = ["verify", "s-bad.alg", "--mode", "random", "--trials", "5"]
+
+# The benchmark's program pipeline, random verifies of a Fraction-coefficient
+# program and of an invalid one, then products and an inverse of small matrix
+# files, over a shipped program and over a Fraction-coefficient one.
 COMMANDS = [
     ["gen", "pan", "--n", "16", "--out", "pan16.alg"],
     ["verify", "pan16.alg", "--mode", "random", "--trials", "20", "--seed", "5"],
@@ -33,15 +37,31 @@ COMMANDS = [
     ["square", "c234.alg", "--out", "c234-sq.alg"],
     ["gen", "pan", "--n", "4", "--out", "pan4.alg"],
     ["equiv", "pan4.alg", "--seed", "7", "--out", "pan4-eq.alg"],
+    ["verify", "pan4-eq.alg", "--mode", "random", "--trials", "3", "--prime", "101"],
+    FAILING,
     ["info", "pan16.alg"],
     ["multiply", "s.alg", "a.mat", "b.mat", "--out", "ab.mat"],
     ["multiply", "pan4-eq.alg", "a.mat", "b.mat", "--threshold", "2", "--out", "ab-eq.mat"],
     ["invert", "s.alg", "a.mat", "--threshold", "2", "--out", "inv.mat"],
 ]
 
+# Strassen's program as `gen strassen` writes it, except that the second
+# product's W coefficient of output (1, 1) is 1/2 where it is -1.
+STRASSEN_BAD = "\n".join(
+    f"U\n{u}V\n{v}W\n{w}" for u, v, w in (
+        ("0 0 1\n1 1 1\n", "0 0 1\n1 1 1\n", "0 0 1\n1 1 1\n"),
+        ("1 0 1\n1 1 1\n", "0 0 1\n", "1 0 1\n1 1 1/2\n"),
+        ("0 0 1\n", "0 1 1\n1 1 -1\n", "0 1 1\n1 1 1\n"),
+        ("1 1 1\n", "0 0 -1\n1 0 1\n", "0 0 1\n1 0 1\n"),
+        ("0 0 1\n0 1 1\n", "1 1 1\n", "0 0 -1\n0 1 1\n"),
+        ("0 0 -1\n1 0 1\n", "0 0 1\n0 1 1\n", "1 1 1\n"),
+        ("0 1 1\n1 1 -1\n", "1 0 1\n1 1 1\n", "0 0 1\n"),
+    ))
+
 INPUTS = {
     "a.mat": "5 5\n2 1/2 0 -3 1\n1 4 2/3 0 5\n0 -1 3 1 1/4\n7 0 1 2 -2\n1 1 1 1 3/5\n",
     "b.mat": "5 3\n1 0 -1/2\n2 3 4\n-5 1/7 0\n0 0 9\n1 2 3\n",
+    "s-bad.alg": "mmalg-v1 2 2 2 7\n" + STRASSEN_BAD,
 }
 
 # Runs each argv of the JSON list in its first argument through cli.main and
@@ -100,7 +120,7 @@ def test_cli_under_python_3_10_matches_the_running_interpreter(tmp_path):
         pytest.skip("no working Python 3.10 interpreter")
     old, old_files = _run(exe, tmp_path / "py310")
     new, new_files = _run(sys.executable, tmp_path / "current")
-    assert [code for code, _ in new] == [0] * len(COMMANDS)
+    assert [code for code, _ in new] == [int(argv == FAILING) for argv in COMMANDS]
     for argv, got, want in zip(COMMANDS, old, new):
         assert got == want, argv
     assert sorted(old_files) == sorted(new_files)
