@@ -7,7 +7,7 @@ coefficient tensors are stored sparsely: one dict per product, keyed by the
 index pair, holding nonzero exact rationals in one canonical form: an int
 when the value is integral, else a Fraction with denominator > 1.  The
 constructor makes that choice once, so every later step (verification, the
-transforms, the writer, the evaluator) does int arithmetic on the integral
+transforms, the writer, the recursion) does int arithmetic on the integral
 coefficients that the shipped programs consist of.  The generators, the
 transforms and the reader of canonical text (formats) build slices in
 that form themselves and hand them to BilinearAlgorithm._from_slices,
@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import mul
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import BadArgument, DimensionError, ExponentUndefined
 from .exact_algebra import PrimeField, _packed, _packed_products, _slot_words, _slots, _words
@@ -377,58 +377,6 @@ def verify_trilinear_random(
             if (left - sum(map(mul, ab[t * mn:(t + 1) * mn], cols))) % prime:
                 return False
     return True
-
-
-class _Program(NamedTuple):
-    """A BilinearAlgorithm compiled for evaluation, cleared of denominators.
-
-    u[s] and v[s] list (index, coefficient) over the row-major entries of A
-    and B; w[l*n + q] lists (product index, coefficient) for output entry
-    (l, q).  Every coefficient is an int: product s's U form is scaled by
-    du_s and its V form by dv_s, the lcms of their denominators, and its W
-    terms by denominator / (du_s * dv_s), where denominator is the lcm over
-    s of du_s * dv_s * dw_s.  One evaluation then gives denominator times
-    the product.  form_additions and form_scalar_mults are the operations
-    of one evaluation in the (U, V, W) combinations, which act on blocks of
-    three different shapes when the recursion runs the program on a
-    rectangular product: a term beyond the first in any combination costs
-    an addition, a coefficient outside {1, -1} a scalar multiplication.
-    Both are decided on the rational coefficients, whatever ring runs the
-    program.
-    """
-
-    u: tuple
-    v: tuple
-    w: tuple
-    denominator: int
-    form_additions: tuple
-    form_scalar_mults: tuple
-
-
-def _compile(alg: BilinearAlgorithm) -> _Program:
-    m, k, n = alg.dims
-    du, dv, dw = ([math.lcm(*(c.denominator for c in d.values())) for d in t]
-                  for t in (alg.u, alg.v, alg.w))
-    denominator = math.lcm(*map(mul, map(mul, du, dv), dw))
-
-    def cleared(d: Mapping, scale: int, cols: int) -> tuple:
-        """(row-major index, scale * coefficient as an int) for each entry of d."""
-        return tuple((r * cols + c, x.numerator * (scale // x.denominator))
-                     for (r, c), x in d.items())
-
-    u = tuple(map(cleared, alg.u, du, repeat(k)))
-    v = tuple(map(cleared, alg.v, dv, repeat(n)))
-    by_output = [[] for _ in range(m * n)]
-    for s, d in enumerate(alg.w):
-        for i, c in cleared(d, denominator // (du[s] * dv[s]), n):
-            by_output[i].append((s, c))
-    w = tuple(map(tuple, by_output))
-    return _Program(
-        u, v, w, denominator,
-        form_additions=tuple(sum(max(0, len(terms) - 1) for terms in f) for f in (u, v, w)),
-        form_scalar_mults=tuple(sum(c != 1 and c != -1 for d in t for c in d.values())
-                                for t in (alg.u, alg.v, alg.w)),
-    )
 
 
 def exponent(alg: BilinearAlgorithm) -> float:

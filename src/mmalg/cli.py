@@ -11,7 +11,6 @@ import argparse
 import gc
 import random
 import sys
-from math import prod
 
 from . import bilinear_core
 from .bilinear_core import (
@@ -48,7 +47,8 @@ from .formats import (
     parse_algorithm,
 )
 from .generators import classical, pan_aggregation, strassen_222
-from .recursion import RecursionConfig, _plan, recursive_invert, recursive_multiply
+from .recursion import (RecursionConfig, _leaf_count, _plan, recursive_invert,
+                        recursive_multiply)
 from .transforms import (
     DualityPermutation,
     _check_equivalence_size,
@@ -308,11 +308,12 @@ def cmd_bench(args) -> int:
     rng = random.Random(args.seed)
     rows = []
     for k in sizes:
+        # Refused (_leaf_count) before the operands are drawn.
+        dims = (k, k, k)
+        predicted = _leaf_count(base.rank, _plan(base.dims, dims, cfg.threshold), dims)
         a = random_matrix(field, k, k, rng)
         b = random_matrix(field, k, k, rng)
         _, report = recursive_multiply(cfg, a, b)
-        depth, leaf = _plan(base.dims, (k, k, k), cfg.threshold)
-        predicted = base.rank**depth * prod(leaf)
         rows.append((k, report.bilinear_mults, report.additions, predicted))
     widths = (6, 15, 15, 16)
     header = ("K", "measured_mults", "measured_adds", "predicted_mults")

@@ -35,7 +35,7 @@ which the other modules use; only this module reads ``_modulus``:
 Matrix sums, negation and scaling compute on the raw values and take each
 result through ``_value``; program evaluation (recursion) is exact list
 arithmetic on ints, with a program's coefficients cleared to ints over one
-denominator (bilinear_core._compile), and reduces once, through
+denominator (recursion._compile), and reduces once, through
 ``_restore``.
 
 So QQ products (recursion.recursive_multiply), block inversion
@@ -55,9 +55,10 @@ verifier's right-hand side is one call of it too, with a batch's trials as
 its nodes.  The layout of such
 packed ints lives only here, in a small codec that the batched
 trace-identity verifier (bilinear_core) uses too: _slot_words sizes a slot,
-_packed joins values into ints of slots, _words writes ints out as
-little-endian 64-bit words on either host byte order, and _slots reads one
-slot of every block of words back.
+_little_endian writes values out as little-endian bytes a few thousand at
+a time, which _packed reads back as ints of slots and _words as 64-bit
+words on either host byte order, and _slots reads one slot of every block
+of words back.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from itertools import cycle, repeat
+from itertools import cycle, islice, repeat
 from math import gcd, lcm
 from operator import add, lshift, mul, neg, or_, sub
 from typing import Iterable, Optional, Sequence
@@ -574,13 +575,24 @@ def _slot_words(bound: int) -> int:
     return max(1, -(-bound.bit_length() // 64))
 
 
+def _little_endian(values, width: int) -> bytearray:
+    """The values (each below 2^(8 width)) end to end as width bytes each,
+    lowest byte first, joined 4,096 values at a time, so that the peak
+    stays near the size of the bytes written."""
+    values, data = iter(values), bytearray()
+    while chunk := b"".join(map(int.to_bytes, islice(values, 4096), repeat(width),
+                                repeat("little"))):
+        data += chunk
+    return data
+
+
 def _packed(values, words: int, group: int) -> list:
     """The values (each below 2^(64 words)) in consecutive groups of group,
     each group one int of slots of words 64-bit words, its first value
-    lowest: one join writes them all, and one from_bytes reads each group."""
-    width = 8 * words
-    data = b"".join(map(int.to_bytes, values, repeat(width), repeat("little")))
-    size = width * group
+    lowest: _little_endian writes them all, and one from_bytes reads each
+    group."""
+    data = _little_endian(values, 8 * words)
+    size = 8 * words * group
     return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
 
 
@@ -588,7 +600,7 @@ def _words(ints, count: int) -> array:
     """The ints (each below 2^(64 count)) end to end as count 64-bit words
     each, lowest word first, on either byte order: the one place that reads
     the host's."""
-    view = array("Q", b"".join(map(int.to_bytes, ints, repeat(8 * count), repeat("little"))))
+    view = array("Q", _little_endian(ints, 8 * count))
     if sys.byteorder == "big":
         view.byteswap()
     return view

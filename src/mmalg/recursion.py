@@ -13,40 +13,34 @@ least depth at which min over x of ceil(x / s_x^d) is at most the
 threshold (_plan), each dimension x is embedded with zeros into
 s_x^d * ceil(x / s_x^d), and the product is cropped back to m x n once.
 A side of 1 is never split.  A product whose dimensions are the powers
-s_x^t of the base sides is not padded at all.  The base program is
-compiled once per RecursionConfig (bilinear_core._compile), and its linear
+s_x^t of the base sides is not padded at all.  A plan that needs more leaf
+multiplications than the unpadded triple loop, and more than
+_MAX_LEAF_PRODUCTS, is refused before anything is padded.  The base
+program is compiled once per RecursionConfig (_compile: its cleared U, V
+and W forms, their per-form counts and the base sides), and its linear
 forms run through _linear_combination, exact list arithmetic with the +-1
 shortcuts.  apply_elementary runs a program once through the same core as
-one level over 1x1x1 leaves, on which level order is row-major.  Costs are
-tallied into one CostReport level by level: a level charges its batch's
-node count times one node's U, V and W combinations, counted per entry of
-an A, a B and a C block one level down, and a leaf m x k x n triple loop
-m*k*n multiplications and m*(k-1)*n additions.
-cost_model predicts the square case in closed form from the same per-level
+one level over 1x1x1 leaves, on which level order is row-major.
+cost_model predicts the square case in closed form from the same per-form
 counts: at threshold 1 and K a power of a square base's side the two agree
 exactly.
 
 The recursion runs on raw values, not on Matrix objects: _multiply is its
-core and the only code that runs a product.  It takes the compiled
-program, the base sides, a plan (depth, leaf dims), row-major int lists
-and their dims, tallies into a CostReport and returns the product as ints
-over one denominator; recursive_multiply and apply_elementary reach it
-through one Matrix wrapper (_cleared_product), and recursive_invert's
-block products call it directly.  It reads the ring only through the
-ring's private members (exact_algebra), never its modulus.  Over GF(p) the
-ints are the raw values; over QQ they are the ints left by clearing
-denominators once per product.  The ring's
+core and the only code that runs a product.  recursive_multiply and
+apply_elementary reach it through one Matrix wrapper (_cleared_product),
+and recursive_invert's block products call it directly.  It reads the ring
+only through the ring's private members (exact_algebra), never its
+modulus.  Over GF(p) the ints are the raw values; over QQ they are the
+ints left by clearing denominators once per product.  The ring's
 _clear scales row i of A by the lcm r_i of its denominators and column j
 of B by the lcm c_j of its own (the identity over GF(p)), and _restore
 turns entry (i, j) of the int product back into a raw value: a Fraction
 over r_i * c_j over QQ, the int reduced mod p over GF(p).  The program
-runs cleared too: bilinear_core._compile scales its coefficients to ints
-over one denominator D, so each level computes D times its products.
-_multiply divides the D^d of a product of d levels out once,
-through the ring's _normal, a step skipped when D^d = 1, as for every
-shipped program; recursive_multiply folds the denominator left over QQ
-into the row scales it gives _restore.  So no Fraction enters the
-evaluation, in either ring.
+runs cleared too: _compile scales its coefficients to ints over one
+denominator D, so each level computes D times its products, and _multiply
+divides the D^d of d levels out once; recursive_multiply folds the
+denominator left over QQ into the row scales it gives _restore.  So no
+Fraction enters the evaluation, in either ring.
 
 Delayed reduction (as in FFLAS-FFPACK; Dumas, Giorgi and Pernet, ACM TOMS
 2008): over GF(p) no block operation reduces mod p.  Block additions,
@@ -57,29 +51,22 @@ otherwise; a product that does not recurse evaluates no form, so a
 coefficient with no image mod p does not stop it.  _restore reduces the
 product once.
 
-Level order and batches.  recursive_multiply reorders both padded operands
+Level order and batches.  _multiply reorders both padded operands
 into level order (see _level_order): the entries of a leaf block
 outermost, then the block index of each level from the last to the first,
 which is innermost.  Block q of a node of A is then the strided slice
 [q::m0*k0] (of B, [q::k0*n0]), and the same slice of a batch of sibling
 nodes stored end to end, node index outermost, holds block q of every one
-of them.  _run_batch runs one level of one batch per call: each U
-and V form is one list operation over those slices for the whole batch,
-the operands of a group of its R products are concatenated into the next
-batch, and each W form writes output block r into the slice [r::m0*n0].
-A whole level at once would hold R^d blocks at depth d, so one rule bounds
-memory (as in the hybrid scheme of Benson and Ballard, arXiv:1409.2908): a
-level runs its R products in consecutive groups, each as large as keeps
-its next batch within _BATCH_ENTRIES operand entries, and at least one
-product.  Near the leaves a group is the whole level; near the root it may
-be a single product.  A batch of nodes m x k x n leaves with
-m*k*n <= _LEAF_BATCH * nodes runs the triple loop with each step one map
-over the batch (a 1x1x1 leaf is one map); any other batch runs the ring's
-_leaf_products: over GF(p) one call of the packed kernel
-exact_algebra._packed_products for the whole batch, which reduces its
-inputs once and returns its products unreduced, so delayed reduction
-reaches the leaves, and over QQ exact_algebra._classical per node.  The
-result is reordered and cropped once.
+of them, so each U and V form of _run_batch is one list operation for the
+whole batch.  A whole level at once would hold R^d blocks at depth d, so
+one rule bounds memory (as in the hybrid scheme of Benson and Ballard,
+arXiv:1409.2908): a level runs its R products in consecutive groups, each
+as large as keeps its next batch within _BATCH_ENTRIES operand entries,
+and at least one product.  Near the leaves a group is the whole level;
+near the root it may be a single product.  Over GF(p) a batch of large
+leaves is one call of the packed kernel exact_algebra._packed_products,
+which returns its products unreduced, so delayed reduction reaches the
+leaves.
 
 recursive_invert reduces inversion to multiplication by 2x2 block
 elimination (Strassen, "Gaussian elimination is not optimal", Numer. Math.
@@ -107,11 +94,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, mul, neg, sub
-from typing import Callable
+from typing import Callable, Mapping, NamedTuple
 
-from .bilinear_core import BilinearAlgorithm, CostReport, _compile, _Program
+from .bilinear_core import BilinearAlgorithm, CostReport
 from .errors import BadArgument, DimensionError, SingularMatrix
 from .exact_algebra import (Matrix, _bareiss, _cleared_inverse, _padded, _product_dims,
                             _square_side)
@@ -125,6 +112,63 @@ _BATCH_ENTRIES = 4096
 # the triple loop as maps over the batch; any other runs a kernel (see
 # _run_batch).
 _LEAF_BATCH = 16
+# _multiply refuses a plan of more leaf multiplications than this and than
+# the unpadded triple loop, before it pads anything.
+_MAX_LEAF_PRODUCTS = 10**8
+
+
+class _Program(NamedTuple):
+    """A BilinearAlgorithm compiled for evaluation, cleared of denominators.
+
+    sides is the base dims (m0, k0, n0).  u[s] and v[s] list (index,
+    coefficient) over the row-major entries of A and B; w[l*n0 + q] lists
+    (product index, coefficient) for output entry (l, q).  Every
+    coefficient is an int: product s's U form is scaled by du_s and its V
+    form by dv_s, the lcms of their denominators, and its W terms by
+    denominator / (du_s * dv_s), where denominator is the lcm over s of
+    du_s * dv_s * dw_s.  One evaluation then gives denominator times the
+    product.  form_additions and form_scalar_mults are the operations of
+    one evaluation in the (U, V, W) combinations, which act on blocks of
+    three different shapes when the recursion runs the program on a
+    rectangular product: a term beyond the first in any combination costs
+    an addition, a coefficient outside {1, -1} a scalar multiplication.
+    Both are decided on the rational coefficients, whatever ring runs the
+    program.
+    """
+
+    sides: tuple
+    u: tuple
+    v: tuple
+    w: tuple
+    denominator: int
+    form_additions: tuple
+    form_scalar_mults: tuple
+
+
+def _compile(alg: BilinearAlgorithm) -> _Program:
+    m, k, n = sides = tuple(alg.dims)
+    du, dv, dw = ([lcm(*(c.denominator for c in d.values())) for d in t]
+                  for t in (alg.u, alg.v, alg.w))
+    denominator = lcm(*map(mul, map(mul, du, dv), dw))
+
+    def cleared(d: Mapping, scale: int, cols: int) -> tuple:
+        """(row-major index, scale * coefficient as an int) for each entry of d."""
+        return tuple((r * cols + c, x.numerator * (scale // x.denominator))
+                     for (r, c), x in d.items())
+
+    u = tuple(map(cleared, alg.u, du, repeat(k)))
+    v = tuple(map(cleared, alg.v, dv, repeat(n)))
+    by_output = [[] for _ in range(m * n)]
+    for s, d in enumerate(alg.w):
+        for i, c in cleared(d, denominator // (du[s] * dv[s]), n):
+            by_output[i].append((s, c))
+    w = tuple(map(tuple, by_output))
+    return _Program(
+        sides, u, v, w, denominator,
+        form_additions=tuple(sum(max(0, len(terms) - 1) for terms in f) for f in (u, v, w)),
+        form_scalar_mults=tuple(sum(c != 1 and c != -1 for d in t for c in d.values())
+                                for t in (alg.u, alg.v, alg.w)),
+    )
 
 
 @dataclass(frozen=True)
@@ -182,24 +226,6 @@ def _level_order(rows: int, cols: int, rside: int, cside: int, depth: int) -> tu
                  for i in inner for bi in range(rside) for bj in range(cside))
 
 
-def _levels(prog: _Program, sides: tuple, leaf: tuple, depth: int) -> list:
-    """levels[j] = (dims, additions, scalar_mults) of one node with j levels
-    below it, for a product whose leaves have dims leaf = (m, k, n) over a
-    base of sides (m0, k0, n0).
-
-    A leaf is charged m*(k-1)*n additions; a node above it is charged its
-    program's U, V and W combinations once per entry of an A, a B and a C
-    block one level down."""
-    m, k, n = leaf
-    levels = [(leaf, m * (k - 1) * n, 0)]
-    for _ in range(depth):
-        areas = (m * k, k * n, m * n)
-        m, k, n = m * sides[0], k * sides[1], n * sides[2]
-        levels.append(((m, k, n), sum(map(mul, prog.form_additions, areas)),
-                       sum(map(mul, prog.form_scalar_mults, areas))))
-    return levels
-
-
 def _leaves(a: list, b: list, nodes: int, m: int, k: int, n: int) -> list:
     """The products of a batch of m x k by k x n leaves stored end to end,
     row-major, by the triple loop: each multiplication and addition is one
@@ -235,42 +261,49 @@ def _linear_combination(terms, blocks: list) -> list:
     return [0] * len(blocks[0]) if acc is None else acc
 
 
-def _run_batch(a: list, b: list, nodes: int, depth: int, levels: list, prog: _Program,
-               sides: tuple, ring, cost: CostReport) -> list:
-    """The products, in level order, of a batch of nodes sibling pairs of
-    operands with depth levels below them, stored end to end.
+def _run_batch(a: list, b: list, dims: tuple, depth: int, prog: _Program, ring,
+               cost: CostReport) -> list:
+    """The products, in level order, of a batch of sibling pairs of m x k by
+    k x n operands, dims = (m, k, n), with depth levels below them, stored
+    end to end.
 
-    It runs its R products in consecutive groups of step, the most whose
-    operands (nodes * step block pairs) fit in _BATCH_ENTRIES entries, at
-    least 1: each group's U and V forms are concatenated into one batch,
-    one recursive call runs it, and its result is split back into one slice
-    per product for the W forms.  A batch of leaves runs _leaves when a
-    leaf's multiplications are at most _LEAF_BATCH per node of the batch,
-    and otherwise the ring's _leaf_products: over GF(p) one call of the
-    packed kernel for the whole batch, whose products stay unreduced like
-    every other block, and over QQ _classical per node.
+    A leaf is charged m*k*n multiplications and m*(k-1)*n additions; a node
+    above it its program's U, V and W combinations once per entry of an A,
+    a B and a C block one level down.  It runs its R products in
+    consecutive groups of step, the most whose operands (nodes * step block
+    pairs) fit in _BATCH_ENTRIES entries, at least 1: each group's U and V
+    forms are concatenated into one batch, one recursive call runs it, and
+    its result is split back into one slice per product for the W forms.
+    A batch of leaves runs _leaves when a leaf's multiplications are at
+    most _LEAF_BATCH per node of the batch, and otherwise the ring's
+    _leaf_products: over GF(p) one call of the packed kernel for the whole
+    batch, whose products stay unreduced like every other block, and over
+    QQ _classical per node.
     """
-    (m, k, n), additions, scalar_mults = levels[depth]
-    cost.additions += nodes * additions
-    cost.scalar_mults += nodes * scalar_mults
+    m, k, n = dims
+    nodes = len(a) // (m * k)
     if depth == 0:
         cost.bilinear_mults += nodes * m * k * n
+        cost.additions += nodes * m * (k - 1) * n
         if m * k * n <= _LEAF_BATCH * nodes:
             return _leaves(a, b, nodes, m, k, n)
         return ring._leaf_products(a, b, nodes, m, k, n)
-    m0, k0, n0 = sides
+    m0, k0, n0 = prog.sides
     sa, sb, sc = m0 * k0, k0 * n0, m0 * n0
+    mb, kb, nb = child = m // m0, k // k0, n // n0
+    areas = (mb * kb, kb * nb, mb * nb)
+    cost.additions += nodes * sum(map(mul, prog.form_additions, areas))
+    cost.scalar_mults += nodes * sum(map(mul, prog.form_scalar_mults, areas))
     a_blocks = [a[q::sa] for q in range(sa)]
     b_blocks = [b[q::sb] for q in range(sb)]
-    mb, kb, nb = levels[depth - 1][0]
-    step = max(1, _BATCH_ENTRIES // (nodes * (mb * kb + kb * nb)))
-    size = nodes * mb * nb
+    step = max(1, _BATCH_ENTRIES // (nodes * (areas[0] + areas[1])))
+    size = nodes * areas[2]
     products = []
     for g in range(0, len(prog.u), step):
         us, vs = prog.u[g:g + step], prog.v[g:g + step]
         c = _run_batch(list(chain.from_iterable(_linear_combination(t, a_blocks) for t in us)),
                        list(chain.from_iterable(_linear_combination(t, b_blocks) for t in vs)),
-                       len(us) * nodes, depth - 1, levels, prog, sides, ring, cost)
+                       child, depth - 1, prog, ring, cost)
         products += (c[i:i + size] for i in range(0, len(c), size))
     out = [None] * (nodes * m * n)
     for r, ws in enumerate(prog.w):
@@ -278,33 +311,46 @@ def _run_batch(a: list, b: list, nodes: int, depth: int, levels: list, prog: _Pr
     return out
 
 
-def _multiply(prog: _Program, sides: tuple, plan: tuple, ring, a, b, dims: tuple,
-              cost: CostReport) -> tuple:
+def _leaf_count(rank: int, plan: tuple, dims: tuple) -> int:
+    """R^d * prod(leaf), the leaf multiplications of a product of dims
+    (m, k, n) over a base of rank R with plan = (d, leaf); BadArgument when
+    that is more than both m*k*n, the unpadded triple loop's, and
+    _MAX_LEAF_PRODUCTS."""
+    (m, k, n), (depth, leaf) = dims, plan
+    count, limit = rank**depth * prod(leaf), max(m * k * n, _MAX_LEAF_PRODUCTS)
+    if count > limit:
+        raise BadArgument(f"a {m}x{k} by {k}x{n} product over a rank-{rank} base needs "
+                          f"{count} leaf multiplications at depth {depth}, "
+                          f"over the limit of {limit}")
+    return count
+
+
+def _multiply(prog: _Program, plan: tuple, ring, a, b, dims: tuple, cost: CostReport) -> tuple:
     """(c, e) with c / e the m x n product of row-major m x k and k x n raw
     ints (over QQ, cleared ones), dims = (m, k, n), c row-major and
-    unreduced mod p, by the program prog over a base of sides (m0, k0, n0)
-    with plan = (d, leaf): d levels over leaves of dims leaf (see _plan).
-    Its counts are tallied into cost.
+    unreduced mod p, by the program prog with plan = (d, leaf): d levels
+    over leaves of dims leaf (see _plan).  Its counts are tallied into cost.
 
-    Each dimension x is embedded with zeros into s_x^d * leaf[x], both
+    A plan of too many leaf multiplications is refused first (_leaf_count).
+    Then each dimension x is embedded with zeros into leaf[x] * s_x^d, both
     operands are put in level order (_level_order) and run as one batch of
     one node (_run_batch), and the product is put back in row order and
     cropped once.  prog's int coefficients make each level multiply the
     product by prog.denominator D, so _run_batch gives D^d times the
     product.  The ring checks D^d first (_check_denominator: over GF(p),
     BadArgument when p divides it, that is when some coefficient has no
-    image mod p; so a product with d = 0 is never refused), and when
-    D^d > 1 its _normal divides it out once (over GF(p) e is then 1).
+    image mod p; so a product with d = 0 is never refused), and when D^d > 1
+    its _normal divides it out once (over GF(p) e is then 1).
     """
-    (m0, k0, n0), (m, k, n), (depth, leaf) = sides, dims, plan
+    (m0, k0, n0), (m, k, n), (depth, leaf) = prog.sides, dims, plan
+    _leaf_count(len(prog.u), plan, dims)
     e = prog.denominator ** depth
     ring._check_denominator(e)
-    levels = _levels(prog, sides, leaf, depth)
-    pm, pk, pn = levels[depth][0]
+    pm, pk, pn = padded = tuple(x * s**depth for x, s in zip(leaf, prog.sides))
     ae, be = _padded(a, m, k, pm, pk), _padded(b, k, n, pk, pn)
     out = _run_batch([ae[i] for i in _level_order(pm, pk, m0, k0, depth)],
                      [be[i] for i in _level_order(pk, pn, k0, n0, depth)],
-                     1, depth, levels, prog, sides, ring, cost)
+                     padded, depth, prog, ring, cost)
     c = [None] * len(out)  # the product, row-major
     for i, v in zip(_level_order(pm, pn, m0, n0, depth), out):
         c[i] = v
@@ -312,7 +358,7 @@ def _multiply(prog: _Program, sides: tuple, plan: tuple, ring, a, b, dims: tuple
     return (c, 1) if e == 1 else ring._normal(c, e)
 
 
-def _cleared_product(a: Matrix, b: Matrix, prog: _Program, sides: tuple, plan: tuple,
+def _cleared_product(a: Matrix, b: Matrix, prog: _Program, plan: tuple,
                      cost: CostReport) -> Matrix:
     """The product of the conforming matrices a and b by _multiply, run on
     their values cleared by the ring's _clear; _restore divides each entry
@@ -320,7 +366,7 @@ def _cleared_product(a: Matrix, b: Matrix, prog: _Program, sides: tuple, plan: t
     ring = a.ring
     ae, row_scales = ring._clear(a._values, a.cols)
     be, col_scales = ring._clear(b._values, b.cols, by_columns=True)
-    c, e = _multiply(prog, sides, plan, ring, ae, be, (a.rows, a.cols, b.cols), cost)
+    c, e = _multiply(prog, plan, ring, ae, be, (a.rows, a.cols, b.cols), cost)
     return Matrix._from_values(ring, a.rows, b.cols,
                                ring._restore(c, [r * e for r in row_scales], col_scales))
 
@@ -343,13 +389,12 @@ def recursive_multiply(cfg: RecursionConfig, a: Matrix, b: Matrix):
     _multiply.
     """
     m, k, n = dims = _product_dims(a, b)
-    sides = tuple(cfg.base_alg.dims)
     report = CostReport(context=(
         f"recursive multiply {m}x{k} by {k}x{n}, "
         f"base {cfg.base_alg.dims} rank {cfg.base_alg.rank}, threshold {cfg.threshold}"
     ))
-    plan = _plan(sides, dims, cfg.threshold)
-    return _cleared_product(a, b, cfg._prog, sides, plan, report), report
+    plan = _plan(cfg._prog.sides, dims, cfg.threshold)
+    return _cleared_product(a, b, cfg._prog, plan, report), report
 
 
 def apply_elementary(alg: BilinearAlgorithm, a: Matrix, b: Matrix):
@@ -362,13 +407,13 @@ def apply_elementary(alg: BilinearAlgorithm, a: Matrix, b: Matrix):
     multiplication for each coefficient outside {1, -1}, and an addition
     for each term beyond the first in any linear combination.
     """
-    sides = tuple(alg.dims)
-    if _product_dims(a, b) != sides:
+    prog = _compile(alg)
+    if _product_dims(a, b) != prog.sides:
         raise DimensionError(
             f"{alg.dims} program cannot run on {a.rows}x{a.cols} * {b.rows}x{b.cols}"
         )
     report = CostReport(context=f"elementary program {alg.dims} rank {alg.rank}")
-    return _cleared_product(a, b, _compile(alg), sides, (1, (1, 1, 1)), report), report
+    return _cleared_product(a, b, prog, (1, (1, 1, 1)), report), report
 
 
 def cost_model(alg: BilinearAlgorithm, k: int) -> CostReport:
@@ -473,15 +518,14 @@ def recursive_invert(cfg: RecursionConfig, a: Matrix):
     """
     side = _square_side(a)
     ring = a.ring
-    sides = tuple(cfg.base_alg.dims)
     report = CostReport()
     subcalls = 0
 
     def mul(x: list, y: list, m: int, k: int, n: int, d: int) -> tuple:
         nonlocal subcalls
         subcalls += 1
-        plan = _plan(sides, (m, k, n), cfg.threshold)
-        c, e = _multiply(cfg._prog, sides, plan, ring, x, y, (m, k, n), report)
+        plan = _plan(cfg._prog.sides, (m, k, n), cfg.threshold)
+        c, e = _multiply(cfg._prog, plan, ring, x, y, (m, k, n), report)
         return c, d * e
 
     cleared, scales = ring._clear(a._values, side)

@@ -29,7 +29,7 @@ from mmalg import (
 from mmalg.bilinear_core import BilinearAlgorithm
 from mmalg.formats import dump_transform
 from mmalg.transforms import random_equivalence
-from mmalg import bilinear_core, cli, exact_algebra
+from mmalg import bilinear_core, cli, exact_algebra, recursion
 from mmalg.cli import main
 
 from helpers import corrupt_one, unit_lu_matrix
@@ -559,6 +559,37 @@ def test_bench_refuses_sizes_past_the_entry_limit(strassen_file, tmp_path, capsy
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
+@pytest.fixture(scope="module")
+def pan34_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pan34") / "pan34.alg"
+    dump_algorithm(pan_aggregation(34), str(path))
+    return str(path)
+
+
+def test_padded_plans_past_the_leaf_limit_are_refused_before_any_work(pan34_file, tmp_path,
+                                                                     capsys, monkeypatch):
+    # pan(34) has rank 23,120.  At threshold 1 a 35x35 product pads to depth
+    # 2 over 1x1x1 leaves, 23,120^2 = 534,534,400 leaf products where the
+    # triple loop takes 42,875, and K = 1414 pads to depth 3.  Each is
+    # refused as a usage error before any batch runs, and bench refuses a
+    # size before it draws the operands.
+    ran = []
+    monkeypatch.setattr(recursion, "_run_batch", lambda *args: ran.append(args))
+    rng = random.Random(35)
+    paths = [str(tmp_path / name) for name in ("a.mat", "b.mat", "c.mat")]
+    for path in paths[:2]:
+        dump_matrix(random_matrix(QQ, 35, 35, rng), path)
+    for argv, count in ((("bench", pan34_file, "--sizes", "35"), 23120**2),
+                        (("bench", pan34_file, "--sizes", "1414"), 23120**3),
+                        (("multiply", pan34_file, *paths[:2], "--out", paths[2]), 23120**2)):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2, argv
+        assert rc == 2 and out == "", argv
+        assert err.startswith("error:") and f"needs {count} leaf multiplications" in err, argv
+    assert ran == [] and not os.path.exists(paths[2])
 
 
 def test_dual_refuses_corrupt_input(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -207,6 +208,25 @@ def test_packed_values_read_back_through_words_and_slots(data, words, group):
     for j in range(group):
         assert list(_slots(view, words, j * words, stride)) == values[j::group]
     assert list(_slots(view, words, 0, words)) == values
+
+
+def test_packed_peak_stays_near_its_result():
+    # _packed writes its bytes 4,096 values at a time, so it never
+    # holds one bytes object per value: on 100,000 one-word values, 64 to a
+    # group, its traced peak stays under 3 times the ints it returns.
+    rng = random.Random(8)
+    values = [rng.getrandbits(61) for _ in range(100_000)]
+    tracemalloc.start()
+    try:
+        ints = _packed(values, 1, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sys.getsizeof(ints) + sum(map(sys.getsizeof, ints))
+    assert peak < 3 * size, (peak, size)
+    assert ints == [sum(v << (64 * j) for j, v in enumerate(values[i:i + 64]))
+                    for i in range(0, len(values), 64)]
+    assert list(_words(ints[:100], 64)) == values[:6400]
 
 
 def test_slot_words_is_the_fewest_words_that_hold_the_bound():

@@ -20,10 +20,14 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # The one command that reports an invalid program and exits 1.
 FAILING = ["verify", "s-bad.alg", "--mode", "random", "--trials", "5"]
+# The one usage error, exit 2: pan(34) would pad 35x35 operands to 23,120^2
+# leaf products.
+REFUSED = ["bench", "pan34.alg", "--sizes", "35"]
 
 # The benchmark's program pipeline, random verifies of a Fraction-coefficient
 # program and of an invalid one, then products and an inverse of small matrix
-# files, over a shipped program and over a Fraction-coefficient one.
+# files, over a shipped program and over a Fraction-coefficient one, and a
+# refused bench.
 COMMANDS = [
     ["gen", "pan", "--n", "16", "--out", "pan16.alg"],
     ["verify", "pan16.alg", "--mode", "random", "--trials", "20", "--seed", "5"],
@@ -43,6 +47,8 @@ COMMANDS = [
     ["multiply", "s.alg", "a.mat", "b.mat", "--out", "ab.mat"],
     ["multiply", "pan4-eq.alg", "a.mat", "b.mat", "--threshold", "2", "--out", "ab-eq.mat"],
     ["invert", "s.alg", "a.mat", "--threshold", "2", "--out", "inv.mat"],
+    ["gen", "pan", "--n", "34", "--out", "pan34.alg"],
+    REFUSED,
 ]
 
 # Strassen's program as `gen strassen` writes it, except that the second
@@ -120,7 +126,8 @@ def test_cli_under_python_3_10_matches_the_running_interpreter(tmp_path):
         pytest.skip("no working Python 3.10 interpreter")
     old, old_files = _run(exe, tmp_path / "py310")
     new, new_files = _run(sys.executable, tmp_path / "current")
-    assert [code for code, _ in new] == [int(argv == FAILING) for argv in COMMANDS]
+    assert [code for code, _ in new] == [1 if argv == FAILING else 2 if argv == REFUSED else 0
+                                         for argv in COMMANDS]
     for argv, got, want in zip(COMMANDS, old, new):
         assert got == want, argv
     assert sorted(old_files) == sorted(new_files)

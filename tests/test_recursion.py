@@ -39,8 +39,7 @@ from mmalg import (
 )
 
 from mmalg import exact_algebra, recursion
-from mmalg.bilinear_core import _compile
-from mmalg.recursion import _BATCH_ENTRIES, _plan
+from mmalg.recursion import _BATCH_ENTRIES, _compile, _leaf_count, _plan
 
 from helpers import P61, naive_product, unit_lu_matrix
 
@@ -293,6 +292,24 @@ def test_apply_elementary_runs_one_level_on_a_base_with_a_side_of_1(ring):
                 got, report = apply_elementary(alg, a, b)
                 assert got == mat_classical_multiply(a, b), (dims, seed)
                 assert (report.bilinear_mults, report.additions, report.scalar_mults) == counts
+
+
+def test_leaf_count_refuses_only_plans_past_the_triple_loop_and_the_floor():
+    # A plan of R^d * prod(leaf) leaf products is refused only above both
+    # m*k*n and _MAX_LEAF_PRODUCTS = 10^8: pan(34), rank 23,120, at 35 and
+    # 1414 pads to depths 2 and 3 over 1x1x1 leaves.
+    rank, sides = 23120, (34, 34, 34)
+    for k, depth in ((35, 2), (1414, 3)):
+        plan = _plan(sides, (k, k, k), 1)
+        assert plan == (depth, (1, 1, 1))
+        with pytest.raises(BadArgument, match=f"needs {rank**depth} leaf multiplications"):
+            _leaf_count(rank, plan, (k, k, k))
+    assert _leaf_count(rank, _plan(sides, (34, 34, 34), 1), (34, 34, 34)) == rank
+    # An unpadded product runs however large, and so does a padded one under
+    # the floor: Strassen pads 3x3 to 4x4, 49 leaf products against 27.
+    assert _leaf_count(rank, (0, (3000, 3000, 3000)), (3000, 3000, 3000)) == 27 * 10**9
+    assert _leaf_count(7, _plan((2, 2, 2), (3, 3, 3), 1), (3, 3, 3)) == 49
+    assert _leaf_count(7, (8, (2, 2, 2)), (512, 512, 512)) == 7**8 * 8
 
 
 def test_compiled_coefficients_are_ints_over_one_denominator():

@@ -1,6 +1,7 @@
 """The source keeps to the Python 3.10 floor that pyproject.toml declares,
 to one module for the layout of packed words and the rings' raw form (the
-only one that reads a ring's modulus), to one module for the text formats
+only one that reads a ring's modulus), to the recursion for the compiled
+form of a program, to one module for the text formats
 (the only one that opens files or imports re or json), and to one module
 that touches the cyclic garbage collector."""
 
@@ -86,6 +87,18 @@ def test_only_exact_algebra_reads_a_ring_modulus():
             imported = {alias.name for node in ast.walk(tree)
                         if isinstance(node, ast.ImportFrom) for alias in node.names}
             assert not imported & {"_classical", "_packed_products"}, imported
+
+
+def test_the_recursion_owns_its_compiled_program():
+    # _Program and _compile live next to the evaluator that runs them, so
+    # recursion takes no private name from bilinear_core.
+    core = importlib.import_module("mmalg.bilinear_core")
+    assert not {"_compile", "_Program"} & set(vars(core))
+    tree = ast.parse((SOURCES[0].parent / "recursion.py").read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level and node.module == "bilinear_core"
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, private
 
 
 def test_only_formats_opens_files():

@@ -3,7 +3,9 @@
 A code line is a physical line that holds a token of code: docstrings,
 comments and blank lines do not count.  A private cross-module import is
 one name imported as ``from .module import _name``, or one ``module._name``
-read through a sibling bound by ``from . import module``.
+read through a sibling bound by ``from . import module``.  Each module's
+private imports are listed under its count, one ``module._name`` a line, so
+two runs can be diffed.
 
 Run from the root of the repository:
 
@@ -42,18 +44,20 @@ def code_lines(text: str) -> int:
     return len(lines - _docstring_lines(ast.parse(text)))
 
 
-def private_imports(text: str) -> int:
-    """The number of distinct `_name`s taken from a sibling module."""
+def private_imports(text: str) -> list[str]:
+    """The distinct `_name`s taken from a sibling module, each as
+    `module._name`, sorted."""
     nodes = list(ast.walk(ast.parse(text)))
-    imported = [alias for node in nodes if isinstance(node, ast.ImportFrom) and node.level
-                for alias in node.names]
-    siblings = {alias.asname or alias.name for node in nodes
+    imported = {f"{node.module}.{alias.name}" for node in nodes
+                if isinstance(node, ast.ImportFrom) and node.level and node.module
+                for alias in node.names if alias.name.startswith("_")}
+    siblings = {alias.asname or alias.name: alias.name for node in nodes
                 if isinstance(node, ast.ImportFrom) and node.level and not node.module
                 for alias in node.names}
-    read = {(node.value.id, node.attr) for node in nodes
+    read = {f"{siblings[node.value.id]}.{node.attr}" for node in nodes
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id in siblings and node.attr.startswith("_")}
-    return sum(alias.name.startswith("_") for alias in imported) + len(read)
+    return sorted(imported | read)
 
 
 def main(argv: list[str]) -> int:
@@ -63,8 +67,10 @@ def main(argv: list[str]) -> int:
         text = path.read_text(encoding="utf-8")
         lines, imports = code_lines(text), private_imports(text)
         total_lines += lines
-        total_imports += imports
-        print(f"{path.name:20} {lines:6,} code lines {imports:4} private imports")
+        total_imports += len(imports)
+        print(f"{path.name:20} {lines:6,} code lines {len(imports):4} private imports")
+        for name in imports:
+            print(f"    {name}")
     print(f"{'total':20} {total_lines:6,} code lines {total_imports:4} private imports")
     return 0
 
