@@ -7,6 +7,8 @@ recursively on concrete matrices - including block inversion and the
 multiplication/inversion reductions.  All arithmetic is exact.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BadArgument,
     BadField,
@@ -80,22 +82,6 @@ from .recursion import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadArgument", "BadField", "BadTransform", "DimensionError",
-    "ExponentUndefined", "FormatError", "InvalidAlgorithm", "MmalgError",
-    "SingularMatrix",
-    "Matrix", "ModularScalar", "PrimeField", "QQ", "Rational", "RationalField",
-    "dump_matrix", "format_matrix", "is_prime", "load_matrix",
-    "mat_classical_multiply", "mat_inverse", "parse_matrix", "random_matrix",
-    "DEFAULT_PRIME", "BilinearAlgorithm", "CostReport", "DimensionTriple",
-    "KnownRankBounds", "RankBound", "VerificationReport", "apply_elementary",
-    "dump_algorithm", "exponent", "format_algorithm", "generic_lower_bound",
-    "known_bounds", "load_algorithm", "parse_algorithm",
-    "sanity_rank_lower_bound", "verify_brent", "verify_trilinear_random",
-    "classical", "pan_aggregation", "strassen_222",
-    "DualityPermutation", "EquivalenceTransform", "apply_equivalence", "dual",
-    "dump_transform", "format_transform", "load_transform", "parse_transform",
-    "random_equivalence", "squareify", "tensor_product",
-    "RecursionConfig", "cost_model", "multiply_via_inversion",
-    "recursive_invert", "recursive_multiply",
-]
+# Every public name imported above, and nothing else.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

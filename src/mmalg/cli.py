@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure (invalid program, failed
-check, singular matrix), 2 usage, format, or parameter errors.  Every
-command is deterministic given its inputs and seed flags.
+Exit codes: 0 success, 1 verification failure (a failed check, or an
+InvalidAlgorithm or SingularMatrix error), 2 usage errors and every other
+MmalgError or OSError.  Every command is deterministic given its inputs
+and seed flags.
 """
 
 from __future__ import annotations
@@ -25,12 +26,9 @@ from .bilinear_core import (
 )
 from .errors import (
     BadArgument,
-    BadField,
-    BadTransform,
-    DimensionError,
     ExponentUndefined,
-    FormatError,
     InvalidAlgorithm,
+    MmalgError,
     SingularMatrix,
 )
 from .exact_algebra import PrimeField, random_matrix
@@ -105,14 +103,10 @@ def cmd_gen(args) -> int:
         alg = strassen_222()
     else:
         alg = pan_aggregation(_require(args.n, "--n"))
-    text = format_algorithm(alg)
     if args.out:
-        _write_text(args.out, text)
-        print(f"wrote {args.out}")
-        _print_summary(alg)
-    else:
-        sys.stdout.write(text)
-        _print_summary(alg, sys.stderr)
+        return _write_program(alg, args.out)
+    sys.stdout.write(format_algorithm(alg))
+    _print_summary(alg, sys.stderr)
     return 0
 
 
@@ -185,9 +179,10 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _write_transformed(alg: BilinearAlgorithm, out_path: str) -> int:
-    # Every transform verifies its input and maps valid programs to valid
-    # ones, so the result is written without a second check.
+def _write_program(alg: BilinearAlgorithm, out_path: str) -> int:
+    # Every generator builds a valid program, and every transform verifies
+    # its input and maps valid programs to valid ones, so the program is
+    # written without a second check.
     dump_algorithm(alg, out_path)
     print(f"wrote {out_path}")
     _print_summary(alg)
@@ -196,23 +191,23 @@ def _write_transformed(alg: BilinearAlgorithm, out_path: str) -> int:
 
 def cmd_dual(args) -> int:
     alg = _read_algorithm(args.path)
-    return _write_transformed(dual(alg, args.perm), args.out)
+    return _write_program(dual(alg, args.perm), args.out)
 
 
 def cmd_product(args) -> int:
     a = _read_algorithm(args.first)
     b = _read_algorithm(args.second)
-    return _write_transformed(tensor_product(a, b), args.out)
+    return _write_program(tensor_product(a, b), args.out)
 
 
 def cmd_square(args) -> int:
     alg = _read_algorithm(args.path)
     if not alg.dims.is_square:
-        return _write_transformed(squareify(alg), args.out)
+        return _write_program(squareify(alg), args.out)
     print(f"{alg.dims} is already square; writing it unchanged", file=sys.stderr)
     if not verify_brent(alg).valid:
         raise InvalidAlgorithm("program fails verification")
-    return _write_transformed(alg, args.out)
+    return _write_program(alg, args.out)
 
 
 def cmd_equiv(args) -> int:
@@ -233,7 +228,7 @@ def cmd_equiv(args) -> int:
     if args.transform_out and not args.transform:
         dump_transform(transform, args.transform_out)
         print(f"wrote transform {args.transform_out}")
-    return _write_transformed(result, args.out)
+    return _write_program(result, args.out)
 
 
 def _load_config(args) -> RecursionConfig:
@@ -429,7 +424,7 @@ def main(argv=None) -> int:
     except (InvalidAlgorithm, SingularMatrix) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, BadArgument, BadField, BadTransform, DimensionError, OSError) as exc:
+    except (MmalgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

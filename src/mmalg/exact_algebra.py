@@ -55,8 +55,8 @@ verifier's right-hand side is one call of it too, with a batch's trials as
 its nodes.  The layout of such
 packed ints lives only here, in a small codec that the batched
 trace-identity verifier (bilinear_core) uses too: _slot_words sizes a slot,
-_little_endian writes values out as little-endian bytes a few thousand at
-a time, which _packed reads back as ints of slots and _words as 64-bit
+_little_endian writes values out as little-endian bytes in chunks of about
+64 KB, which _packed reads back as ints of slots and _words as 64-bit
 words on either host byte order, and _slots reads one slot of every block
 of words back.
 """
@@ -140,33 +140,24 @@ class ModularScalar:
             return other % self.p
         return None
 
-    def __add__(self, other):
-        v = self._lift(other)
-        if v is None:
-            return NotImplemented
-        return ModularScalar(self.value + v, self.p)
+    def _lifted(op):
+        """The operator that lifts its other operand (an int or a scalar of
+        the same field) and returns op(self.value, it) mod p, or
+        NotImplemented for any other operand."""
 
-    __radd__ = __add__
+        def method(self, other):
+            v = self._lift(other)
+            if v is None:
+                return NotImplemented
+            return ModularScalar(op(self.value, v), self.p)
 
-    def __sub__(self, other):
-        v = self._lift(other)
-        if v is None:
-            return NotImplemented
-        return ModularScalar(self.value - v, self.p)
+        return method
 
-    def __rsub__(self, other):
-        v = self._lift(other)
-        if v is None:
-            return NotImplemented
-        return ModularScalar(v - self.value, self.p)
-
-    def __mul__(self, other):
-        v = self._lift(other)
-        if v is None:
-            return NotImplemented
-        return ModularScalar(self.value * v, self.p)
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _lifted(add)
+    __sub__ = _lifted(sub)
+    __rsub__ = _lifted(lambda value, v: v - value)
+    __mul__ = __rmul__ = _lifted(mul)
+    del _lifted
 
     def __neg__(self):
         return ModularScalar(-self.value, self.p)
@@ -575,15 +566,14 @@ def _slot_words(bound: int) -> int:
     return max(1, -(-bound.bit_length() // 64))
 
 
-def _little_endian(values, width: int) -> bytearray:
-    """The values (each below 2^(8 width)) end to end as width bytes each,
-    lowest byte first, joined 4,096 values at a time, so that the peak
-    stays near the size of the bytes written."""
-    values, data = iter(values), bytearray()
-    while chunk := b"".join(map(int.to_bytes, islice(values, 4096), repeat(width),
+def _little_endian(values, width: int):
+    """Yield the values (each below 2^(8 width)) end to end as width bytes
+    each, lowest byte first, in chunks of about 64 KB, so that a caller that
+    copies each chunk into its result holds one chunk beside it."""
+    values, count = iter(values), max(1, 65536 // width)
+    while chunk := b"".join(map(int.to_bytes, islice(values, count), repeat(width),
                                 repeat("little"))):
-        data += chunk
-    return data
+        yield chunk
 
 
 def _packed(values, words: int, group: int) -> list:
@@ -591,7 +581,9 @@ def _packed(values, words: int, group: int) -> list:
     each group one int of slots of words 64-bit words, its first value
     lowest: _little_endian writes them all, and one from_bytes reads each
     group."""
-    data = _little_endian(values, 8 * words)
+    data = bytearray()
+    for chunk in _little_endian(values, 8 * words):
+        data += chunk
     size = 8 * words * group
     return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
 
@@ -600,7 +592,9 @@ def _words(ints, count: int) -> array:
     """The ints (each below 2^(64 count)) end to end as count 64-bit words
     each, lowest word first, on either byte order: the one place that reads
     the host's."""
-    view = array("Q", _little_endian(ints, 8 * count))
+    view = array("Q")
+    for chunk in _little_endian(ints, 8 * count):
+        view.frombytes(chunk)
     if sys.byteorder == "big":
         view.byteswap()
     return view

@@ -29,7 +29,7 @@ from mmalg import (
 from mmalg.bilinear_core import BilinearAlgorithm
 from mmalg.formats import dump_transform
 from mmalg.transforms import random_equivalence
-from mmalg import bilinear_core, cli, exact_algebra, recursion
+from mmalg import bilinear_core, cli, errors, exact_algebra, recursion
 from mmalg.cli import main
 
 from helpers import corrupt_one, unit_lu_matrix
@@ -743,6 +743,23 @@ def test_parser_is_built_once_and_reused(strassen_file, tmp_path, capsys, monkey
     # even after the command has run once.
     monkeypatch.setattr(cli, "cmd_info", lambda args: 7)
     assert main(["info", strassen_file]) == 7
+
+
+def test_every_package_error_exits_by_its_class(strassen_file, capsys, monkeypatch):
+    # A refused program or matrix exits 1 and every other package error 2,
+    # each with one error line and no traceback.
+    classes = errors.MmalgError.__subclasses__()
+    assert len(classes) == 8
+    for cls in classes:
+        exc = cls(2, "boom") if cls is errors.FormatError else cls("boom")
+
+        def fail(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_info", fail)
+        rc, out, err = run(capsys, "info", strassen_file)
+        assert rc == (1 if cls in (errors.InvalidAlgorithm, errors.SingularMatrix) else 2), cls
+        assert (out, err) == ("", f"error: {exc}\n"), cls
 
 
 def _sweep(tmp_path):

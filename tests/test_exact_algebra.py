@@ -1,5 +1,6 @@
 """Scalar rings, matrices, and the matrix text format."""
 
+import hashlib
 import os
 import pickle
 import random
@@ -8,6 +9,7 @@ import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
 import pytest
 from hypothesis import example, given
@@ -69,6 +71,36 @@ def test_modular_examples():
         x / 0
     with pytest.raises(ValueError):
         ModularScalar(1, 7) + ModularScalar(1, 11)
+
+
+def test_modular_operators_match_int_arithmetic_mod_p():
+    # Forward and reflected, against ints of either sign and at least p and
+    # against scalars of the same field; anything else is refused.
+    p, a = 7, 3
+    x = ModularScalar(a, p)
+
+    def check(got, want):
+        assert type(got) is ModularScalar and got.p == p and got.value == want % p, (got, want)
+
+    check(-x, -a)
+    for other in (0, 5, -12, 7, 30, ModularScalar(0, p), ModularScalar(5, p)):
+        b = other.value if isinstance(other, ModularScalar) else other
+        for op in (add, sub, mul):
+            check(op(x, other), op(a, b))
+            check(op(other, x), op(b, a))
+        check(other / x, b * pow(a, -1, p))
+        if b % p:
+            check(x / other, a * pow(b, -1, p))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / other
+    for other, error in ((Fraction(1, 2), TypeError), (0.5, TypeError),
+                         (ModularScalar(1, 11), ValueError)):
+        for op in (add, sub, mul, truediv):
+            with pytest.raises(error):
+                op(x, other)
+            with pytest.raises(error):
+                op(other, x)
 
 
 def test_prime_checks():
@@ -211,7 +243,7 @@ def test_packed_values_read_back_through_words_and_slots(data, words, group):
 
 
 def test_packed_peak_stays_near_its_result():
-    # _packed writes its bytes 4,096 values at a time, so it never
+    # _packed writes its bytes in chunks of about 64 KB, so it never
     # holds one bytes object per value: on 100,000 one-word values, 64 to a
     # group, its traced peak stays under 3 times the ints it returns.
     rng = random.Random(8)
@@ -227,6 +259,23 @@ def test_packed_peak_stays_near_its_result():
     assert ints == [sum(v << (64 * j) for j, v in enumerate(values[i:i + 64]))
                     for i in range(0, len(values), 64)]
     assert list(_words(ints[:100], 64)) == values[:6400]
+
+
+def test_words_peak_stays_near_its_view():
+    # _words copies each chunk of bytes into its array as it is written, so
+    # on 2,000 ints of 64 words it holds its 1 MB of words once, not twice.
+    rng = random.Random(9)
+    ints = [rng.getrandbits(64 * 64) for _ in range(2000)]
+    tracemalloc.start()
+    try:
+        view = _words(ints, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = len(view) * view.itemsize
+    assert peak < 1.5 * size, (peak, size)
+    assert [sum(w << (64 * j) for j, w in enumerate(view[i:i + 64]))
+            for i in range(0, len(view), 64)] == ints
 
 
 def test_slot_words_is_the_fewest_words_that_hold_the_bound():
@@ -577,7 +626,16 @@ def test_reimport_frees_the_previous_package():
     assert out.split() == ["1"]
 
 
+PUBLIC_NAMES_DIGEST = "14f06849d937554e03600bb5183874a53398958263d839e98b8a515e3b65a7f9"
+
+
 def test_public_names_resolve():
     # A stale name in __all__ would break "from mmalg import *".
     for name in mmalg.__all__:
         getattr(mmalg, name)
+    # __all__ is derived from the package's imports, so a name imported there
+    # in passing would become public: the sorted list is pinned (sha256 of
+    # its repr).
+    names = sorted(mmalg.__all__)
+    assert len(names) == 60
+    assert hashlib.sha256(repr(names).encode()).hexdigest() == PUBLIC_NAMES_DIGEST
