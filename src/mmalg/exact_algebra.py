@@ -569,8 +569,10 @@ def _slot_words(bound: int) -> int:
 def _little_endian(values, width: int):
     """Yield the values (each below 2^(8 width)) end to end as width bytes
     each, lowest byte first, in chunks of about 64 KB, so that a caller that
-    copies each chunk into its result holds one chunk beside it."""
-    values, count = iter(values), max(1, 65536 // width)
+    copies each chunk into its result holds one chunk beside it.  A chunk's
+    count is sized by what its join holds: one bytes object per value
+    besides the chunk."""
+    values, count = iter(values), max(1, 65536 // (width + sys.getsizeof(b"")))
     while chunk := b"".join(map(int.to_bytes, islice(values, count), repeat(width),
                                 repeat("little"))):
         yield chunk

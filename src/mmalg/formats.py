@@ -219,6 +219,10 @@ def dump_matrix(a: Matrix, path) -> None:
 # duplicate entry, a product count other than R, a number past Python's
 # int-string digit limit), goes unchanged to the line reader _parse_lines,
 # the one source of FormatErrors.
+#
+# Both the writer and the bulk reader draw what they make per entry from a
+# _Memo, one object per distinct key (its "r c " string, or its (r, c)
+# tuple) and per distinct coefficient (its "x\n" string), not one per entry.
 # ---------------------------------------------------------------------------
 
 _PROGRAM_MAGIC = "mmalg-v1"
@@ -230,35 +234,52 @@ _PRODUCT = re.compile(rf"U\n(?:{_ENTRY})*V\n(?:{_ENTRY})*W\n(?:{_ENTRY})*\n?")
 _FRACTION = re.compile(r"(-?[0-9]+/[0-9]+)")
 
 
-# Lines per "\n"-terminated piece of format_algorithm's text.
-_PIECE_LINES = 4096
+# Strings per piece of format_algorithm's text.
+_PIECE_STRINGS = 8192
+
+
+class _Memo(dict):
+    """A dict that makes a missing key's value with make(key) and keeps it,
+    so equal keys share one value object."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def format_algorithm(alg: BilinearAlgorithm) -> str:
     """The program in the text format; BadArgument naming the first entry
     past Python's int-string digit limit.
 
-    Whenever a slice brings the pending lines to _PIECE_LINES, they are
-    joined into one "\n"-terminated piece, and the text is the join of the
+    An entry line is two strings made once per distinct key ("r c ") and
+    once per distinct coefficient ("x\n"), not once per entry.  Whenever a
+    slice brings the pending strings to _PIECE_STRINGS, they are joined into
+    one piece (which may end mid-product), and the text is the join of the
     pieces: the writer holds about twice its text (the pieces and their
     join), not one str object per line.  The text is built in full before
     dump_algorithm opens its file, so a refused entry leaves no file.
     """
     m, k, n = alg.dims
+    keys = _Memo(lambda key: f"{key[0]} {key[1]} ")
+    values = _Memo(lambda x: f"{x}\n")
     pieces = []
-    lines = [f"{_PROGRAM_MAGIC} {m} {k} {n} {alg.rank}"]
+    strings = [f"{_PROGRAM_MAGIC} {m} {k} {n} {alg.rank}\n"]
+    append = strings.append
     try:
         for s in range(alg.rank):
             if s:
-                lines.append("")
-            for label, d in (("U", alg.u[s]), ("V", alg.v[s]), ("W", alg.w[s])):
-                lines.append(label)
-                for (r, c) in sorted(d):
-                    lines.append(f"{r} {c} {d[(r, c)]}")
-                if len(lines) >= _PIECE_LINES:
-                    lines.append("")
-                    pieces.append("\n".join(lines))
-                    lines = []
+                append("\n")
+            for label, d in (("U\n", alg.u[s]), ("V\n", alg.v[s]), ("W\n", alg.w[s])):
+                append(label)
+                for key in sorted(d):
+                    append(keys[key])
+                    append(values[d[key]])
+                if len(strings) >= _PIECE_STRINGS:
+                    pieces.append("".join(strings))
+                    strings.clear()
     except ValueError:
         raise _unwritable(
             (f"{name}[{s}] entry ({r},{c})", x)
@@ -266,8 +287,7 @@ def format_algorithm(alg: BilinearAlgorithm) -> str:
             for s, d in enumerate(tensor)
             for (r, c), x in d.items()
         ) from None
-    lines.append("")
-    pieces.append("\n".join(lines))
+    pieces.append("".join(strings))
     return "".join(pieces)
 
 
@@ -278,7 +298,8 @@ def _read_canonical(text: str) -> BilinearAlgorithm | None:
     String replacements turn the blocks into one JSON list of numbers each
     (a label line becomes "],[" and an entry line "i,j,value,"), with each
     p/q quoted as a string, so json.loads reads every number; each block is
-    then one dict built by C-level calls.
+    then one dict built by C-level calls, its keys drawn from one _Memo so
+    that every slice shares one tuple per distinct (i, j).
     """
     header = _HEADER.match(text)
     if header is None:
@@ -303,7 +324,8 @@ def _read_canonical(text: str) -> BilinearAlgorithm | None:
         if products != rank:
             return None
         blocks = json.loads(body)
-        slices = [dict(zip(zip(it, it), it)) for it in map(iter, blocks)]
+        key = _Memo(lambda pair: pair).__getitem__
+        slices = [dict(zip(map(key, zip(it, it)), it)) for it in map(iter, blocks)]
         if 3 * sum(map(len, slices)) != sum(map(len, blocks)):
             return None
         if fractional:

@@ -28,6 +28,7 @@ from mmalg import (
     MmalgError,
     PrimeField,
     QQ,
+    apply_equivalence,
     classical,
     dump_algorithm,
     dump_matrix,
@@ -42,6 +43,7 @@ from mmalg import (
     random_equivalence,
     squareify,
     strassen_222,
+    tensor_product,
 )
 from mmalg import formats
 from mmalg.formats import _parse_lines, _read_canonical
@@ -119,11 +121,11 @@ def _line_per_entry(alg):
 
 
 @given(programs(), st.integers(1, 12))
-def test_program_text_in_pieces_matches_one_line_per_entry(alg, piece_lines):
+def test_program_text_in_pieces_matches_one_line_per_entry(alg, piece_strings):
     # Pieces of any length join to the same bytes, a piece ending mid-product
     # or between products alike.
     assert format_algorithm(alg) == _line_per_entry(alg)
-    with mock.patch.object(formats, "_PIECE_LINES", piece_lines):
+    with mock.patch.object(formats, "_PIECE_STRINGS", piece_strings):
         assert format_algorithm(alg) == _line_per_entry(alg)
 
 
@@ -141,6 +143,21 @@ def test_program_writer_holds_about_twice_its_text():
         tracemalloc.stop()
     assert text == _line_per_entry(alg)
     assert peak < 1_500_000, peak
+
+
+def test_bulk_reader_shares_one_key_tuple_per_position():
+    # pan(8), a Fraction-coefficient equiv output (read through _canonical)
+    # and a tensor product: every slice of u, v and w holds the same tuple
+    # object for the same (i, j).
+    pan4 = pan_aggregation(4)
+    equiv = apply_equivalence(pan4, random_equivalence(pan4.dims, pan4.rank, 1))
+    assert any(type(c) is Fraction for d in equiv.w for c in d.values())
+    s = strassen_222()
+    for alg in (pan_aggregation(8), equiv, tensor_product(s, s)):
+        read = parse_algorithm(format_algorithm(alg))
+        assert read == alg
+        keys = [key for tensor in (read.u, read.v, read.w) for d in tensor for key in d]
+        assert len(set(map(id, keys))) == len(set(keys))
 
 
 @given(transforms())
@@ -360,3 +377,17 @@ def test_writers_refuse_entries_past_the_digit_limit(tmp_path):
         with pytest.raises(BadArgument, match=re.escape(name) + r" has more than \d+ digits"):
             dump(str(path))
         assert not path.exists()
+
+
+def test_program_writer_refuses_a_repeated_entry_past_the_digit_limit(tmp_path):
+    # The writer's string caches are warm with ordinary entries before it
+    # meets the over-limit coefficient, and meets it twice: it keeps no
+    # string for it and names its first entry.
+    big = 10**5000
+    one = [{(0, 0): 1}] * 4
+    alg = BilinearAlgorithm(DimensionTriple(1, 1, 1), 4, one, one,
+                            [{(0, 0): 1}, {(0, 0): 2}, {(0, 0): big}, {(0, 0): big}])
+    path = tmp_path / "out"
+    with pytest.raises(BadArgument, match=r"^w\[2\] entry \(0,0\) has more than \d+ digits"):
+        dump_algorithm(alg, str(path))
+    assert not path.exists()
