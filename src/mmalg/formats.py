@@ -223,6 +223,9 @@ def dump_matrix(a: Matrix, path) -> None:
 # Both the writer and the bulk reader draw what they make per entry from a
 # _Memo, one object per distinct key (its "r c " string, or its (r, c)
 # tuple) and per distinct coefficient (its "x\n" string), not one per entry.
+# The writer takes one step per product: it writes the U, V and W entries
+# inline, sorts a slice's keys only when it holds two or more entries (one
+# key is already in order), and checks the piece size once per product.
 # ---------------------------------------------------------------------------
 
 _PROGRAM_MAGIC = "mmalg-v1"
@@ -234,7 +237,8 @@ _PRODUCT = re.compile(rf"U\n(?:{_ENTRY})*V\n(?:{_ENTRY})*W\n(?:{_ENTRY})*\n?")
 _FRACTION = re.compile(r"(-?[0-9]+/[0-9]+)")
 
 
-# Strings per piece of format_algorithm's text.
+# Strings per piece of format_algorithm's text, at least: a piece ends with
+# the product that reaches this count.
 _PIECE_STRINGS = 8192
 
 
@@ -255,10 +259,11 @@ def format_algorithm(alg: BilinearAlgorithm) -> str:
     past Python's int-string digit limit.
 
     An entry line is two strings made once per distinct key ("r c ") and
-    once per distinct coefficient ("x\n"), not once per entry.  Whenever a
-    slice brings the pending strings to _PIECE_STRINGS, they are joined into
-    one piece (which may end mid-product), and the text is the join of the
-    pieces: the writer holds about twice its text (the pieces and their
+    once per distinct coefficient ("x\n"), not once per entry; a slice's
+    keys are sorted only when it holds two or more.  Whenever a product
+    brings the pending strings to _PIECE_STRINGS, they are joined into one
+    piece (which ends at that product's end), and the text is the join of
+    the pieces: the writer holds about twice its text (the pieces and their
     join), not one str object per line.  The text is built in full before
     dump_algorithm opens its file, so a refused entry leaves no file.
     """
@@ -266,20 +271,28 @@ def format_algorithm(alg: BilinearAlgorithm) -> str:
     keys = _Memo(lambda key: f"{key[0]} {key[1]} ")
     values = _Memo(lambda x: f"{x}\n")
     pieces = []
-    strings = [f"{_PROGRAM_MAGIC} {m} {k} {n} {alg.rank}\n"]
+    # Each product opens with "\nU\n": the break that ends the line before
+    # it (the header, or the blank line after the previous product) and its
+    # U label.
+    strings = [f"{_PROGRAM_MAGIC} {m} {k} {n} {alg.rank}"]
     append = strings.append
     try:
-        for s in range(alg.rank):
-            if s:
-                append("\n")
-            for label, d in (("U\n", alg.u[s]), ("V\n", alg.v[s]), ("W\n", alg.w[s])):
-                append(label)
-                for key in sorted(d):
-                    append(keys[key])
-                    append(values[d[key]])
-                if len(strings) >= _PIECE_STRINGS:
-                    pieces.append("".join(strings))
-                    strings.clear()
+        for u, v, w in zip(alg.u, alg.v, alg.w):
+            append("\nU\n")
+            for key in sorted(u) if len(u) > 1 else u:
+                append(keys[key])
+                append(values[u[key]])
+            append("V\n")
+            for key in sorted(v) if len(v) > 1 else v:
+                append(keys[key])
+                append(values[v[key]])
+            append("W\n")
+            for key in sorted(w) if len(w) > 1 else w:
+                append(keys[key])
+                append(values[w[key]])
+            if len(strings) >= _PIECE_STRINGS:
+                pieces.append("".join(strings))
+                strings.clear()
     except ValueError:
         raise _unwritable(
             (f"{name}[{s}] entry ({r},{c})", x)

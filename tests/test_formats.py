@@ -8,6 +8,7 @@ one strict grammar, and writers refuse an entry Python cannot spell.
 Program text read in bulk reads exactly as the line reader reads it.
 """
 
+import hashlib
 import re
 import time
 import tracemalloc
@@ -22,6 +23,7 @@ from mmalg import (
     BadArgument,
     BilinearAlgorithm,
     DimensionTriple,
+    DualityPermutation,
     EquivalenceTransform,
     FormatError,
     Matrix,
@@ -33,6 +35,7 @@ from mmalg import (
     dump_algorithm,
     dump_matrix,
     dump_transform,
+    dual,
     format_algorithm,
     format_matrix,
     format_transform,
@@ -143,6 +146,66 @@ def test_program_writer_holds_about_twice_its_text():
         tracemalloc.stop()
     assert text == _line_per_entry(alg)
     assert peak < 1_500_000, peak
+
+
+# sha256 of format_algorithm's text, computed at the writer that looped once
+# per slice and sorted every slice (before the per-product loop): any writer
+# must keep these bytes.
+PROGRAM_TEXT_DIGESTS = {
+    "pan2": "ef58c78d8504a07395b3ba66ecc16a1dee01375bdd9bef9bd014822ae53c6361",
+    "pan4": "56d6fbba37ccb73ea34c673d89712660b5e4873765eced5a255668c2ed30dfdb",
+    "pan6": "6ad4f9720bf0e8c0e28a3045129d76454f17a1827b9d7aa97254a768e46d2ef8",
+    "pan8": "ffee95da5fbe4e31a17e546a96c488689cba0d26d28c82070c8af8da0aeef819",
+    "pan10": "e5860c3f9ec718fa902acc264c3bfcddbae9832bf34f1d9b8c8d1abbac8323ff",
+    "pan12": "1acc21406068727e48c512fe29a28fcb8b6da808bad023e1b985d1f7b3fca089",
+    "pan14": "33990bd86b51157410e013f57b09a4f66366f4bc42de661e7928fd4ef53e74fd",
+    "pan16": "74950cb89c722223bce1a3f6cc0f4be81064a76484a90dffa23253c0f470ad58",
+    "strassen": "98188a5d9568e14fe803e7d28830827e3c42b3933ffcbf172550f4606a66d48d",
+    "c234": "df4cc596cc03c6656a97fcab54b03a4c2d4d1d2d153d0be94a31fe4c47539f18",
+    "c234-sq": "24ae4a50299013da9f16cc898226ea3c7288c6aa8bbd19fce7b5979b63b8cdf4",
+    "s3": "ab850cec0efbd27860068a8297a9728aaebae4d56f8840afcfc5eb91b3a659eb",
+    "pan12-mkn": "1acc21406068727e48c512fe29a28fcb8b6da808bad023e1b985d1f7b3fca089",
+    "pan12-knm": "2eeb6474f8467ce82c8bdff8d0b71004314531d8c105faf486f41ce9046335e7",
+    "pan12-nmk": "80e7adf3bc00c53a436789a6a5e788dc0489ca2da8d15f3d61f771fadb492bbb",
+    "pan12-mnk": "047e81a099b4bf77f1625e36f9bc38a0ec6847481b18352765db2ae3d1cb307d",
+    "pan12-nkm": "ef6fbb2335f9252c10bddf2c5cef78fc476cc1c35a4c8628afcca98d9935f3f4",
+    "pan12-kmn": "ad5bff7ba720e14a2180f5560584e44916082eeba9524a164d86d100a90f3273",
+    "pan4-eq1": "5fa37dab572285caf1c251e1befa1aad43f4c46f2316f14ad7481b2713009812",
+    "pan4-eq2": "980b1dda0b3767911acc1cad002b95ac88237c2b15b8d2ee96fd0f8e3f54bf91",
+    "pan4-eq3": "3ced76afa0cef1954a643ff97ecb38f065ccfed326dd343fb887bdd61a3cf801",
+    "pan4-eq4": "ffa907ce9f6f1460dc3618c3d7b8385895994ed78d84eb3d29b452821470cbb5",
+    "pan4-eq5": "f5890eb9eda75d1aa407e77af63990d26c5751dd21d62d1dd289cde83206b895",
+}
+
+
+def _pinned_programs():
+    """(name, program) for each name of PROGRAM_TEXT_DIGESTS."""
+    for n in range(2, 17, 2):
+        yield f"pan{n}", pan_aggregation(n)
+    s = strassen_222()
+    yield "strassen", s
+    yield "c234", classical(2, 3, 4)
+    yield "c234-sq", squareify(classical(2, 3, 4))
+    yield "s3", tensor_product(tensor_product(s, s), s)
+    pan12 = pan_aggregation(12)
+    for perm in DualityPermutation:
+        yield f"pan12-{perm.value}", dual(pan12, perm)
+    pan4 = pan_aggregation(4)
+    for seed in range(1, 6):
+        transform = random_equivalence(pan4.dims, pan4.rank, seed)
+        yield f"pan4-eq{seed}", apply_equivalence(pan4, transform)
+
+
+def test_program_text_is_pinned():
+    # Byte identity at scale: one-entry slices (the squared classical, the
+    # tensor cube), Pan's multi-entry slices, transposed duals and Fraction
+    # coefficients (the equivalence outputs).
+    programs = dict(_pinned_programs())
+    assert all(any(type(c) is Fraction for d in programs[f"pan4-eq{seed}"].w for c in d.values())
+               for seed in range(1, 6))
+    got = {name: hashlib.sha256(format_algorithm(alg).encode()).hexdigest()
+           for name, alg in programs.items()}
+    assert got == PROGRAM_TEXT_DIGESTS
 
 
 def test_bulk_reader_shares_one_key_tuple_per_position():

@@ -1,9 +1,11 @@
 """The CLI behaves the same under Python 3.10, the floor that pyproject.toml
-declares, as under the interpreter running the tests: the same exit codes,
-the same stdout and the same bytes in every file it writes.
+declares, and under 3.12 and 3.13, as under the interpreter running the
+tests: the same exit codes, the same stdout and the same bytes in every file
+it writes.
 
-The 3.10 interpreter is python3.10 on PATH when it runs, else one under
-pyenv's root; the test skips when neither is there.
+Each interpreter is pythonX.Y on PATH when it runs, else one under pyenv's
+root; a version's test skips when neither is there.  The running
+interpreter's results are made once and shared by every version's test.
 """
 
 import glob
@@ -85,25 +87,25 @@ print(json.dumps(results))
 """
 
 
-def _runs_python310(exe: str) -> bool:
-    check = "import sys; sys.exit(sys.version_info[:2] != (3, 10))"
+def _runs_version(exe: str, version: str) -> bool:
+    check = f"import sys; sys.exit('%d.%d' % sys.version_info[:2] != {version!r})"
     try:
         return subprocess.run([exe, "-c", check], capture_output=True, timeout=60).returncode == 0
     except OSError:
         return False
 
 
-def _python310():
-    """A working Python 3.10 interpreter, or None."""
-    candidates = [shutil.which("python3.10")]
+def _python(version: str):
+    """A working Python interpreter of version ("3.10", say), or None."""
+    name = f"python{version}"
+    candidates = [shutil.which(name)]
     root = os.environ.get("PYENV_ROOT")
     pyenv = shutil.which("pyenv")
     if not root and pyenv:
         root = subprocess.run([pyenv, "root"], capture_output=True, text=True).stdout.strip()
     if root:
-        candidates += sorted(glob.glob(os.path.join(root, "versions", "3.10*", "bin",
-                                                    "python3.10")))
-    return next((exe for exe in candidates if exe and _runs_python310(exe)), None)
+        candidates += sorted(glob.glob(os.path.join(root, "versions", f"{version}*", "bin", name)))
+    return next((exe for exe in candidates if exe and _runs_version(exe, version)), None)
 
 
 def _run(exe: str, workdir: pathlib.Path) -> tuple:
@@ -120,17 +122,33 @@ def _run(exe: str, workdir: pathlib.Path) -> tuple:
     return json.loads(done.stdout), files
 
 
-def test_cli_under_python_3_10_matches_the_running_interpreter(tmp_path):
-    exe = _python310()
-    if exe is None:
-        pytest.skip("no working Python 3.10 interpreter")
-    old, old_files = _run(exe, tmp_path / "py310")
-    new, new_files = _run(sys.executable, tmp_path / "current")
+@pytest.fixture(scope="module")
+def current(tmp_path_factory):
+    """The running interpreter's (results, files), checked for exit codes."""
+    new, new_files = _run(sys.executable, tmp_path_factory.mktemp("current") / "run")
     assert [code for code, _ in new] == [1 if argv == FAILING else 2 if argv == REFUSED else 0
                                          for argv in COMMANDS]
+    assert len(new_files) == len(INPUTS) + sum("--out" in argv for argv in COMMANDS)
+    return new, new_files
+
+
+def _check_parity(version: str, current, workdir: pathlib.Path) -> None:
+    exe = _python(version)
+    if exe is None:
+        pytest.skip(f"no working Python {version} interpreter")
+    old, old_files = _run(exe, workdir)
+    new, new_files = current
     for argv, got, want in zip(COMMANDS, old, new):
         assert got == want, argv
     assert sorted(old_files) == sorted(new_files)
-    assert len(new_files) == len(INPUTS) + sum("--out" in argv for argv in COMMANDS)
     for name, data in new_files.items():
         assert old_files[name] == data, name
+
+
+def test_cli_under_python_3_10_matches_the_running_interpreter(current, tmp_path):
+    _check_parity("3.10", current, tmp_path / "py310")
+
+
+@pytest.mark.parametrize("version", ["3.12", "3.13"])
+def test_cli_under_later_pythons_matches_the_running_interpreter(version, current, tmp_path):
+    _check_parity(version, current, tmp_path / "run")
