@@ -22,13 +22,13 @@ re-reading a matrix reproduces it exactly.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from fractions import Fraction
+from itertools import repeat
 from operator import itemgetter
 
-from .bilinear_core import BilinearAlgorithm, DimensionTriple, _canonical
+from .bilinear_core import BilinearAlgorithm, DimensionTriple
 from .errors import BadArgument, FormatError
 from .exact_algebra import QQ, Matrix, PrimeField, RationalField
 from .transforms import EquivalenceTransform
@@ -211,18 +211,22 @@ def dump_matrix(a: Matrix, path) -> None:
 # entries within a block and separates products by a blank line; the reader
 # accepts entries in any order and arbitrary blank lines.
 #
-# parse_algorithm reads text in the writer's exact form (_HEADER, then one
-# _PRODUCT per product: "\n" line ends, one space between tokens, no '+',
-# no leading zero and no zero coefficient, at most one blank line after a
-# product) in bulk, with no Python step per line.  Any other text, and
-# writer-form text that fails a check (an index outside its block, a
-# duplicate entry, a product count other than R, a number past Python's
-# int-string digit limit), goes unchanged to the line reader _parse_lines,
-# the one source of FormatErrors.
+# parse_algorithm reads text in the writer's exact form in bulk, with a
+# Python step per block and per distinct line but none per entry line.  That
+# form is _HEADER, then R products of three label lines U, V and W
+# (_LABEL_LINE; one blank line may come before each), each followed by its
+# entry lines (_ENTRY_LINE: one space between tokens, no '+', no leading
+# zero and no zero coefficient), every line ended by "\n".  Lines are split
+# on "\n" alone, so any other line break stays inside a line and fails
+# _ENTRY_LINE.  Any other text, and writer-form text that fails a check (an
+# index outside its block, a duplicate entry, a product count other than R,
+# a number past Python's int-string digit limit), goes unchanged to the line
+# reader _parse_lines, the one source of FormatErrors.
 #
-# Both the writer and the bulk reader draw what they make per entry from a
-# _Memo, one object per distinct key (its "r c " string, or its (r, c)
-# tuple) and per distinct coefficient (its "x\n" string), not one per entry.
+# The writer and both readers draw what they make per entry from a _Memo:
+# one object per distinct key (its "r c " string, or its (r, c) tuple), per
+# distinct coefficient (its "x\n" string) and, in the bulk reader, per
+# distinct entry line (its (key, coefficient) pair), not one per entry.
 # The writer takes one step per product: it writes the U, V and W entries
 # inline, sorts a slice's keys only when it holds two or more entries (one
 # key is already in order), and checks the piece size once per product.
@@ -230,11 +234,12 @@ def dump_matrix(a: Matrix, path) -> None:
 
 _PROGRAM_MAGIC = "mmalg-v1"
 _POSITIVE = "[1-9][0-9]*"
-_ENTRY = rf"(?:0|{_POSITIVE}) (?:0|{_POSITIVE}) -?{_POSITIVE}(?:/{_POSITIVE})?\n"
 _HEADER = re.compile(
     rf"{_PROGRAM_MAGIC} ({_POSITIVE}) ({_POSITIVE}) ({_POSITIVE}) ({_POSITIVE})\n")
-_PRODUCT = re.compile(rf"U\n(?:{_ENTRY})*V\n(?:{_ENTRY})*W\n(?:{_ENTRY})*\n?")
-_FRACTION = re.compile(r"(-?[0-9]+/[0-9]+)")
+# A label line, after at most one blank line.
+_LABEL_LINE = re.compile("^\n?([UVW])\n", re.M)
+# An entry line without its "\n": the two indices and the coefficient.
+_ENTRY_LINE = re.compile(rf"(0|{_POSITIVE}) (0|{_POSITIVE}) (-?{_POSITIVE}(?:/{_POSITIVE})?)")
 
 
 # Strings per piece of format_algorithm's text, at least: a piece ends with
@@ -308,43 +313,44 @@ def _read_canonical(text: str) -> BilinearAlgorithm | None:
     """The program that text in the writer's exact form holds, or None when
     text is in another form or fails a check (see the text-format comment).
 
-    String replacements turn the blocks into one JSON list of numbers each
-    (a label line becomes "],[" and an entry line "i,j,value,"), with each
-    p/q quoted as a string, so json.loads reads every number; each block is
-    then one dict built by C-level calls, its keys drawn from one _Memo so
-    that every slice shares one tuple per distinct (i, j).
+    One re.split on the label lines (_LABEL_LINE) gives the labels and the
+    block texts.  Each block becomes one dict, built by C-level calls from
+    its lines, each line looked up in a _Memo that reads every distinct line
+    once (_ENTRY_LINE, then _exact) into a (key, coefficient) pair, the key
+    drawn from one _Memo so that every slice shares one tuple per distinct
+    (i, j).  A block's line list is made inside the comprehension, so the
+    reader holds one block's lines at a time, not every block's.
     """
     header = _HEADER.match(text)
-    if header is None:
+    if header is None or not text.endswith("\n"):
         return None
-    body = text[header.end():]
-    # The body is in the writer's form when removing every _PRODUCT match
-    # leaves nothing.  Matching one product at a time keeps the regex
-    # engine's backtracking state to one product, not the whole text.
-    rest, products = _PRODUCT.subn("", body)
-    if rest:
-        return None
-    body = body.replace("\n\n", "\n")
-    fractional = "/" in body
-    if fractional:
-        # split keeps each p/q (the group) between the texts around it
-        body = '"'.join(_FRACTION.split(body))
-    for label in "UVW":
-        body = body.replace(label + "\n", "],[")
-    body = ("[[" + body[3:].replace(" ", ",").replace("\n", ",") + "]]").replace(",]", "]")
+    parts = _LABEL_LINE.split(text)
+    blocks = parts[2::2]
+    key = _Memo(lambda pair: pair)
+
+    def read(line):
+        match = _ENTRY_LINE.fullmatch(line)
+        if match is None:
+            raise ValueError(line)
+        r, c, x = match.groups()
+        x = _exact(x)
+        return key[int(r), int(c)], x.numerator if x.denominator == 1 else x
+
+    entry = _Memo(read).__getitem__
     try:
         m, k, n, rank = map(int, header.groups())
-        if products != rank:
+        # The length test comes first: it keeps a huge header rank from
+        # building a huge label list.
+        if (len(parts[0]) != header.end() or len(parts) != 6 * rank + 1
+                or parts[1::2] != ["U", "V", "W"] * rank):
             return None
-        blocks = json.loads(body)
-        key = _Memo(lambda pair: pair).__getitem__
-        slices = [dict(zip(map(key, zip(it, it)), it)) for it in map(iter, blocks)]
-        if 3 * sum(map(len, slices)) != sum(map(len, blocks)):
-            return None
-        if fractional:
-            slices = [_canonical({key: c if type(c) is int else _exact(c) for key, c in d.items()})
-                      for d in slices]
+        # A label line starts a line and the text ends with "\n", so every
+        # block ends with "\n" or is empty.
+        slices = [dict(map(entry, block[:-1].split("\n"))) if block else {} for block in blocks]
     except ValueError:
+        return None
+    # A duplicate key leaves its slice one entry short of its lines.
+    if sum(map(len, slices)) != sum(map(str.count, blocks, repeat("\n"))):
         return None
     u, v, w = slices[0::3], slices[1::3], slices[2::3]
     for tensor, rows, cols in ((u, m, k), (v, k, n), (w, m, n)):
@@ -363,13 +369,15 @@ def parse_algorithm(text: str) -> BilinearAlgorithm:
 
 def _parse_lines(text: str) -> BilinearAlgorithm:
     """The line reader: any text in the format, or a FormatError naming the
-    first line at fault."""
+    first line at fault.  Its keys come from one _Memo, so every slice shares
+    one tuple per distinct (i, j)."""
     records = _records(text)
     m, k, n, rank = _read_header(records, _PROGRAM_MAGIC, ("m", "k", "n", "R"), "algorithm")
     shapes = {"U": (m, k), "V": (k, n), "W": (m, n)}
     order = ("U", "V", "W")
     u, v, w = [], [], []
     dest = {"U": u, "V": v, "W": w}
+    key = _Memo(lambda pair: pair)
     current = None  # (label, dict)
     blocks_seen = 0
 
@@ -407,7 +415,7 @@ def _parse_lines(text: str) -> BilinearAlgorithm:
             )
         if (r, c) in block:
             raise FormatError(lineno, f"duplicate entry ({r},{c}) in block '{label}'")
-        block[(r, c)] = val
+        block[key[r, c]] = val
 
     if blocks_seen != 3 * rank:
         raise FormatError(

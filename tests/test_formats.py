@@ -209,18 +209,35 @@ def test_program_text_is_pinned():
 
 
 def test_bulk_reader_shares_one_key_tuple_per_position():
-    # pan(8), a Fraction-coefficient equiv output (read through _canonical)
-    # and a tensor product: every slice of u, v and w holds the same tuple
-    # object for the same (i, j).
+    # pan(8), a Fraction-coefficient equiv output and a tensor product, each
+    # read in bulk and, as CRLF text, by the line reader: every slice of u, v
+    # and w holds the same tuple object for the same (i, j).
     pan4 = pan_aggregation(4)
     equiv = apply_equivalence(pan4, random_equivalence(pan4.dims, pan4.rank, 1))
     assert any(type(c) is Fraction for d in equiv.w for c in d.values())
     s = strassen_222()
     for alg in (pan_aggregation(8), equiv, tensor_product(s, s)):
-        read = parse_algorithm(format_algorithm(alg))
-        assert read == alg
-        keys = [key for tensor in (read.u, read.v, read.w) for d in tensor for key in d]
-        assert len(set(map(id, keys))) == len(set(keys))
+        text = format_algorithm(alg)
+        crlf = text.replace("\n", "\r\n")
+        assert _read_canonical(text) is not None and _read_canonical(crlf) is None
+        for read in (parse_algorithm(text), parse_algorithm(crlf)):
+            assert read == alg
+            keys = [key for tensor in (read.u, read.v, read.w) for d in tensor for key in d]
+            assert len(set(map(id, keys))) == len(set(keys))
+
+
+def test_bulk_reader_peaks_near_its_program():
+    # The reader makes one block's line list at a time: holding every
+    # block's lines at once would peak near twice the program it returns.
+    text = format_algorithm(pan_aggregation(16))
+    tracemalloc.start()
+    try:
+        alg = parse_algorithm(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert alg == pan_aggregation(16)
+    assert peak < 1.6 * held, (peak, held)
 
 
 @given(transforms())
@@ -312,10 +329,20 @@ _EDGE_CASES = {
     "zero-dimension": "mmalg-v1 0 1 1 1\nU\nV\nW\n",
     "label-order": "mmalg-v1 1 1 1 1\nV\nU\nW\n",
     "empty": "",
+    "carriage-return-in-line": "mmalg-v1 2 1 1 1\nU\n0 0 1\r1 0 1\n0 0 1\nV\nW\n",
+    "blank-line-in-block": "mmalg-v1 2 1 1 1\nU\n0 0 1\n\n1 0 1\nV\nW\n",
+    "trailing-space": "mmalg-v1 1 1 1 1\nU\n0 0 1 \nV\nW\n",
+    "tab-separator": "mmalg-v1 1 1 1 1\nU\n0\t0 1\nV\nW\n",
+    "empty-u-block": "mmalg-v1 1 1 1 1\nU\nV\n0 0 1\nW\n0 0 -1\n",
+    "no-final-newline-duplicate": "mmalg-v1 1 1 1 1\nU\nV\nW\n0 0 1\n0 0 12",
 }
-# The cases in the writer's form (a program may lack the blank lines).
+# The cases in the writer's form (a program may lack the blank lines).  A
+# "\r" inside a line keeps it from the bulk reader, which splits on "\n"
+# alone: a reader that split on the breaks of str.splitlines but counted
+# "\n" would accept the duplicate (0, 0) of "carriage-return-in-line", where
+# the line reader raises.
 _READ_IN_BULK = {"empty-blocks", "some-empty-blocks", "fractions", "integral-fractions",
-                 "unsorted", "no-blank-lines"}
+                 "unsorted", "no-blank-lines", "empty-u-block"}
 
 
 @pytest.mark.parametrize("name", sorted(_EDGE_CASES))
