@@ -43,7 +43,11 @@ So QQ products (recursion.recursive_multiply), block inversion
 run on ints, with one Fraction per output entry.  The two inverses share
 the elimination (_bareiss, which gives d times the inverse of the cleared
 matrix) and the conversion of its result into the inverse
-(_cleared_inverse).
+(_cleared_inverse).  _bareiss runs in place on rows of n entries, not on
+the 2n of [a' | I]: each column it eliminates leaves its slot to the
+matching column of the inverse.  It leaves alone a row that would not
+change, skips division by 1 over QQ, and undoes its row swaps with one
+permutation of the result's columns.
 Two flat kernels multiply raw row-major operands: _classical, the plain
 loop with one reduction mod p per dot product (none over QQ, where it takes
 ints or Fractions alike), and over GF(p) _packed_products, which runs a
@@ -244,8 +248,9 @@ class RationalField:
                 for v, c in zip(values[i:i + n], col_scales)]
 
     def _quotient(self, values: Sequence, d: int) -> list:
-        """The cleared values divided by d, which divides each of them."""
-        return [v // d for v in values]
+        """The cleared values divided by d, which divides each of them:
+        values itself when d is 1."""
+        return values if d == 1 else [v // d for v in values]
 
     def _normal(self, values: Sequence, d: int) -> tuple:
         """The block values / d as (ints, e) with e > 0 and gcd(e, *ints) = 1."""
@@ -677,31 +682,37 @@ def _bareiss(ring: RationalField | PrimeField, values: Sequence, n: int) -> tupl
     with row pivoting (Bareiss, "Sylvester's identity and multistep
     integer-preserving Gaussian elimination", Math. Comp. 1968).
 
-    One loop eliminates on [a' | I]: at each column every row other than the
-    pivot row becomes (piv * row - f * pivot_row) / prev, prev the previous
-    pivot, a division the ring's _quotient makes exact (// on the QQ
-    integers, times prev^-1 mod p over GF(p), whose values must lie in
-    [0, p)).  The left half ends as d * I.  Raises SingularMatrix when a
-    column has no pivot.
+    The elimination runs in place, n entries a row.  At each column c every
+    row other than the pivot row becomes (piv * row - f * pivot_row) / prev,
+    prev the previous pivot, a division the ring's _quotient makes exact
+    (// on the QQ integers, times prev^-1 mod p over GF(p), whose values
+    must lie in [0, p)).  Slot c then holds column c of the right half of
+    [a' | I]: prev in the pivot row, and in every other row -f, which the
+    same update makes of a slot set to 0.  A row with f = 0 is left as it
+    is when piv == prev, and over QQ a division by 1 is skipped.  The rows
+    end as d (P a')^-1 for the row swaps P, so the columns are permuted once
+    at the end: a'^-1 = (P a')^-1 P.  Raises SingularMatrix when a column
+    has no pivot.
     """
-    rows = [[*values[i * n:(i + 1) * n], *(int(i == j) for j in range(n))] for i in range(n)]
-    # Each step drops the column it eliminates, so rows[r][0] is always the
-    # current column and the right half is rows[r][-n:].
+    rows = [list(values[i:i + n]) for i in range(0, n * n, n)]
+    order = list(range(n))
     prev = 1
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][0]), None)
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot_row is None:
             raise SingularMatrix(f"no pivot in column {col}")
         rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        piv, *top = rows[col]
-        for r in range(n):
-            if r != col:
-                row = rows[r]
-                f = row[0]
-                rows[r] = ring._quotient([piv * x - f * y for x, y in zip(row[1:], top)], prev)
-        rows[col] = top
+        order[col], order[pivot_row] = order[pivot_row], order[col]
+        top = rows[col]
+        piv, top[col] = top[col], prev
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != col and (f or piv != prev):
+                row[col] = 0
+                rows[r] = ring._quotient([piv * x - f * y for x, y in zip(row, top)], prev)
         prev = piv
-    return [x for row in rows for x in row], prev
+    where = sorted(range(n), key=order.__getitem__)
+    return [row[k] for row in rows for k in where], prev
 
 
 def _cleared_inverse(ring: RationalField | PrimeField, n: int, right: Sequence, d: int,

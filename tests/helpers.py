@@ -7,8 +7,9 @@ six-index grid, so the two can cross-check each other.  naive_product
 likewise shares nothing with the package's product kernels, and
 reference_trilinear_random is the trial-by-trial form of the package's
 batched trace-identity check, reference_apply_equivalence the
-equivalence transform in plain Fraction arithmetic, and reference_tensor
-the tensor product with a fresh key tuple per entry.
+equivalence transform in plain Fraction arithmetic, reference_tensor
+the tensor product with a fresh key tuple per entry, and reference_bareiss
+the fraction-free elimination on the augmented matrix [A | I].
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from mmalg import BilinearAlgorithm, DimensionTriple, Matrix, QQ, mat_classical_multiply
+from mmalg import (BilinearAlgorithm, DimensionTriple, Matrix, QQ, SingularMatrix,
+                   mat_classical_multiply)
 
 P61 = 2**61 - 1
 P31 = 2**31 - 1
@@ -130,6 +132,39 @@ def reference_tensor(a: BilinearAlgorithm, b: BilinearAlgorithm) -> tuple:
     (m1, k1, n1), (m2, k2, n2) = a.dims, b.dims
     return (DimensionTriple(m1 * m2, k1 * k2, n1 * n2), a.rank * b.rank, kron(a.u, b.u, m2, k2),
             kron(a.v, b.v, k2, n2), kron(a.w, b.w, m2, n2))
+
+
+def reference_bareiss(ring, values, n: int) -> tuple:
+    """(right, d) of exact_algebra._bareiss, computed on the augmented rows
+    [a' | I] of 2n entries, with each step dropping the column it
+    eliminates and swapping rows as it pivots; its exact division is its
+    own (// over QQ, times prev^-1 mod p over GF(p))."""
+    p = ring._modulus
+
+    def quotient(values, d):
+        if p is None:
+            return [v // d for v in values]
+        q = pow(d, -1, p)
+        return [v * q % p for v in values]
+
+    rows = [[*values[i * n:(i + 1) * n], *(int(i == j) for j in range(n))] for i in range(n)]
+    # Each step drops the column it eliminates, so rows[r][0] is always the
+    # current column and the right half is rows[r][-n:].
+    prev = 1
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if rows[r][0]), None)
+        if pivot_row is None:
+            raise SingularMatrix(f"no pivot in column {col}")
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        piv, *top = rows[col]
+        for r in range(n):
+            if r != col:
+                row = rows[r]
+                f = row[0]
+                rows[r] = quotient([piv * x - f * y for x, y in zip(row[1:], top)], prev)
+        rows[col] = top
+        prev = piv
+    return [x for row in rows for x in row], prev
 
 
 def naive_product(a_rows, b_rows, p=None) -> list:

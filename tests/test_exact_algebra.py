@@ -42,10 +42,10 @@ from mmalg import (
 )
 
 from mmalg import exact_algebra
-from mmalg.exact_algebra import (_classical, _packed, _packed_products, _slot_words, _slots,
-                                 _words)
+from mmalg.exact_algebra import (_bareiss, _classical, _packed, _packed_products, _slot_words,
+                                 _slots, _words)
 
-from helpers import P31, P61, naive_product, unit_lu_matrix
+from helpers import P31, P61, naive_product, reference_bareiss, unit_lu_matrix
 
 
 def test_rational_examples():
@@ -399,6 +399,60 @@ def test_mat_inverse_inverts_or_refuses(ring, data):
         mat_inverse(singular)
     with pytest.raises(SingularMatrix, match="singular"):
         recursive_invert(cfg, singular)
+
+
+@given(p=st.sampled_from((None, 2, 3, 97, P61)), data=st.data())
+def test_bareiss_matches_the_augmented_reference(p, data):
+    # A row permutation of L U as in test_mat_inverse_inverts_or_refuses,
+    # so that rows are swapped in column 0 and, through L's zeros, later;
+    # over GF(p) with integer entries and a diagonal of 1 or -1, so that it
+    # is invertible mod every p.  Then the same rows with one of them a
+    # combination of the others.  _bareiss must give the reference's
+    # (right, d), or the same error, and leave its input as it was.
+    ring = QQ if p is None else PrimeField(p)
+    entries = _FRACTIONS if p is None else st.integers(-9, 9)
+    diagonal = _UNITS if p is None else st.sampled_from((1, -1))
+    n = data.draw(st.integers(1, 12))
+    lower = [[int(i == j) if i <= j or j == 0 or data.draw(st.booleans())
+              else data.draw(entries) for j in range(n)] for i in range(n)]
+    upper = [[data.draw(diagonal) if i == j else data.draw(entries) if i < j else 0
+              for j in range(n)] for i in range(n)]
+    product = naive_product(lower, upper)
+    order = data.draw(st.permutations(range(n)).filter(lambda q: n == 1 or q[0] != 0))
+    rows = [product[i] for i in order]
+    r = data.draw(st.integers(0, n - 1))
+    coefficients = [data.draw(entries) for _ in range(n)]
+    singular = [*rows[:r], [sum((c * row[j] for i, (c, row) in enumerate(zip(coefficients, rows))
+                                 if i != r), 0) for j in range(n)], *rows[r + 1:]]
+    for source in (rows, singular):
+        cleared, _ = ring._clear(Matrix.from_rows(ring, source)._values, n)
+        before = list(cleared)
+        try:
+            expected = reference_bareiss(ring, cleared, n)
+        except SingularMatrix as exc:
+            with pytest.raises(SingularMatrix) as got:
+                _bareiss(ring, cleared, n)
+            assert str(got.value) == str(exc)
+        else:
+            right, d = _bareiss(ring, cleared, n)
+            assert (right, d) == expected
+            if p is not None:
+                assert all(0 <= x < p for x in right) and 0 < d < p
+        assert list(cleared) == before
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(2)])
+def test_permutation_matrices_invert_to_their_transposes(ring):
+    # Each column but the last (the middle one too, for the reversal) needs
+    # a row swap, so the inverse is the inverse of the swapped rows with its
+    # columns permuted back; the cyclic shift is not its own inverse, so a
+    # permutation applied the wrong way round shows.
+    for image in ([(i + 1) % 7 for i in range(7)], [6 - i for i in range(7)]):
+        perm = Matrix.from_rows(ring, [[int(j == image[i]) for j in range(7)] for i in range(7)])
+        assert mat_inverse(perm) == perm.transpose()
+        for threshold in (1, 2, 3):
+            cfg = RecursionConfig(strassen_222(), threshold)
+            assert recursive_invert(cfg, perm)[0] == perm.transpose()
 
 
 def test_matrix_format_round_trip():
