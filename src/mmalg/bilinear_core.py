@@ -309,10 +309,13 @@ def verify_trilinear_random(
     per product; a one-word slot is read as a plain slice.  The draws
     are those of a trial-by-trial loop (per trial: A row-major, then B,
     then D, each by rng.randrange(p)), so a seed gives the same samples and
-    the same verdict; the check stops after the first batch with a failing
-    trial.  The right-hand side takes every trial's A B from one call of
-    the packed kernel (exact_algebra._packed_products, the trials as its
-    nodes) and dots each with D's columns.
+    the same verdict; they are taken as randrange takes them on CPython
+    3.10-3.13, getrandbits(p.bit_length()) until a value is below p, but by
+    one filter over a map, with no Python step per draw.  The check stops
+    after the first batch with a failing trial.  The right-hand side takes
+    every trial's A B from one call of the packed kernel
+    (exact_algebra._packed_products, the trials as its nodes) and dots each
+    with D's columns.
     """
     if not isinstance(trials, int) or trials < 1:
         raise BadArgument(f"trials must be a positive integer, got {trials!r}")
@@ -345,9 +348,10 @@ def verify_trilinear_random(
     mk, kn, mn = m * k, k * n, m * n
 
     rng = random.Random(seed)
+    samples = filter(prime.__gt__, map(rng.getrandbits, repeat(prime.bit_length())))
     for start in range(0, trials, _TRIAL_BATCH):
         batch = min(_TRIAL_BATCH, trials - start)
-        draws = [[rng.randrange(prime) for _ in range(mk + kn + n * m)] for _ in range(batch)]
+        draws = [list(islice(samples, mk + kn + n * m)) for _ in range(batch)]
         lhs = [0] * batch
         for words, mask in groups.items():
             packed = iter(_packed(chain.from_iterable(zip(*draws)), words, batch))

@@ -18,9 +18,13 @@ which the other modules use; only this module reads ``_modulus``:
   ``_element(v)`` and ``_elements(values)`` turn raw values into elements;
 - ``_clear`` and ``_restore``: over QQ, ``_clear`` scales each row (or each
   column) of raw values by the lcm of its denominators to Python ints and
-  returns those lcms, and ``_restore`` divides entry (i, j) of an int
-  result by its row and column scales back into Fractions; over GF(p)
-  ``_clear`` returns the values unchanged, with scales of 1, and
+  returns those lcms, reading only the numerator where that lcm is 1, and
+  ``_restore`` divides entry (i, j) of an int result by its row and column
+  scales back into Fractions; where both are 1 it builds no gcd and shares
+  one Fraction per distinct int (a _Memo, the dict that makes each missing
+  value once, which the program writer and readers of formats share), as
+  the integral inverses of block inversion and mat_inverse have it; over
+  GF(p) ``_clear`` returns the values unchanged, with scales of 1, and
   ``_restore`` reduces an int result of any size mod p.  ``_quotient``
   divides cleared values exactly: ``//`` over QQ, times d^-1 mod p over
   GF(p), and ``_normal(ints, d)`` puts a block ints / d of cleared values
@@ -72,7 +76,7 @@ from array import array
 from fractions import Fraction
 from itertools import cycle, islice, repeat
 from math import gcd, lcm
-from operator import add, lshift, mul, neg, or_, sub
+from operator import add, attrgetter, lshift, mul, neg, or_, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import BadArgument, BadField, DimensionError, SingularMatrix
@@ -80,6 +84,8 @@ from .errors import BadArgument, BadField, DimensionError, SingularMatrix
 # The exact scalar of QQ: lowest terms, positive denominator.  Program
 # coefficients take it only when they are not integral (bilinear_core).
 Rational = Fraction
+
+_denominator = attrgetter("denominator")
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -205,6 +211,18 @@ class ModularScalar:
         return str(self.value)
 
 
+class _Memo(dict):
+    """A dict that makes a missing key's value with make(key) and keeps it,
+    so equal keys share one value object."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 class RationalField:
     """The field of exact rationals.  Use the module-level singleton QQ."""
 
@@ -231,21 +249,34 @@ class RationalField:
 
     def _clear(self, values: Sequence, cols: int, by_columns: bool = False) -> tuple:
         """(ints, scales): each row of the raw row-major values (each column,
-        by_columns) times the lcm of its denominators, and those lcms."""
+        by_columns) times the lcm of its denominators, and those lcms.  In a
+        row or column whose scale is 1 every entry is its numerator."""
         if by_columns:
-            scales = [lcm(*(x.denominator for x in values[j::cols])) for j in range(cols)]
+            scales = [lcm(*map(_denominator, values[j::cols])) for j in range(cols)]
             each = scales * (len(values) // cols)
         else:
-            scales = [lcm(*(x.denominator for x in values[i:i + cols]))
+            scales = [lcm(*map(_denominator, values[i:i + cols]))
                       for i in range(0, len(values), cols)]
             each = [s for s in scales for _ in range(cols)]
-        return [x.numerator * (s // x.denominator) for x, s in zip(values, each)], scales
+        return [x.numerator if s == 1 else x.numerator * (s // x.denominator)
+                for x, s in zip(values, each)], scales
 
     def _restore(self, values: Sequence, row_scales: Sequence, col_scales: Sequence) -> list:
-        """Entry (i, j) of the raw row-major values over row_scales[i] * col_scales[j]."""
-        n = len(col_scales)
-        return [Fraction(v, r * c) for r, i in zip(row_scales, range(0, len(values), n))
-                for v, c in zip(values[i:i + n], col_scales)]
+        """Entry (i, j) of the raw row-major values over row_scales[i] *
+        col_scales[j], the scales positive.  Where both scales are 1 it is
+        one Fraction per distinct int, shared (Fractions are immutable) and
+        built without a gcd."""
+        n, whole, units = len(col_scales), _Memo(Fraction), all(c == 1 for c in col_scales)
+        out = []
+        for r, i in zip(row_scales, range(0, len(values), n)):
+            row = values[i:i + n]
+            if r != 1:
+                out += map(Fraction, row, map(mul, repeat(r), col_scales))
+            elif units:
+                out += map(whole.__getitem__, row)
+            else:
+                out += [whole[v] if c == 1 else Fraction(v, c) for v, c in zip(row, col_scales)]
+        return out
 
     def _quotient(self, values: Sequence, d: int) -> list:
         """The cleared values divided by d, which divides each of them:
@@ -514,9 +545,12 @@ class Matrix:
         """Return a rows x cols matrix with self in the top-left corner, zeros elsewhere."""
         if rows < self.rows or cols < self.cols:
             raise DimensionError("embedding target smaller than matrix")
-        ring = self.ring
-        return Matrix._from_values(ring, rows, cols, _padded(self._values, self.rows, self.cols,
-                                                             rows, cols, ring._value(0)))
+        zero, w, out = self.ring._value(0), self.cols, []
+        for i in range(0, len(self._values), w):
+            out += self._values[i:i + w]
+            out += repeat(zero, cols - w)
+        out += repeat(zero, (rows - self.rows) * cols)
+        return Matrix._from_values(self.ring, rows, cols, out)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -533,18 +567,6 @@ class Matrix:
 
     def __repr__(self):
         return f"<Matrix {self.rows}x{self.cols} over {self.ring!r}>"
-
-
-def _padded(values: Sequence, rows: int, cols: int, prows: int, pcols: int, zero=0) -> Sequence:
-    """Row-major rows x cols values embedded with zero into prows x pcols."""
-    if (rows, cols) == (prows, pcols):
-        return values
-    pad = [zero] * (pcols - cols)
-    out = []
-    for i in range(0, rows * cols, cols):
-        out += values[i:i + cols]
-        out += pad
-    return out + [zero] * ((prows - rows) * pcols)
 
 
 def _classical(ae: Sequence, be: Sequence, m: int, k: int, n: int, p: Optional[int]) -> list:

@@ -30,7 +30,7 @@ from operator import itemgetter
 
 from .bilinear_core import BilinearAlgorithm, DimensionTriple
 from .errors import BadArgument, FormatError
-from .exact_algebra import QQ, Matrix, PrimeField, RationalField
+from .exact_algebra import QQ, Matrix, PrimeField, RationalField, _Memo
 from .transforms import EquivalenceTransform
 
 
@@ -236,8 +236,11 @@ _PROGRAM_MAGIC = "mmalg-v1"
 _POSITIVE = "[1-9][0-9]*"
 _HEADER = re.compile(
     rf"{_PROGRAM_MAGIC} ({_POSITIVE}) ({_POSITIVE}) ({_POSITIVE}) ({_POSITIVE})\n")
-# A label line, after at most one blank line.
-_LABEL_LINE = re.compile("^\n?([UVW])\n", re.M)
+# A label line, after at most one blank line, with the line break before
+# it: a pattern that opens with a literal "\n" lets the regex engine search
+# for it, where one that opens with a multiline "^" is tried at every
+# position.
+_LABEL_LINE = re.compile("\n\n?([UVW])$", re.M)
 # An entry line without its "\n": the two indices and the coefficient.
 _ENTRY_LINE = re.compile(rf"(0|{_POSITIVE}) (0|{_POSITIVE}) (-?{_POSITIVE}(?:/{_POSITIVE})?)")
 
@@ -245,18 +248,6 @@ _ENTRY_LINE = re.compile(rf"(0|{_POSITIVE}) (0|{_POSITIVE}) (-?{_POSITIVE}(?:/{_
 # Strings per piece of format_algorithm's text, at least: a piece ends with
 # the product that reaches this count.
 _PIECE_STRINGS = 8192
-
-
-class _Memo(dict):
-    """A dict that makes a missing key's value with make(key) and keeps it,
-    so equal keys share one value object."""
-
-    def __init__(self, make):
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
 
 
 def format_algorithm(alg: BilinearAlgorithm) -> str:
@@ -313,8 +304,9 @@ def _read_canonical(text: str) -> BilinearAlgorithm | None:
     """The program that text in the writer's exact form holds, or None when
     text is in another form or fails a check (see the text-format comment).
 
-    One re.split on the label lines (_LABEL_LINE) gives the labels and the
-    block texts.  Each block becomes one dict, built by C-level calls from
+    One re.split of the text minus its final "\n" on the label lines
+    (_LABEL_LINE) gives the labels and the block texts, each line of a block
+    led by its "\n".  Each block becomes one dict, built by C-level calls from
     its lines, each line looked up in a _Memo that reads every distinct line
     once (_ENTRY_LINE, then _exact) into a (key, coefficient) pair, the key
     drawn from one _Memo so that every slice shares one tuple per distinct
@@ -324,7 +316,7 @@ def _read_canonical(text: str) -> BilinearAlgorithm | None:
     header = _HEADER.match(text)
     if header is None or not text.endswith("\n"):
         return None
-    parts = _LABEL_LINE.split(text)
+    parts = _LABEL_LINE.split(text[:-1])
     blocks = parts[2::2]
     key = _Memo(lambda pair: pair)
 
@@ -341,12 +333,12 @@ def _read_canonical(text: str) -> BilinearAlgorithm | None:
         m, k, n, rank = map(int, header.groups())
         # The length test comes first: it keeps a huge header rank from
         # building a huge label list.
-        if (len(parts[0]) != header.end() or len(parts) != 6 * rank + 1
+        if (len(parts[0]) != header.end() - 1 or len(parts) != 6 * rank + 1
                 or parts[1::2] != ["U", "V", "W"] * rank):
             return None
-        # A label line starts a line and the text ends with "\n", so every
-        # block ends with "\n" or is empty.
-        slices = [dict(map(entry, block[:-1].split("\n"))) if block else {} for block in blocks]
+        # A label line ends a line or the text, so every block starts with
+        # "\n" or is empty.
+        slices = [dict(map(entry, block[1:].split("\n"))) if block else {} for block in blocks]
     except ValueError:
         return None
     # A duplicate key leaves its slice one entry short of its lines.

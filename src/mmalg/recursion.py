@@ -51,22 +51,26 @@ otherwise; a product that does not recurse evaluates no form, so a
 coefficient with no image mod p does not stop it.  _restore reduces the
 product once.
 
-Level order and batches.  _multiply reorders both padded operands
-into level order (see _level_order): the entries of a leaf block
-outermost, then the block index of each level from the last to the first,
-which is innermost.  Block q of a node of A is then the strided slice
-[q::m0*k0] (of B, [q::k0*n0]), and the same slice of a batch of sibling
-nodes stored end to end, node index outermost, holds block q of every one
-of them, so each U and V form of _run_batch is one list operation for the
-whole batch.  A whole level at once would hold R^d blocks at depth d, so
-one rule bounds memory (as in the hybrid scheme of Benson and Ballard,
-arXiv:1409.2908): a level runs its R products in consecutive groups, each
-as large as keeps its next batch within _BATCH_ENTRIES operand entries,
-and at least one product.  Near the leaves a group is the whole level;
-near the root it may be a single product.  Over GF(p) a batch of large
-leaves is one call of the packed kernel exact_algebra._packed_products,
-which returns its products unreduced, so delayed reduction reaches the
-leaves.
+Level order and batches.  _multiply pads both operands and puts them in
+level order (see _level_order) with one C-level gather each, an
+operator.itemgetter over the row-major list with a 0 appended that the
+padding positions read, and puts the product back in row order and crops
+it with one more; the gathers are cached per shape (_gather), and a
+product that does not recurse skips all three.  Level order lists the
+entries of a leaf block outermost, then the block index of each level from
+the last to the first, which is innermost.  Block q of a node of A is then
+the strided slice [q::m0*k0] (of B, [q::k0*n0]), and the same slice of a
+batch of sibling nodes stored end to end, node index outermost, holds
+block q of every one of them, so each U and V form of _run_batch is one
+list operation for the whole batch.  A whole level at once would hold R^d
+blocks at depth d, so one rule bounds memory (as in the hybrid scheme of
+Benson and Ballard, arXiv:1409.2908): a level runs its R products in
+consecutive groups, each as large as keeps its next batch within
+_BATCH_ENTRIES operand entries, and at least one product.  Near the leaves
+a group is the whole level; near the root it may be a single product.  Over
+GF(p) a batch of large leaves is one call of the packed kernel
+exact_algebra._packed_products, which returns its products unreduced, so
+delayed reduction reaches the leaves.
 
 recursive_invert reduces inversion to multiplication by 2x2 block
 elimination (Strassen, "Gaussian elimination is not optimal", Numer. Math.
@@ -95,13 +99,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
 from math import gcd, lcm, prod
-from operator import add, mul, neg, sub
+from operator import add, itemgetter, mul, neg, sub
 from typing import Callable, Mapping, NamedTuple
 
 from .bilinear_core import BilinearAlgorithm, CostReport
 from .errors import BadArgument, DimensionError, SingularMatrix
-from .exact_algebra import (Matrix, _bareiss, _cleared_inverse, _padded, _product_dims,
-                            _square_side)
+from .exact_algebra import Matrix, _bareiss, _cleared_inverse, _product_dims, _square_side
 
 # A level runs its R products in groups of as many as keep the next batch
 # within this many operand entries (at least one product per group), so
@@ -192,11 +195,13 @@ class RecursionConfig:
         object.__setattr__(self, "_prog", _compile(self.base_alg))
 
 
+@lru_cache(maxsize=256)
 def _plan(sides: tuple, dims: tuple, threshold: int) -> tuple:
     """(d, leaf) of a product of dims (m, k, n) over a base of sides
     (m0, k0, n0): d is the least depth with min over x of ceil(x / s_x^d)
     <= threshold, and leaf[i] = ceil(dims[i] / sides[i]^d).  Some side is at
-    least 2, so the loop ends; a side of 1 is never split."""
+    least 2, so the loop ends; a side of 1 is never split.  Plans are
+    cached, as the gathers are: block inversion asks for a few many times."""
     d = 0
     while True:
         leaf = tuple(-(-x // s**d) for x, s in zip(dims, sides))
@@ -205,8 +210,7 @@ def _plan(sides: tuple, dims: tuple, threshold: int) -> tuple:
         d += 1
 
 
-@lru_cache(maxsize=64)
-def _level_order(rows: int, cols: int, rside: int, cside: int, depth: int) -> tuple:
+def _level_order(rows: int, cols: int, rside: int, cside: int, depth: int) -> list:
     """The row-major positions of a rows x cols matrix, listed in level order.
 
     Split depth times into an rside x cside grid of blocks, a matrix in
@@ -216,14 +220,37 @@ def _level_order(rows: int, cols: int, rside: int, cside: int, depth: int) -> tu
     of rside**depth and cols of cside**depth.  Block q of the first split is
     then the strided slice [q::rside * cside], itself in level order, and so
     is block q of every node of a batch of such matrices stored end to end.
-    Orders are cached: block inversion repeats a few shapes many times.
     """
     if depth == 0:
-        return tuple(range(rows * cols))
+        return list(range(rows * cols))
     br, bc = rows // rside, cols // cside
     inner = [(i // bc) * cols + i % bc for i in _level_order(br, bc, rside, cside, depth - 1)]
-    return tuple(bi * br * cols + bj * bc + i
-                 for i in inner for bi in range(rside) for bj in range(cside))
+    return [bi * br * cols + bj * bc + i
+            for i in inner for bi in range(rside) for bj in range(cside)]
+
+
+@lru_cache(maxsize=64)
+def _gather(rows: int, cols: int, prows: int, pcols: int, rside: int, cside: int,
+            depth: int, back: bool = False) -> Callable:
+    """A C-level gather between row order and the level order of a prows x
+    pcols matrix (_level_order), prows >= rows and pcols >= cols.
+
+    It reads a row-major rows x cols list with a 0 appended as its
+    embedding into prows x pcols in level order, each padding position the
+    0; back, it reads a prows x pcols list in level order as its top-left
+    rows x cols corner in row order.  Either gives a tuple, a 1-tuple too
+    (where itemgetter of one index would give the entry itself), as a base
+    with a side of 1 needs.  Gathers are cached: block inversion repeats a
+    few shapes many times.
+    """
+    order = _level_order(prows, pcols, rside, cside, depth)
+    if back:
+        where = sorted(range(len(order)), key=order.__getitem__)
+        index = [where[r * pcols + c] for r in range(rows) for c in range(cols)]
+    else:
+        index = [i // pcols * cols + i % pcols if i // pcols < rows and i % pcols < cols
+                 else rows * cols for i in order]
+    return itemgetter(*index) if len(index) > 1 else lambda x: (x[index[0]],)
 
 
 def _leaves(a: list, b: list, nodes: int, m: int, k: int, n: int) -> list:
@@ -327,34 +354,36 @@ def _leaf_count(rank: int, plan: tuple, dims: tuple) -> int:
 
 def _multiply(prog: _Program, plan: tuple, ring, a, b, dims: tuple, cost: CostReport) -> tuple:
     """(c, e) with c / e the m x n product of row-major m x k and k x n raw
-    ints (over QQ, cleared ones), dims = (m, k, n), c row-major and
-    unreduced mod p, by the program prog with plan = (d, leaf): d levels
-    over leaves of dims leaf (see _plan).  Its counts are tallied into cost.
+    ints (over QQ, cleared ones), dims = (m, k, n), c row-major (a list or
+    a tuple) and unreduced mod p, by the program prog with plan = (d, leaf):
+    d levels over leaves of dims leaf (see _plan).  Its counts are tallied
+    into cost; the operands are left as they are.
 
     A plan of too many leaf multiplications is refused first (_leaf_count).
-    Then each dimension x is embedded with zeros into leaf[x] * s_x^d, both
-    operands are put in level order (_level_order) and run as one batch of
-    one node (_run_batch), and the product is put back in row order and
-    cropped once.  prog's int coefficients make each level multiply the
-    product by prog.denominator D, so _run_batch gives D^d times the
-    product.  The ring checks D^d first (_check_denominator: over GF(p),
-    BadArgument when p divides it, that is when some coefficient has no
-    image mod p; so a product with d = 0 is never refused), and when D^d > 1
-    its _normal divides it out once (over GF(p) e is then 1).
+    A plan with d = 0 splits and pads nothing: _run_batch runs the operands
+    as they are, as one leaf.  Otherwise each dimension x is embedded with
+    zeros into leaf[x] * s_x^d and both operands are put in level order, by
+    one cached gather each (_gather) over the operand with a 0 appended for
+    the padding to read; they run as one batch of one node (_run_batch),
+    and one more gather puts the product back in row order and crops it.
+    prog's int coefficients make each level multiply the product by
+    prog.denominator D, so _run_batch gives D^d times the product.  The
+    ring checks D^d first (_check_denominator: over GF(p), BadArgument when
+    p divides it, that is when some coefficient has no image mod p; so a
+    product with d = 0 is never refused), and when D^d > 1 its _normal
+    divides it out once (over GF(p) e is then 1).
     """
     (m0, k0, n0), (m, k, n), (depth, leaf) = prog.sides, dims, plan
     _leaf_count(len(prog.u), plan, dims)
+    if depth == 0:
+        return _run_batch(a, b, dims, 0, prog, ring, cost), 1
     e = prog.denominator ** depth
     ring._check_denominator(e)
     pm, pk, pn = padded = tuple(x * s**depth for x, s in zip(leaf, prog.sides))
-    ae, be = _padded(a, m, k, pm, pk), _padded(b, k, n, pk, pn)
-    out = _run_batch([ae[i] for i in _level_order(pm, pk, m0, k0, depth)],
-                     [be[i] for i in _level_order(pk, pn, k0, n0, depth)],
+    out = _run_batch(_gather(m, k, pm, pk, m0, k0, depth)([*a, 0]),
+                     _gather(k, n, pk, pn, k0, n0, depth)([*b, 0]),
                      padded, depth, prog, ring, cost)
-    c = [None] * len(out)  # the product, row-major
-    for i, v in zip(_level_order(pm, pn, m0, n0, depth), out):
-        c[i] = v
-    c = [v for r in range(0, m * pn, pn) for v in c[r:r + n]]
+    c = _gather(m, n, pm, pn, m0, n0, depth, True)(out)
     return (c, 1) if e == 1 else ring._normal(c, e)
 
 

@@ -8,8 +8,10 @@ likewise shares nothing with the package's product kernels, and
 reference_trilinear_random is the trial-by-trial form of the package's
 batched trace-identity check, reference_apply_equivalence the
 equivalence transform in plain Fraction arithmetic, reference_tensor
-the tensor product with a fresh key tuple per entry, and reference_bareiss
-the fraction-free elimination on the augmented matrix [A | I].
+the tensor product with a fresh key tuple per entry, reference_bareiss
+the fraction-free elimination on the augmented matrix [A | I], and
+reference_multiply the recursion's product with its operands padded, put in
+level order and put back one entry at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 
 from mmalg import (BilinearAlgorithm, DimensionTriple, Matrix, QQ, SingularMatrix,
                    mat_classical_multiply)
+from mmalg.recursion import _leaf_count, _run_batch
 
 P61 = 2**61 - 1
 P31 = 2**31 - 1
@@ -165,6 +168,48 @@ def reference_bareiss(ring, values, n: int) -> tuple:
         rows[col] = top
         prev = piv
     return [x for row in rows for x in row], prev
+
+
+def reference_level_order(rows: int, cols: int, rside: int, cside: int, depth: int) -> list:
+    """The row-major positions of a rows x cols matrix in level order: the
+    entries of a leaf block outermost, then the block index of each level
+    from the last to the first, which is innermost."""
+    if depth == 0:
+        return list(range(rows * cols))
+    br, bc = rows // rside, cols // cside
+    inner = [(i // bc) * cols + i % bc
+             for i in reference_level_order(br, bc, rside, cside, depth - 1)]
+    return [bi * br * cols + bj * bc + i
+            for i in inner for bi in range(rside) for bj in range(cside)]
+
+
+def reference_padded(values, rows: int, cols: int, prows: int, pcols: int) -> list:
+    """Row-major rows x cols values embedded with 0 into prows x pcols."""
+    out = []
+    for i in range(0, rows * cols, cols):
+        out += values[i:i + cols]
+        out += [0] * (pcols - cols)
+    return out + [0] * ((prows - rows) * pcols)
+
+
+def reference_multiply(prog, plan: tuple, ring, a, b, dims: tuple, cost) -> tuple:
+    """(c, e) of recursion._multiply, with every operand padded
+    (reference_padded) and put in level order one entry at a time, even at
+    depth 0, and the product scattered back into row order and cropped."""
+    (m0, k0, n0), (m, k, n), (depth, leaf) = prog.sides, dims, plan
+    _leaf_count(len(prog.u), plan, dims)
+    e = prog.denominator ** depth
+    ring._check_denominator(e)
+    pm, pk, pn = padded = tuple(x * s**depth for x, s in zip(leaf, prog.sides))
+    ae, be = reference_padded(a, m, k, pm, pk), reference_padded(b, k, n, pk, pn)
+    out = _run_batch([ae[i] for i in reference_level_order(pm, pk, m0, k0, depth)],
+                     [be[i] for i in reference_level_order(pk, pn, k0, n0, depth)],
+                     padded, depth, prog, ring, cost)
+    c = [None] * len(out)
+    for i, v in zip(reference_level_order(pm, pn, m0, n0, depth), out):
+        c[i] = v
+    c = [v for r in range(0, m * pn, pn) for v in c[r:r + n]]
+    return (c, 1) if e == 1 else ring._normal(c, e)
 
 
 def naive_product(a_rows, b_rows, p=None) -> list:

@@ -194,6 +194,30 @@ def test_trilinear_agrees_with_brent():
     assert disagreements == 0
 
 
+@pytest.mark.parametrize("p, alg", [(2, classical(1, 1, 1)), (3, classical(1, 1, 2)),
+                                    (97, strassen_222()), (P61, classical(2, 3, 4)),
+                                    (2**127 - 1, strassen_222())])
+def test_trilinear_random_draws_what_randrange_draws(monkeypatch, p, alg):
+    # Every value the check packs (each trial's A, B and D, trial-minor) is
+    # the one a loop of rng.randrange(p) draws from the same seed.
+    packed, real = [], bilinear_core._packed
+
+    def spy(values, words, group):
+        packed.append(list(values))
+        return real(packed[-1], words, group)
+
+    monkeypatch.setattr(bilinear_core, "_packed", spy)
+    m, k, n = alg.dims
+    for seed in range(6):
+        for trials in (1, 5, 64):
+            packed.clear()
+            assert verify_trilinear_random(alg, trials=trials, prime=p, seed=seed)
+            rng = random.Random(seed)
+            draws = [[rng.randrange(p) for _ in range(m * k + k * n + n * m)]
+                     for _ in range(trials)]
+            assert packed[0] == [x for entry in zip(*draws) for x in entry], (seed, trials)
+
+
 def test_trilinear_random_matches_the_trial_by_trial_reference():
     # At small primes an invalid program passes some trials and fails
     # others, so agreeing on every seed pins the samples each seed draws.

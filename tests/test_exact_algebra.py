@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 from operator import add, mul, sub, truediv
 
 import pytest
@@ -453,6 +454,40 @@ def test_permutation_matrices_invert_to_their_transposes(ring):
         for threshold in (1, 2, 3):
             cfg = RecursionConfig(strassen_222(), threshold)
             assert recursive_invert(cfg, perm)[0] == perm.transpose()
+
+
+@given(rows=st.integers(1, 6), cols=st.integers(1, 6), data=st.data())
+def test_rational_clear_and_restore_match_their_definitions(rows, cols, data):
+    # Rows and columns mix integral ones (scale 1) with fractional ones; an
+    # entry is fractional only where both its row and its column may be.
+    fractional = [data.draw(st.booleans()) for _ in range(rows + cols)]
+    ints = st.integers(-10**20, 10**20)
+    values = [Fraction(data.draw(ints), data.draw(st.integers(1, 12)))
+              if fractional[i] and fractional[rows + j] else Fraction(data.draw(ints))
+              for i in range(rows) for j in range(cols)]
+    for by_columns in (False, True):
+        lines = ([values[j::cols] for j in range(cols)] if by_columns
+                 else [values[i:i + cols] for i in range(0, rows * cols, cols)])
+        scales = [lcm(*(x.denominator for x in line)) for line in lines]
+        each = [scales[t % cols if by_columns else t // cols] for t in range(rows * cols)]
+        assert QQ._clear(values, cols, by_columns) == (
+            [x.numerator * (s // x.denominator) for x, s in zip(values, each)], scales)
+    # _restore: row and column scales of 1 and above, ints that repeat.
+    scale = st.sampled_from((1, 1, 2, 3, 12))
+    row_scales = [data.draw(scale) for _ in range(rows)]
+    col_scales = [data.draw(scale) for _ in range(cols)]
+    raw = [data.draw(st.integers(-3, 3) | ints) for _ in range(rows * cols)]
+    got = QQ._restore(raw, row_scales, col_scales)
+    assert got == [Fraction(raw[i * cols + j], row_scales[i] * col_scales[j])
+                   for i in range(rows) for j in range(cols)]
+    assert all(type(x) is Fraction for x in got)
+    # Where both scales are 1, equal ints share one Fraction.
+    shared = {}
+    for i in range(rows):
+        for j in range(cols):
+            if row_scales[i] == col_scales[j] == 1:
+                x = got[i * cols + j]
+                assert shared.setdefault(x, x) is x
 
 
 def test_matrix_format_round_trip():

@@ -49,7 +49,7 @@ from mmalg import (
     tensor_product,
 )
 from mmalg import formats
-from mmalg.formats import _parse_lines, _read_canonical
+from mmalg.formats import _LABEL_LINE, _parse_lines, _read_canonical
 
 GF97 = PrimeField(97)
 
@@ -350,6 +350,30 @@ def test_bulk_reader_matches_the_line_reader_on_edge_cases(name):
     text = _EDGE_CASES[name]
     assert (_read_canonical(text) is not None) == (name in _READ_IN_BULK)
     assert _outcome(parse_algorithm, text) == _outcome(_parse_lines, text)
+
+
+def test_label_split_leads_each_block_line_with_its_break():
+    # Writer outputs, one of them with an empty slice in each tensor (the
+    # text's last block among them): the split of the text minus its final
+    # "\n" gives the header line, the labels and each block's lines, each
+    # led by its "\n", as reading the text line by line gives them, and the
+    # bulk reader reads each as the line reader does.
+    empty = BilinearAlgorithm(DimensionTriple(1, 2, 1), 2,
+                              [{(0, 0): 1}, {}], [{}, {(1, 0): -2}], [{(0, 0): 1}, {}])
+    for alg in (strassen_222(), classical(2, 3, 4), pan_aggregation(4), empty):
+        text = format_algorithm(alg)
+        header, *lines = text[:-1].split("\n")
+        labels, blocks = [], []
+        for line in lines:
+            if line in ("U", "V", "W"):
+                labels.append(line)
+                blocks.append("")
+            elif line:
+                blocks[-1] += "\n" + line
+        parts = _LABEL_LINE.split(text[:-1])
+        assert (parts[0], parts[1::2], parts[2::2]) == (header, labels, blocks)
+        assert _read_canonical(text) == alg
+        assert _outcome(parse_algorithm, text) == _outcome(_parse_lines, text)
 
 
 def test_entry_grammar():

@@ -38,10 +38,10 @@ from mmalg import (
     tensor_product,
 )
 
-from mmalg import exact_algebra, recursion
-from mmalg.recursion import _BATCH_ENTRIES, _compile, _leaf_count, _plan
+from mmalg import CostReport, exact_algebra, recursion
+from mmalg.recursion import _BATCH_ENTRIES, _compile, _leaf_count, _multiply, _plan
 
-from helpers import P61, naive_product, unit_lu_matrix
+from helpers import P61, naive_product, reference_multiply, unit_lu_matrix
 
 FIELD = PrimeField(P61)
 
@@ -212,6 +212,39 @@ def test_every_traversal_gives_the_same_product_and_counts(monkeypatch, batch_en
             assert got == mat_classical_multiply(a, b), (base.dims, ring)
             assert (report.bilinear_mults, report.scalar_mults, report.additions) == (
                 _shape_counts(base, threshold, m, k, n)), (base.dims, ring)
+
+
+_GATHER_BASES = (strassen_222(), classical(1, 1, 2), classical(1, 2, 1), classical(2, 3, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.sampled_from(_GATHER_BASES),
+       ring=st.sampled_from((QQ, PrimeField(2), PrimeField(97), FIELD)),
+       depth=st.integers(0, 3), leaf=st.tuples(*[st.integers(1, 2)] * 3),
+       pad=st.tuples(*[st.integers(0, 63)] * 3), seed=st.integers(0, 2**32))
+@example(_GATHER_BASES[1], QQ, 2, (1, 1, 1), (0, 0, 0), 0)  # A is 1x1
+@example(_GATHER_BASES[2], PrimeField(97), 2, (1, 1, 1), (0, 0, 0), 0)  # C is 1x1
+@example(_GATHER_BASES[0], QQ, 3, (2, 1, 2), (7, 0, 1), 0)
+def test_multiply_matches_the_padding_and_scatter_reference(base, ring, depth, leaf, pad, seed):
+    # _multiply's cached gathers, and its direct call at depth 0, against
+    # padding, level order and scatter one entry at a time, on dims that pad
+    # to leaf * side^depth: the same product, denominator and counts, and
+    # the operands left as they were.
+    prog = _compile(base)
+    dims = tuple(x * s**depth - z % s**depth for x, s, z in zip(leaf, prog.sides, pad))
+    (m, k, n), rng = dims, random.Random(seed)
+    draw = ((lambda: rng.randrange(-10**6, 10**6)) if ring == QQ
+            else (lambda: rng.randrange(ring.p)))
+    a, b = [draw() for _ in range(m * k)], [draw() for _ in range(k * n)]
+    a0, b0 = list(a), list(b)
+    got_cost, want_cost = CostReport(), CostReport()
+    got = _multiply(prog, (depth, leaf), ring, a, b, dims, got_cost)
+    want = reference_multiply(prog, (depth, leaf), ring, a, b, dims, want_cost)
+    assert (list(got[0]), got[1]) == (list(want[0]), want[1])
+    assert len(got[0]) == m * n
+    assert ((got_cost.bilinear_mults, got_cost.scalar_mults, got_cost.additions)
+            == (want_cost.bilinear_mults, want_cost.scalar_mults, want_cost.additions))
+    assert (a, b) == (a0, b0)
 
 
 def test_fraction_coefficients_over_prime_fields():
